@@ -157,6 +157,7 @@ def _opt_value(args, g, tree):
 
 def _run(args) -> int:
     g, tree = read_instance(args.instance)
+    max_rounds = sim.DEFAULT_MAX_ROUNDS
     if args.max_rounds is not None:
         sim.DEFAULT_MAX_ROUNDS = args.max_rounds
     transcript = None
@@ -172,6 +173,7 @@ def _run(args) -> int:
         print("resource violation: %s" % e)
         return 3
     finally:
+        sim.DEFAULT_MAX_ROUNDS = max_rounds
         sim.TRANSCRIPT_SINK = None
         if transcript is not None:
             with open(args.transcript, "w") as f:
@@ -187,8 +189,6 @@ def _run(args) -> int:
     if opt:
         ratio = "%.4f" % (aug_value / opt)
 
-    h = tree.height if tree is not None else ""
-    d = _graph_diameter(g)
     print("algo=%s rounds=%d messages=%d tokens=%d value=%s valid=%s %s"
           % (args.algo, metrics.rounds, metrics.messages, metrics.tokens,
              aug_value, valid, note))
@@ -198,6 +198,8 @@ def _run(args) -> int:
         with open(args.metrics, "w") as f:
             f.write(metrics.to_csv())
     if args.csv:
+        h = tree.height if tree is not None else ""
+        d = _graph_diameter(g)
         new = not os.path.exists(args.csv)
         with open(args.csv, "a") as f:
             if new:

@@ -385,11 +385,6 @@ def fragment_max_sequential(view, split_labels, scheme, own_cands):
 # ---------------------------------------------------------------------------
 # pass logic shared by the engine driver and the sequential shadow
 
-def covers_parent_edge(ve, v_label, scheme) -> bool:
-    return (scheme.depth(ve.anc) < scheme.depth(v_label)
-            and scheme.is_ancestor(v_label, ve.desc))
-
-
 def leaf_adds(tree, incidence, split, scheme):
     """added[v] = maximal incoming edge at tree leaf v."""
     added = {}
@@ -418,7 +413,7 @@ def _coverage_after_leaf_pass(tree, split, scheme, scan_results, bcast):
             t0[v] = True
         else:
             lab = split[v]
-            t0[v] = any(covers_parent_edge(e, lab, scheme) for e in bcast)
+            t0[v] = any(vg.edge_covers(e, lab, scheme) for e in bcast)
     return t0
 
 
@@ -461,7 +456,7 @@ def _apply_cover(t0, added, split, scheme, tree):
         if v == tree.root or t0[v]:
             continue
         lab = split[v]
-        if any(covers_parent_edge(e, lab, scheme) for e in added):
+        if any(vg.edge_covers(e, lab, scheme) for e in added):
             t0[v] = True
 
 

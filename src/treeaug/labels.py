@@ -28,9 +28,6 @@ class LcaLabel:
     depth: int
     seq: tuple  # ((head, pos), ...)
 
-    def same_vertex(self, other: "LcaLabel") -> bool:
-        return self.seq == other.seq
-
 
 def seq_depth(seq) -> int:
     d = 0

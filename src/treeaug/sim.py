@@ -69,8 +69,6 @@ class Metrics:
     """Per-phase and aggregate communication accounting."""
 
     phases: list[PhaseMetrics] = field(default_factory=list)
-    # optional per-(edge, direction) token totals; direction = sender vertex
-    edge_tokens: dict = field(default_factory=dict)
 
     @property
     def rounds(self) -> int:
@@ -96,8 +94,6 @@ class Metrics:
 
     def merge(self, other: "Metrics"):
         self.phases.extend(other.phases)
-        for k, v in other.edge_tokens.items():
-            self.edge_tokens[k] = self.edge_tokens.get(k, 0) + v
         return self
 
     def to_csv(self) -> str:
@@ -112,7 +108,7 @@ class Metrics:
 
 def run(g, program, budget: int = DEFAULT_BUDGET, max_rounds: int | None = None,
         phase: str = "main", transcript: list | None = None,
-        eval_order=None, track_edge_tokens: bool = False):
+        eval_order=None):
     """Drive `program` on multigraph `g` to quiescence.
 
     Returns (outputs, Metrics) where outputs[v] = program.output(state_v).
@@ -134,7 +130,6 @@ def run(g, program, budget: int = DEFAULT_BUDGET, max_rounds: int | None = None,
     inbox_map: dict[int, list] = {}
     pm = PhaseMetrics(phase)
     metrics = Metrics([pm])
-    edge_tok = metrics.edge_tokens
     last_comm_round = -1
 
     rnd = 0
@@ -184,9 +179,6 @@ def run(g, program, budget: int = DEFAULT_BUDGET, max_rounds: int | None = None,
                     n_toks += ntok
                     if ntok > max_tok:
                         max_tok = ntok
-                    if track_edge_tokens:
-                        key = (eid, v)
-                        edge_tok[key] = edge_tok.get(key, 0) + ntok
                     if round_lines is not None:
                         round_lines.append("%d,%d,%d,%d,%d,%s"
                                            % (rnd, v, dst, eid, ntok, _fmt_payload(payload)))

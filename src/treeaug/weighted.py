@@ -3,12 +3,14 @@
 Upward phase: every vertex v keeps, for each ancestor u, the cheapest way
 w_v(u) to cover the path v..u using edges incoming to its subtree, after
 subtracting min_v = w_v(parent(v)) (the cost charged to v's own tree
-edge). Values flow to the parent as (ancestorId, alteredWeight) pairs,
+edge). Values flow to the parent as (ancestorDepth, alteredWeight) pairs,
 exactly one pair per tree edge per round, deepest ancestor first, so the
-whole phase is pipelined. Downward phase: each vertex either starts a
-cover for its own tree edge or relays the ancestor's choice to the
-recorded cheapest sender; the vertex at the end of a chain adds its own
-incoming edge.
+whole phase is pipelined. An ancestor is named by its depth, which every
+label carries and which is unique on a root path, so no vertex needs an
+ancestor directory. Downward phase: each vertex either starts a cover for
+its own tree edge, naming its parent as the top ancestor, or relays the
+ancestor's (topDepth, topId, deciderId) choice to the recorded cheapest
+sender; the vertex at the end of a chain adds its own incoming edge.
 
 The per-tree-edge charges c(t) = min_v sum exactly to the weight of the
 produced cover, and no augmentation can cost less than their sum.
@@ -82,6 +84,7 @@ class _AncestorProgram:
 
 def disseminate_ancestors(g, tree, all_labels, budget: int = sim.DEFAULT_BUDGET,
                           phase: str = "ancestors"):
+    """Standalone ancestor-directory helper: v outputs its ancestors' labels by depth."""
     view = lbl.TreeView.of_tree(tree)
     prog = _AncestorProgram(view, all_labels, budget)
     return sim.run(g, prog, budget=budget, phase=phase)
@@ -111,25 +114,21 @@ def _own_table(incoming, depth, scheme):
 
 
 class WeightedUpProgram:
-    """One (ancestorId, alteredWeight) pair per tree edge per round, for
+    """One (ancestorDepth, alteredWeight) pair per tree edge per round, for
     ancestors other than the parent, deepest first."""
 
-    def __init__(self, view, incidence, directories, scheme):
+    def __init__(self, view, incidence, all_labels, scheme):
         self.view = view
         self.incidence = incidence
-        self.dirs = directories  # v -> [ancestor labels by depth]
+        self.labels = all_labels
         self.scheme = scheme
 
     def init_state(self, v):
-        ancs = self.dirs[v]
-        d = len(ancs)
-        anc_ids = [a.vertex for a in ancs]
+        d = self.labels[v].depth
         best_w, best_edge = _own_table(self.incidence[v], d, self.scheme)
         ch = self.view.children[v]
         st = {
             "v": v, "d": d, "pe": self.view.parent_edge[v],
-            "anc_idx": {vid: j for j, vid in enumerate(anc_ids)},
-            "anc_ids": anc_ids,
             "best_w": best_w, "best_src": [-1] * d, "best_edge": best_edge,
             "recv_cnt": [0] * d, "recv_total": 0,
             "expected": len(ch) * d, "nchild": len(ch),
@@ -142,11 +141,9 @@ class WeightedUpProgram:
 
     def step(self, st, rnd, inbox):
         if inbox:
-            idx = st["anc_idx"]
             bw, bs = st["best_w"], st["best_src"]
             for eid, payload in inbox:
-                u_id, w = payload
-                j = idx[u_id]
+                j, w = payload
                 c = st["child_of_edge"][eid]
                 if w < bw[j] or (w == bw[j] and (bs[j] == -1 or c < bs[j])):
                     bw[j] = w
@@ -167,7 +164,7 @@ class WeightedUpProgram:
                 alt = w - st["min_v"]
                 if alt < 0:
                     raise sim.SimError("negative altered weight at vertex %d" % st["v"])
-            outbox.append((st["pe"], (st["anc_ids"][j], alt)))
+            outbox.append((st["pe"], (j, alt)))
             st["next_j"] = j - 1
         if st["next_j"] < 0 and st["recv_total"] == st["expected"]:
             return outbox, HALT
@@ -177,56 +174,43 @@ class WeightedUpProgram:
         return outbox, ACTIVE if ready else IDLE
 
     def output(self, st):
-        return {"min": st["min_v"], "best_w": st["best_w"],
-                "best_src": st["best_src"], "best_edge": st["best_edge"],
-                "anc_ids": st["anc_ids"]}
+        return {"min": st["min_v"], "d": st["d"], "best_w": st["best_w"],
+                "best_src": st["best_src"], "best_edge": st["best_edge"]}
 
 
 class WeightedDownProgram:
-    """Relay (topAncestorId, deciderId) along the recorded cheapest-sender
-    chain; the chain end adds its own incoming edge."""
+    """Relay (topDepth, topId, deciderId) unchanged along the recorded
+    cheapest-sender chain; the chain end adds its own incoming edge."""
 
     def __init__(self, view, tables):
         self.view = view
         self.tables = tables
 
     def init_state(self, v):
-        ch = self.view.children[v]
         return {"v": v, "pe": self.view.parent_edge[v],
-                "child_edges": [(c, eid) for c, eid in ch],
+                "child_edges": self.view.children[v],
                 "added": [], "bridge": False,
-                "is_root_child": (self.view.parent_edge[v] >= 0
-                                  and self.tables[v]["min"] is not None
-                                  and len(self.tables[v]["anc_ids"]) == 1)}
+                "is_root_child": self.tables[v]["d"] == 1}
 
     def _act(self, st, m):
-        tab = self.tables[st["v"]]
         v = st["v"]
-        outbox = []
+        tab = self.tables[v]
         chain_child = None
         if m is None:
-            if tab["min"] is None or tab["min"] >= INF:
-                st["bridge"] = tab["min"] is not None and tab["min"] >= INF
-                u = dec = None
-            else:
-                j = len(tab["anc_ids"]) - 1
-                u, dec = tab["anc_ids"][j], v
-        else:
-            u, dec = m
-            j = {vid: i for i, vid in enumerate(tab["anc_ids"])}[u]
-        if m is not None or (tab["min"] is not None and tab["min"] < INF):
+            if tab["min"] is not None and tab["min"] >= INF:
+                st["bridge"] = True
+            elif tab["min"] is not None:
+                # decider: the top ancestor is the parent, at depth d - 1
+                m = (tab["d"] - 1, self.view.parent_vertex[v], v)
+        if m is not None:
+            j, u, dec = m
             src = tab["best_src"][j]
             if src == -1:
-                e = tab["best_edge"][j]
-                st["added"].append((e, u, dec))
+                st["added"].append((tab["best_edge"][j], u, dec))
             else:
                 chain_child = src
-        for c, eid in st["child_edges"]:
-            if c == chain_child:
-                outbox.append((eid, (u, dec)))
-            else:
-                outbox.append((eid, ("bot",)))
-        return outbox
+        return [(eid, m if c == chain_child else ("bot",))
+                for c, eid in st["child_edges"]]
 
     def step(self, st, rnd, inbox):
         if st["pe"] < 0:
@@ -236,8 +220,7 @@ class WeightedDownProgram:
             return self._act(st, None), HALT
         if inbox:
             payload = inbox[0][1]
-            m = None if payload[0] == "bot" else (payload[0], payload[1])
-            return self._act(st, m), HALT
+            return self._act(st, None if payload[0] == "bot" else payload), HALT
         return [], IDLE
 
     def output(self, st):
@@ -253,14 +236,12 @@ def weighted_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
     incidence, m2 = vg.build_incidence_distributed(g, tree, all_labels,
                                                    scheme, budget=budget)
     metrics.merge(m2)
-    dirs, m3 = disseminate_ancestors(g, tree, all_labels, budget=budget)
+    up = WeightedUpProgram(view, incidence, all_labels, scheme)
+    tables, m3 = sim.run(g, up, budget=budget, phase="weighted_up")
     metrics.merge(m3)
-    up = WeightedUpProgram(view, incidence, dirs, scheme)
-    tables, m4 = sim.run(g, up, budget=budget, phase="weighted_up")
-    metrics.merge(m4)
     down = WeightedDownProgram(view, tables)
-    outs, m5 = sim.run(g, down, budget=budget, phase="weighted_down")
-    metrics.merge(m5)
+    outs, m4 = sim.run(g, down, budget=budget, phase="weighted_down")
+    metrics.merge(m4)
     added = []
     bridges = []
     costs = {}

@@ -88,6 +88,32 @@ def test_round_limit_exits_3(tmp_path):
     assert run_cli(["run", inst, "--algo", "tap", "--max-rounds", "3"]) == 3
 
 
+def test_max_rounds_option_does_not_leak(tmp_path):
+    inst = str(tmp_path / "c.txt")
+    run_cli(["gen", "cycle", "--n", "16", "-o", inst])
+    before = sim.DEFAULT_MAX_ROUNDS
+    assert run_cli(["run", inst, "--algo", "tap", "--max-rounds", "4096"]) == 0
+    assert sim.DEFAULT_MAX_ROUNDS is before
+    assert run_cli(["run", inst, "--algo", "tap", "--max-rounds", "3"]) == 3
+    assert sim.DEFAULT_MAX_ROUNDS is before
+
+
+def test_diameter_computed_only_for_csv(tmp_path, monkeypatch):
+    inst = str(tmp_path / "c.txt")
+    csv = str(tmp_path / "out.csv")
+    run_cli(["gen", "cycle", "--n", "16", "-o", inst])
+    calls = []
+    diameter = cli._graph_diameter
+    monkeypatch.setattr(cli, "_graph_diameter",
+                        lambda g: calls.append(g.n) or diameter(g))
+    assert run_cli(["run", inst, "--algo", "tap"]) == 0
+    assert calls == []
+    assert run_cli(["run", inst, "--algo", "tap", "--csv", csv]) == 0
+    assert calls == [16]
+    row = open(csv).read().strip().split("\n")[1].split(",")
+    assert row[4] == "8"
+
+
 def test_oracle_subcommand(tmp_path, capsys):
     inst = str(tmp_path / "p.txt")
     run_cli(["gen", "lb-path", "--k", "3", "-o", inst])

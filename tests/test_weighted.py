@@ -122,6 +122,35 @@ def test_upward_phase_is_pipelined():
         assert up <= 2 * h + 4, (n, up, h)
 
 
+def test_no_ancestor_directory_phase():
+    g, tree = instance(5)
+    phases = [p.phase for p in weighted_cover_distributed(g, tree)["metrics"].phases]
+    assert "ancestors" not in phases
+
+
+def test_only_upward_phase_is_superlinear():
+    # every phase but the pipelined upward one sends O(n) messages
+    for n in (64, 256):
+        g, tree = generators.gen_cycle(n)
+        m = weighted_cover_distributed(g, tree)["metrics"]
+        assert m.messages - m.phase("weighted_up").messages <= 3 * n, n
+
+
+def test_disseminate_ancestors_lists_labels_by_depth():
+    for seed in range(30):
+        g, tree = instance(seed, nmax=16)
+        labels = assign_labels_sequential(TreeView.of_tree(tree))
+        dirs, m = weighted.disseminate_ancestors(g, tree, labels)
+        assert m.max_tokens_edge_round <= 4
+        for v in range(g.n):
+            chain = []
+            u = tree.parent[v]
+            while u >= 0:
+                chain.append(u)
+                u = tree.parent[u]
+            assert dirs[v] == [labels[u] for u in reversed(chain)], (seed, v)
+
+
 def test_bridge_detected():
     from treeaug.graph import Multigraph, bfs_tree
     g = Multigraph(4)
