@@ -22,7 +22,8 @@ import sys
 
 from . import apps, fast, generators, oracle, sim, unweighted, weighted
 from .graph import GraphError, augmentation_covers, diameter, eccentricity, \
-    read_instance, subgraph_two_edge_connected, write_instance
+    is_two_edge_connected, read_instance, subgraph_two_edge_connected, \
+    write_instance
 from .oracle import OracleError, OracleSizeError
 from .unweighted import BridgeDetected
 
@@ -95,8 +96,9 @@ def _need_tree(tree):
 
 
 def _graph_diameter(g) -> int:
-    # exact up to mid scale; beyond that the doubled root eccentricity is
-    # reported (an upper bound within factor 2)
+    # the bit-parallel exact diameter is cheap up to n = 4096; beyond that
+    # the doubled root eccentricity is reported (an upper bound within
+    # factor 2)
     if g.n <= 4096:
         return diameter(g)
     return 2 * eccentricity(g, 0)
@@ -133,7 +135,6 @@ def _run_algo(args, g, tree):
         return m, out.weight, ok, "new_edges=%d" % len(out.edge_ids)
     if algo == "verify":
         verdict, bridges, m = apps.verify_2ec_distributed(g, budget=b)
-        from .graph import is_two_edge_connected
         ok = verdict == is_two_edge_connected(g)
         return m, len(bridges), ok, "verdict=%s" % verdict
     raise GraphError("unknown algorithm %s" % algo)

@@ -131,6 +131,7 @@ def run(g, program, budget: int = DEFAULT_BUDGET, max_rounds: int | None = None,
     pm = PhaseMetrics(phase)
     metrics = Metrics([pm])
     last_comm_round = -1
+    step = program.step
 
     rnd = 0
     while True:
@@ -145,19 +146,18 @@ def run(g, program, budget: int = DEFAULT_BUDGET, max_rounds: int | None = None,
             pend = awake | set(inbox_map)
             actives = [v for v in eval_order if v in pend]
         next_inbox: dict[int, list] = {}
-        round_lines: list[str] | None = [] if transcript is not None else None
+        round_msgs: list | None = [] if transcript is not None else None
         sent_any = False
         n_msgs = 0
         n_toks = 0
         max_tok = pm.max_tokens_edge_round
-        step = program.step
         for v in actives:
             inbox = inbox_map.get(v)
             if inbox is not None:
                 inbox.sort()
             if halted[v]:
                 continue  # late mail to a halted vertex is dropped
-            outbox, status = program.step(states[v], rnd, inbox)
+            outbox, status = step(states[v], rnd, inbox)
             if outbox:
                 sent_any = True
                 if len(outbox) > 1:
@@ -179,9 +179,8 @@ def run(g, program, budget: int = DEFAULT_BUDGET, max_rounds: int | None = None,
                     n_toks += ntok
                     if ntok > max_tok:
                         max_tok = ntok
-                    if round_lines is not None:
-                        round_lines.append("%d,%d,%d,%d,%d,%s"
-                                           % (rnd, v, dst, eid, ntok, _fmt_payload(payload)))
+                    if round_msgs is not None:
+                        round_msgs.append((v, dst, eid, payload))
                     bucket = next_inbox.get(dst)
                     if bucket is None:
                         next_inbox[dst] = [(eid, payload)]
@@ -197,11 +196,14 @@ def run(g, program, budget: int = DEFAULT_BUDGET, max_rounds: int | None = None,
         pm.messages += n_msgs
         pm.tokens += n_toks
         pm.max_tokens_edge_round = max_tok
-        if round_lines:
-            # canonical order, independent of the vertex evaluation order
-            round_lines.sort(key=lambda s: tuple(int(x) for x in s.split(",")[:4]))
-            transcript.extend(round_lines)
-            round_lines = []
+        if round_msgs:
+            # canonical order, independent of the vertex evaluation order;
+            # (src, dst, edge) is unique within a round, so payloads are
+            # never compared
+            round_msgs.sort()
+            transcript.extend("%d,%d,%d,%d,%d,%s"
+                              % (rnd, src, dst, eid, len(payload), _fmt_payload(payload))
+                              for src, dst, eid, payload in round_msgs)
         if sent_any:
             last_comm_round = rnd
         inbox_map = next_inbox
@@ -213,13 +215,8 @@ def run(g, program, budget: int = DEFAULT_BUDGET, max_rounds: int | None = None,
 
 
 def _fmt_payload(payload) -> str:
-    parts = []
-    for tok in payload:
-        if isinstance(tok, tuple):
-            parts.append(":".join(str(x) for x in tok))
-        else:
-            parts.append(str(tok))
-    return ";".join(parts)
+    return ";".join(":".join(map(str, tok)) if type(tok) is tuple else str(tok)
+                    for tok in payload)
 
 
 class TokenStream:

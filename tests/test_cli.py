@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -74,6 +75,21 @@ def test_repeat_runs_byte_identical(tmp_path):
                         "--transcript", tr]) == 0
         outs.append((open(tr, "rb").read(), open(csv, "rb").read()))
     assert outs[0] == outs[1]
+
+
+def test_fast_transcript_bytes_pinned(tmp_path):
+    # SHA-256 of the transcript computed with the engine that formatted each
+    # line first and sorted by re-parsing its first four fields; building the
+    # lines from sorted (src, dst, edge, payload) tuples must not change a byte
+    inst = str(tmp_path / "d.txt")
+    tr = str(tmp_path / "t.log")
+    assert run_cli(["gen", "lb-disj", "--k", "2", "--d", "2", "--p", "4",
+                    "--a", "10", "--b", "01", "--unweighted", "-o", inst]) == 0
+    assert run_cli(["run", inst, "--algo", "fast", "--transcript", tr]) == 0
+    data = open(tr, "rb").read()
+    assert len(data) == 102741
+    assert hashlib.sha256(data).hexdigest() == (
+        "529a4430726926bfe7dba6ab9d61cd3d71b8a1a4f87c8fe5ce9fed815d9ed0f7")
 
 
 def test_bridged_input_exits_2(tmp_path):

@@ -1,13 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treeaug import generators
-from treeaug.graph import (GraphError, Multigraph, augmentation_covers,
-                           bfs_tree, build_multigraph, covers_ref, diameter,
-                           eccentricity, find_bridges, format_instance,
-                           is_connected, is_two_edge_connected, mst_tree,
-                           parse_instance, root_tree, tree_path_edges)
+from treeaug.graph import (GraphError, Multigraph, NotConnectedError,
+                           augmentation_covers, bfs_tree, build_multigraph,
+                           covers_ref, diameter, eccentricity, find_bridges,
+                           format_instance, is_connected,
+                           is_two_edge_connected, mst_tree, parse_instance,
+                           root_tree, tree_path_edges)
 
 
 def bridges_by_removal(g):
@@ -182,3 +184,46 @@ def test_diameter_and_eccentricity():
     g, _ = generators.gen_cycle(8)
     assert diameter(g) == 4
     assert eccentricity(g, 0) == 4
+
+
+@st.composite
+def connected_multigraphs(draw):
+    """Random spanning tree plus extra edges, many of them parallel copies."""
+    n = draw(st.integers(min_value=1, max_value=16))
+    g = Multigraph(n)
+    for v in range(1, n):
+        g.add_edge(v, draw(st.integers(min_value=0, max_value=v - 1)))
+    if n > 1:
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        for u, v in draw(st.lists(pair.filter(lambda p: p[0] != p[1]), max_size=12)):
+            g.add_edge(u, v)
+        for i in draw(st.lists(st.integers(0, g.m - 1), max_size=6)):
+            u, v, _ = g.edges[i]
+            g.add_edge(u, v)
+    return g
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_multigraphs())
+def test_property_diameter_is_max_eccentricity(g):
+    assert diameter(g) == max(eccentricity(g, v) for v in range(g.n))
+
+
+def test_diameter_of_single_vertex_is_zero():
+    assert diameter(Multigraph(1)) == 0
+
+
+def test_diameter_of_disconnected_multigraph_raises():
+    g = Multigraph(5)
+    g.add_edge(0, 1)
+    g.add_edge(0, 1)
+    g.add_edge(1, 2)
+    g.add_edge(3, 4)
+    g.add_edge(4, 3)
+    with pytest.raises(NotConnectedError):
+        diameter(g)
+    h = Multigraph(3)
+    h.add_edge(0, 1)
+    h.add_edge(1, 0)
+    with pytest.raises(NotConnectedError):
+        diameter(h)
