@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import sim
-from .sim import ACTIVE, HALT, IDLE, TokenStream
-from .virtual_graph import VirtualEdge, maximal_of
+from .sim import HALT, IDLE
+from .virtual_graph import VirtualEdge, maximal_covering, maximal_of
 
 
 @dataclass
@@ -48,22 +48,13 @@ class ScanRecord:
     case2_child: object = None                     # child whose optional was consumed
 
 
-def _maximal_covering(cands, depth_limit, scheme):
-    """Maximal edge among cands whose ancestor is strictly above depth_limit."""
-    best = None
-    for ve in cands:
-        if ve is not None and scheme.depth(ve.anc) < depth_limit:
-            best = maximal_of(best, ve, scheme)
-    return best
-
-
 def _scan_node(node: ScanNode, child_recs, scheme) -> ScanRecord:
     """Covering rule for one node, children already processed."""
     rec = ScanRecord()
     if node.root:
         return rec
     mydepth = scheme.depth(node.label)
-    own_max = _maximal_covering(node.incoming, mydepth, scheme)
+    own_max = maximal_covering(node.incoming, mydepth, scheme)
     if not node.children:
         if node.t0:
             rec.opt = own_max
@@ -156,38 +147,19 @@ def sequential_cover_scan(nodes: dict, scheme):
 
 
 # ---------------------------------------------------------------------------
-# engine programs. Upward frames per vertex: a necessary frame then an
-# optional frame, each either ('no_nec',)/('no_opt',) or a tag followed by
-# the ancestor label and an ('eo', originEdgeId) terminator.
+# engine programs. Each vertex sends its parent two frames, the necessary
+# edge then the optional one, each (originEdgeId,) + ancestor label, or
+# empty for none.
 
-def _frame_tokens(tag, ve, scheme):
-    if ve is None:
-        return (("no_" + tag,),)
-    return ((tag,),) + scheme.tokens(ve.anc) + (("eo", ve.origin),)
+def _frame_tokens(ve, scheme):
+    return () if ve is None else (ve.origin,) + scheme.tokens(ve.anc)
 
 
-def _parse_frames(buf, scheme):
-    """Pop complete frames off buf; returns list of (tag, anc_label|None, origin)."""
-    out = []
-    while buf:
-        head = buf[0]
-        if head[0] in ("no_nec", "no_opt"):
-            out.append((head[0][3:], None, None))
-            del buf[:1]
-            continue
-        end = None
-        for i in range(1, len(buf)):
-            if isinstance(buf[i], tuple) and buf[i][0] == "eo":
-                end = i
-                break
-        if end is None:
-            break
-        anc, j = scheme.parse(buf, 1)
-        if j != end:
-            raise sim.SimError("malformed covering frame")
-        out.append((head[0], anc, buf[end][1]))
-        del buf[:end + 1]
-    return out
+def _frame_edge(toks, scheme):
+    if not toks:
+        return None
+    anc, _ = scheme.parse(toks, 1)
+    return VirtualEdge(anc, None, toks[0], 0)
 
 
 class CoverUpProgram:
@@ -210,49 +182,32 @@ class CoverUpProgram:
     def init_state(self, v):
         ch = self.view.children[v]
         return {"v": v, "pe": self.view.parent_edge[v],
-                "child_edges": [eid for _, eid in ch],
                 "child_of_edge": {eid: c for c, eid in ch},
-                "bufs": {eid: [] for _, eid in ch},
-                "frames": {eid: [] for _, eid in ch},
-                "out": TokenStream(), "decided": False, "rec": None}
+                "frames": {eid: [] for _, eid in ch}, "nframes": 0,
+                "ch": sim.Channel(self.budget), "rec": None}
 
     def _decide(self, st):
         v = st["v"]
         node = ScanNode(v, self.labels[v],
-                        children=[st["child_of_edge"][eid] for eid in st["child_edges"]],
+                        children=list(st["child_of_edge"].values()),
                         incoming=self.incoming[v], t0=self.t0[v],
                         root=st["pe"] < 0)
         child_recs = []
-        for eid in sorted(st["child_edges"], key=lambda e: st["child_of_edge"][e]):
-            nec_f, opt_f = st["frames"][eid]
-            crec = ScanRecord()
-            if nec_f[1] is not None:
-                crec.nec = VirtualEdge(nec_f[1], None, nec_f[2], 0)
-            if opt_f[1] is not None:
-                crec.opt = VirtualEdge(opt_f[1], None, opt_f[2], 0)
-            child_recs.append((st["child_of_edge"][eid], crec))
+        for eid, (nec, opt) in st["frames"].items():
+            child_recs.append((st["child_of_edge"][eid], ScanRecord(nec=nec, opt=opt)))
         rec = _scan_node(node, child_recs, self.scheme)
         st["rec"] = rec
-        st["decided"] = True
         if st["pe"] >= 0:
-            st["out"].push(_frame_tokens("nec", rec.nec, self.scheme))
-            st["out"].push(_frame_tokens("opt", rec.opt, self.scheme))
+            st["ch"].send(st["pe"], _frame_tokens(rec.nec, self.scheme))
+            st["ch"].send(st["pe"], _frame_tokens(rec.opt, self.scheme))
 
     def step(self, st, rnd, inbox):
-        if inbox:
-            for eid, payload in inbox:
-                buf = st["bufs"][eid]
-                buf.extend(payload)
-                st["frames"][eid].extend(_parse_frames(buf, self.scheme))
-        if not st["decided"] and all(len(st["frames"][eid]) >= 2
-                                     for eid in st["child_edges"]):
+        for eid, toks in st["ch"].recv(inbox):
+            st["frames"][eid].append(_frame_edge(toks, self.scheme))
+            st["nframes"] += 1
+        if st["rec"] is None and st["nframes"] == 2 * len(st["frames"]):
             self._decide(st)
-        outbox = []
-        if st["out"]:
-            outbox.append((st["pe"], st["out"].take(self.budget)))
-        if st["decided"] and not st["out"]:
-            return outbox, HALT
-        return outbox, ACTIVE if (outbox or st["out"]) else IDLE
+        return st["ch"].flush(st["rec"] is not None)
 
     def output(self, st):
         return st["rec"]

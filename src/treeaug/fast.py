@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import cover_scan, labels as lbl, sim, virtual_graph as vg
 from .graph import root_tree
-from .sim import ACTIVE, HALT, IDLE, TokenStream
+from .sim import HALT, IDLE
 from .unweighted import BridgeDetected
 
 
@@ -233,34 +233,19 @@ class _ParentLabelProgram:
 
     def init_state(self, v):
         t = self.tree
-        toks = lbl.label_tokens(self.labels[v]) + (("le",),)
-        streams = []
+        toks = lbl.label_tokens(self.labels[v])
+        ch = sim.Channel(self.budget)
         for c in t.children[v]:
             if self.frag_of[c] != self.frag_of[v]:
-                s = TokenStream()
-                s.push(toks)
-                streams.append((t.parent_edge[c], s))
-        streams.sort(key=lambda x: x[0])
+                ch.send(t.parent_edge[c], toks)
         p = t.parent[v]
         expects = p >= 0 and self.frag_of[p] != self.frag_of[v]
-        return {"streams": streams, "buf": [], "plabel": None,
-                "expects": expects}
+        return {"ch": ch, "plabel": None, "expects": expects}
 
     def step(self, st, rnd, inbox):
-        if inbox:
-            for _, payload in inbox:
-                st["buf"].extend(payload)
-            if st["buf"] and st["buf"][-1] == ("le",):
-                st["plabel"], _ = lbl.parse_label(st["buf"], 0)
-        outbox = []
-        busy = False
-        for eid, s in st["streams"]:
-            if s:
-                outbox.append((eid, s.take(self.budget)))
-                busy = busy or bool(s)
-        if not busy and (st["plabel"] is not None or not st["expects"]):
-            return outbox, HALT
-        return outbox, ACTIVE if (outbox or busy) else IDLE
+        for _, toks in st["ch"].recv(inbox):
+            st["plabel"], _ = lbl.parse_label(toks, 0)
+        return st["ch"].flush(st["plabel"] is not None or not st["expects"])
 
     def output(self, st):
         return st["plabel"]
@@ -270,40 +255,24 @@ class _ParentLabelProgram:
 # in-fragment maximal-edge scans (leaf pass and global pass share this)
 
 def _edge_frame(ve, scheme):
+    """(originEdgeId,) + ancestor label + descendant label; empty for none."""
     if ve is None:
-        return (("none",),)
-    return ((("edge",),) + scheme.tokens(ve.anc) + scheme.tokens(ve.desc)
-            + (("eo", ve.origin),))
+        return ()
+    return (ve.origin,) + scheme.tokens(ve.anc) + scheme.tokens(ve.desc)
 
 
-def _parse_edge_frames(buf, scheme):
-    out = []
-    while buf:
-        if buf[0][0] == "none":
-            out.append(None)
-            del buf[:1]
-            continue
-        end = None
-        for i in range(1, len(buf)):
-            if isinstance(buf[i], tuple) and buf[i][0] == "eo":
-                end = i
-                break
-        if end is None:
-            break
-        anc, j = scheme.parse(buf, 1)
-        desc, j = scheme.parse(buf, j)
-        if j != end:
-            raise sim.SimError("malformed edge frame")
-        out.append(vg.VirtualEdge(anc, desc, buf[end][1], 0))
-        del buf[:end + 1]
-    return out
+def _parse_edge(toks, i, origin, scheme):
+    """The edge whose ancestor and descendant labels start at toks[i]."""
+    anc, i = scheme.parse(toks, i)
+    desc, _ = scheme.parse(toks, i)
+    return vg.VirtualEdge(anc, desc, origin, 0)
 
 
 class _FragmentMaxScan:
     """Bottom-up within each fragment: every non-root vertex sends one frame
     (the maximal edge covering its parent edge, or none) to its local
     parent; a fragment root's result is the maximal edge covering its
-    global edge. own_cands(v) yields the vertex's own contributions."""
+    global edge. own_cands(v) lists the vertex's own contributions."""
 
     def __init__(self, view, split_labels, scheme, own_cands, budget):
         self.view = view
@@ -313,46 +282,26 @@ class _FragmentMaxScan:
         self.budget = budget
 
     def init_state(self, v):
-        ch = self.view.children[v]
         return {"v": v, "pe": self.view.parent_edge[v],
-                "need": len(ch), "got": 0,
-                "bufs": {eid: [] for _, eid in ch},
-                "cands": [], "out": TokenStream(), "done": False,
-                "result": None}
+                "need": len(self.view.children[v]), "cands": [],
+                "ch": sim.Channel(self.budget), "done": False, "result": None}
 
     def _decide(self, st):
         v = st["v"]
-        scheme = self.scheme
-        mydepth = scheme.depth(self.labels[v])
-        best = None
-        for ve in st["cands"]:
-            if scheme.depth(ve.anc) < mydepth:
-                best = vg.maximal_of(best, ve, scheme)
-        for ve in self.own_cands(v):
-            if scheme.depth(ve.anc) < mydepth:
-                best = vg.maximal_of(best, ve, scheme)
+        best = vg.maximal_covering(st["cands"] + self.own_cands(v),
+                                   self.scheme.depth(self.labels[v]), self.scheme)
         st["result"] = best
         st["done"] = True
         if st["pe"] >= 0:
-            st["out"].push(_edge_frame(best, scheme))
+            st["ch"].send(st["pe"], _edge_frame(best, self.scheme))
 
     def step(self, st, rnd, inbox):
-        if inbox:
-            for eid, payload in inbox:
-                buf = st["bufs"][eid]
-                buf.extend(payload)
-                for fr in _parse_edge_frames(buf, self.scheme):
-                    st["got"] += 1
-                    if fr is not None:
-                        st["cands"].append(fr)
-        if not st["done"] and st["got"] == st["need"]:
+        for _, toks in st["ch"].recv(inbox):
+            st["cands"].append(_parse_edge(toks, 1, toks[0], self.scheme)
+                               if toks else None)
+        if not st["done"] and len(st["cands"]) == st["need"]:
             self._decide(st)
-        outbox = []
-        if st["out"]:
-            outbox.append((st["pe"], st["out"].take(self.budget)))
-        if st["done"] and not st["out"]:
-            return outbox, HALT
-        return outbox, ACTIVE if (outbox or st["out"]) else IDLE
+        return st["ch"].flush(st["done"])
 
     def output(self, st):
         return st["result"]
@@ -369,16 +318,9 @@ def fragment_max_sequential(view, split_labels, scheme, own_cands):
             stack.append(c)
     best = [None] * view.n
     for v in reversed(order):
-        mydepth = scheme.depth(split_labels[v])
-        b = None
-        for c, _ in view.children[v]:
-            ve = best[c]
-            if ve is not None and scheme.depth(ve.anc) < mydepth:
-                b = vg.maximal_of(b, ve, scheme)
-        for ve in own_cands(v):
-            if scheme.depth(ve.anc) < mydepth:
-                b = vg.maximal_of(b, ve, scheme)
-        best[v] = b
+        best[v] = vg.maximal_covering(
+            [best[c] for c, _ in view.children[v]] + own_cands(v),
+            scheme.depth(split_labels[v]), scheme)
     return best
 
 
@@ -391,11 +333,7 @@ def leaf_adds(tree, incidence, split, scheme):
     for v in range(tree.n):
         if tree.children[v]:
             continue
-        best = None
-        mydepth = scheme.depth(split[v])
-        for ve in incidence[v]:
-            if scheme.depth(ve.anc) < mydepth:
-                best = vg.maximal_of(best, ve, scheme)
+        best = vg.maximal_covering(incidence[v], scheme.depth(split[v]), scheme)
         if best is not None:
             added[v] = best
     return added
@@ -509,7 +447,7 @@ def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET,
     metrics.merge(m)
     records = []
     for msg in delivered:
-        plabel, _ = lbl.parse_label(list(msg), 1)
+        plabel, _ = lbl.parse_label(msg, 1)
         records.append((msg[0][1], msg[0][2], plabel))
     scheme = SplitScheme(records, frag_of[tree.root])
     split = [SplitLabel(frag_of[v], local_labels[v]) for v in range(n)]
@@ -533,12 +471,7 @@ def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET,
             for v in frag_roots if v != tree.root and res1[v] is not None]
     bc1, m = sim.broadcast_upcast(g, bfs, msgs, budget=budget, phase="leaf_bcast")
     metrics.merge(m)
-    bcast1 = []
-    for msg in bc1:
-        buf = list(msg)
-        anc, i = scheme.parse(buf, 1)
-        desc, _ = scheme.parse(buf, i)
-        bcast1.append(vg.VirtualEdge(anc, desc, buf[0][1], 0))
+    bcast1 = [_parse_edge(msg, 1, msg[0][1], scheme) for msg in bc1]
     t0 = _coverage_after_leaf_pass(tree, split, scheme, res1, bcast1)
 
     # pass 2: per-fragment maximal incoming edges, broadcast, and the
@@ -552,12 +485,7 @@ def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET,
             for v in frag_roots if v != tree.root and res2[v] is not None]
     bc2, m = sim.broadcast_upcast(g, bfs, msgs, budget=budget, phase="global_bcast")
     metrics.merge(m)
-    frag_max = {}
-    for msg in bc2:
-        buf = list(msg)
-        anc, i = scheme.parse(buf, 1)
-        desc, _ = scheme.parse(buf, i)
-        frag_max[msg[0][1]] = vg.VirtualEdge(anc, desc, msg[0][2], 0)
+    frag_max = {msg[0][1]: _parse_edge(msg, 1, msg[0][2], scheme) for msg in bc2}
     glob_t0 = {f: t0[f] for f in frag_roots}
     tf_res = fragment_tree_scan(tree, frag_roots, frag_of, split, scheme,
                                 frag_max, glob_t0)

@@ -4,8 +4,8 @@ A label is the sequence of (heavyPathHead, position) hops on the root path,
 plus a (vertexId, depth) header. Two labels of the same tree support
 lca/ancestor queries with no communication. The computed LCA's vertex id is
 resolved when it is derivable from the inputs (it equals one of them, or it
-is a heavy-path head); otherwise it is None and callers that need the id
-use an ancestor directory.
+is a heavy-path head); otherwise it is None, and callers name that
+ancestor by its depth, which is unique on a root path.
 
 Labeling works on a TreeView, which is either a whole rooted tree or a
 forest of tree fragments (each fragment root acting as a local root).
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import sim
-from .sim import ACTIVE, IDLE, HALT, TokenStream
+from .sim import HALT, IDLE
 
 
 class LabelError(Exception):
@@ -183,7 +183,7 @@ def closer_to_root(a: LcaLabel, b: LcaLabel) -> bool:
 
 # ---------------------------------------------------------------------------
 # wire format: header ('lh', vertexId|-1, depth), one ('lp', head, pos) per
-# hop. A standalone label stream ends with ('le',) since nothing follows it.
+# hop. A label sent on its own is one frame of exactly these tokens.
 
 def label_tokens(label: LcaLabel) -> tuple:
     vid = -1 if label.vertex is None else label.vertex
@@ -195,10 +195,8 @@ def label_cost(label: LcaLabel) -> int:
 
 
 def parse_label(buf, i):
-    """Parse a label starting at buf[i]; the label ends at the first token
-    that is not an 'lp' hop. Returns (label, next_index) or (None, i) if the
-    tokens are not all there yet (only detectable when buf is a live stream:
-    callers pass complete=False)."""
+    """Parse the label starting at buf[i]; it ends at the first token that
+    is not an 'lp' hop, or at the end of buf. Returns (label, next_index)."""
     tag = buf[i]
     if tag[0] != "lh":
         raise LabelError("expected label header, got %r" % (tag,))
@@ -247,9 +245,7 @@ class _AssignProgram:
         self.budget = budget
 
     def init_state(self, v):
-        ch = self.view.children[v]
-        st = {"v": v, "buf": [], "label": None,
-              "streams": [(eid, c, TokenStream()) for c, eid in ch]}
+        st = {"v": v, "label": None, "ch": sim.Channel(self.budget)}
         if self.view.parent_edge[v] < 0:
             self._learn(st, LcaLabel(v, 0, ((v, 0),)))
         return st
@@ -259,28 +255,13 @@ class _AssignProgram:
         ch = self.view.children[st["v"]]
         if ch:
             hv = heavy_child(ch, self.child_sizes[st["v"]])
-            for eid, c, stream in st["streams"]:
-                lab = _child_label(label, c, c == hv)
-                stream.push(label_tokens(lab) + (("le",),))
+            for c, eid in ch:
+                st["ch"].send(eid, label_tokens(_child_label(label, c, c == hv)))
 
     def step(self, st, rnd, inbox):
-        if inbox:
-            for _, payload in inbox:
-                st["buf"].extend(payload)
-            if st["buf"] and st["buf"][-1] == ("le",):
-                label, _ = parse_label(st["buf"], 0)
-                self._learn(st, label)
-        outbox = []
-        busy = False
-        for eid, _, stream in st["streams"]:
-            if stream:
-                outbox.append((eid, stream.take(self.budget)))
-                busy = busy or bool(stream)
-        if outbox:
-            return outbox, ACTIVE if busy else (HALT if st["label"] else IDLE)
-        if st["label"] is not None:
-            return [], HALT
-        return [], IDLE
+        for _, toks in st["ch"].recv(inbox):
+            self._learn(st, parse_label(toks, 0)[0])
+        return st["ch"].flush(st["label"] is not None)
 
     def output(self, st):
         return st["label"]

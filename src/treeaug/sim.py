@@ -15,7 +15,9 @@ list of (edge_id, payload) with payload a tuple of tokens. `status` is
 ACTIVE (step me next round even without mail), IDLE (wake me on mail), or
 HALT (done; later mail is dropped). Vertices are stepped in ascending id
 order but may only interact through messages, so evaluation order is
-unobservable; the transcript-equality test pins that down.
+unobservable; the transcript-equality test pins that down. Programs that
+stream messages longer than the budget frame them with a per-vertex
+`Channel`.
 """
 from __future__ import annotations
 
@@ -241,10 +243,69 @@ class TokenStream:
         return bool(self.buf)
 
 
+class Channel:
+    """One vertex's framed streams over its incident edges.
+
+    Each message is sent as a frame: one length token followed by that
+    many tokens, streamed under the budget and handed to the receiver once
+    its last token arrives. Frames on one edge arrive whole and in the
+    order they were sent.
+    """
+
+    __slots__ = ("budget", "_out", "_partial")
+
+    def __init__(self, budget):
+        self.budget = budget
+        self._out: dict[int, TokenStream] = {}
+        self._partial: dict[int, tuple] = {}  # edge -> tokens of an unfinished frame
+
+    def send(self, eid, tokens):
+        """Queue a frame carrying `tokens` (possibly none) on edge `eid`."""
+        s = self._out.get(eid)
+        if s is None:
+            s = self._out[eid] = TokenStream()
+        s.push((len(tokens),))
+        s.push(tokens)
+
+    def recv(self, inbox):
+        """The frames this round's mail completed, as (eid, tokens)."""
+        if not inbox:
+            return ()
+        frames = []
+        partial = self._partial
+        for eid, payload in inbox:
+            buf = partial.pop(eid, None)
+            buf = payload if buf is None else buf + payload
+            i, n = 0, len(buf)
+            while i < n:
+                end = i + 1 + buf[i]
+                if end > n:
+                    partial[eid] = buf[i:]
+                    break
+                frames.append((eid, buf[i + 1:end]))
+                i = end
+        return frames
+
+    def flush(self, done):
+        """This round's outbox, at most `budget` tokens per edge, and the
+        status: ACTIVE while anything is queued, else HALT if `done`, else
+        IDLE."""
+        outbox = []
+        queued = False
+        for eid, s in self._out.items():
+            if s.buf:
+                outbox.append((eid, s.take(self.budget)))
+                if s.buf:
+                    queued = True
+        if queued:
+            return outbox, ACTIVE
+        return outbox, HALT if done else IDLE
+
+
 # ---------------------------------------------------------------------------
 # broadcast/upcast utility: deliver k source messages to every vertex over a
-# rooted (BFS) tree. Each message is a tuple of tokens; on the wire it is
-# framed with a (tag, length) token and streamed under the budget.
+# rooted (BFS) tree. Each message travels as one frame; its direction is
+# that of the edge it arrives on.
 
 def broadcast_upcast(g, tree, sources, budget: int = DEFAULT_BUDGET,
                      max_rounds: int | None = None, phase: str = "broadcast"):
@@ -263,7 +324,7 @@ def broadcast_upcast(g, tree, sources, budget: int = DEFAULT_BUDGET,
     k = sum(len(v) for v in by_vertex.values())
     if k == 0:
         return [], Metrics([PhaseMetrics(phase)])
-    prog = _UpDownProgram(g, tree, by_vertex, k, budget)
+    prog = _UpDownProgram(tree, by_vertex, k, budget)
     outputs, metrics = run(g, prog, budget=budget, max_rounds=max_rounds, phase=phase)
     delivered = outputs[tree.root]
     for v in range(g.n):
@@ -272,10 +333,23 @@ def broadcast_upcast(g, tree, sources, budget: int = DEFAULT_BUDGET,
     return delivered, metrics
 
 
-class _UpDownProgram:
-    """Upcast frames tagged ('um', len); broadcast frames tagged ('dm', len)."""
+class _UpDownState:
+    __slots__ = ("ch", "pe", "child_edges", "got")
 
-    def __init__(self, g, tree, sources_by_vertex, k, budget):
+    def __init__(self, ch, pe, child_edges):
+        self.ch = ch
+        self.pe = pe
+        self.child_edges = child_edges
+        self.got = []
+
+
+class _UpDownProgram:
+    """A frame arriving from a child is upcast (a non-root vertex forwards it
+    to its parent, the root collects it); a frame arriving from the parent
+    is delivered and forwarded to every child. The root broadcasts its k
+    messages, in the order it collected them, once the k-th arrives."""
+
+    def __init__(self, tree, sources_by_vertex, k, budget):
         self.tree = tree
         self.sources = sources_by_vertex
         self.k = k
@@ -283,69 +357,36 @@ class _UpDownProgram:
 
     def init_state(self, v):
         t = self.tree
-        st = {
-            "pe": t.parent_edge[v],
-            "child_edges": sorted(t.parent_edge[c] for c in t.children[v]),
-            "up": TokenStream(),
-            "down": {},
-            "got": [],
-            "bufs": {},  # per-edge parse buffers; streams must not interleave
-            "fired": False,
-            "root": t.parent[v] < 0,
-        }
-        for eid in st["child_edges"]:
-            st["down"][eid] = TokenStream()
-            st["bufs"][eid] = []
-        if st["pe"] >= 0:
-            st["bufs"][st["pe"]] = []
-        for msg in self.sources.get(v, []):
-            if st["root"]:
-                st["got"].append(msg)
+        st = _UpDownState(Channel(self.budget), t.parent_edge[v],
+                          sorted(t.parent_edge[c] for c in t.children[v]))
+        for msg in self.sources.get(v, ()):
+            if st.pe >= 0:
+                st.ch.send(st.pe, msg)
             else:
-                st["up"].push((("um", len(msg)),) + msg)
+                self._collect(st, msg)
         return st
 
+    def _collect(self, st, msg):
+        st.got.append(msg)
+        if len(st.got) == self.k:
+            for m in st.got:
+                self._down(st, m)
+
+    def _down(self, st, msg):
+        for eid in st.child_edges:
+            st.ch.send(eid, msg)
+
     def step(self, st, rnd, inbox):
-        if inbox:
-            for in_eid, payload in inbox:
-                buf = st["bufs"][in_eid]
-                buf.extend(payload)
-                while buf:
-                    tag, ln = buf[0]
-                    if len(buf) < 1 + ln:
-                        break
-                    msg = tuple(buf[1:1 + ln])
-                    del buf[:1 + ln]
-                    if tag == "um":
-                        if st["root"]:
-                            st["got"].append(msg)
-                        else:
-                            st["up"].push((("um", ln),) + msg)
-                    else:
-                        st["got"].append(msg)
-                        frame = (("dm", ln),) + msg
-                        for s in st["down"].values():
-                            s.push(frame)
-        if st["root"] and not st["fired"] and len(st["got"]) == self.k:
-            st["fired"] = True
-            for msg in st["got"]:
-                frame = (("dm", len(msg)),) + msg
-                for s in st["down"].values():
-                    s.push(frame)
-        outbox = []
-        if st["up"] and st["pe"] >= 0:
-            outbox.append((st["pe"], st["up"].take(self.budget)))
-        for eid in st["child_edges"]:
-            s = st["down"][eid]
-            if s:
-                outbox.append((eid, s.take(self.budget)))
-        busy = (bool(st["up"]) or any(st["bufs"].values()) or
-                any(bool(s) for s in st["down"].values()))
-        if outbox or busy:
-            return outbox, ACTIVE
-        if len(st["got"]) == self.k:
-            return outbox, HALT
-        return outbox, IDLE
+        pe = st.pe
+        for eid, msg in st.ch.recv(inbox):
+            if eid == pe:
+                st.got.append(msg)
+                self._down(st, msg)
+            elif pe >= 0:
+                st.ch.send(pe, msg)
+            else:
+                self._collect(st, msg)
+        return st.ch.flush(len(st.got) == self.k)
 
     def output(self, st):
-        return list(st["got"])
+        return list(st.got)

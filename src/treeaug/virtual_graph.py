@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from . import labels as lbl
 from . import sim
 from .graph import Augmentation, GraphError
-from .sim import ACTIVE, HALT, IDLE, TokenStream
 
 
 class VirtualGraphError(Exception):
@@ -93,6 +92,16 @@ def maximal_of(e1: VirtualEdge | None, e2: VirtualEdge | None, scheme) -> Virtua
     return hi
 
 
+def maximal_covering(cands, depth_limit, scheme) -> VirtualEdge | None:
+    """Maximal edge among cands (None entries skipped) whose ancestor
+    endpoint is strictly above depth_limit."""
+    best = None
+    for ve in cands:
+        if ve is not None and scheme.depth(ve.anc) < depth_limit:
+            best = maximal_of(best, ve, scheme)
+    return best
+
+
 def covered_tree_edges(tree, ve: VirtualEdge, scheme) -> list[int]:
     """Tree edge ids covered by ve: the path from its descendant endpoint up
     to its ancestor endpoint."""
@@ -148,31 +157,16 @@ class _ExchangeProgram:
     def init_state(self, v):
         nt = [(eid, u) for eid, u in self.g.adj[v] if eid not in self.tree.tree_edges]
         nt.sort()
-        toks = self.scheme.tokens(self.labels[v]) + (("le",),)
-        streams = []
+        ch = sim.Channel(self.budget)
+        toks = self.scheme.tokens(self.labels[v])
         for eid, _ in nt:
-            s = TokenStream()
-            s.push(toks)
-            streams.append((eid, s))
-        return {"v": v, "nt": nt, "streams": streams,
-                "bufs": {eid: [] for eid, _ in nt}, "peer": {}}
+            ch.send(eid, toks)
+        return {"v": v, "nt": nt, "ch": ch, "peer": {}}
 
     def step(self, st, rnd, inbox):
-        if inbox:
-            for eid, payload in inbox:
-                buf = st["bufs"][eid]
-                buf.extend(payload)
-                if buf and buf[-1] == ("le",):
-                    st["peer"][eid], _ = self.scheme.parse(buf, 0)
-        outbox = []
-        busy = False
-        for eid, s in st["streams"]:
-            if s:
-                outbox.append((eid, s.take(self.budget)))
-                busy = busy or bool(s)
-        if len(st["peer"]) == len(st["nt"]) and not busy:
-            return outbox, HALT
-        return outbox, ACTIVE if (outbox or busy) else IDLE
+        for eid, toks in st["ch"].recv(inbox):
+            st["peer"][eid], _ = self.scheme.parse(toks, 0)
+        return st["ch"].flush(len(st["peer"]) == len(st["nt"]))
 
     def output(self, st):
         v = st["v"]

@@ -19,67 +19,47 @@ from __future__ import annotations
 
 from . import labels as lbl, sim, virtual_graph as vg
 from .graph import Augmentation
-from .sim import ACTIVE, HALT, IDLE, TokenStream
+from .sim import ACTIVE, HALT, IDLE
 from .unweighted import BridgeDetected
 
 INF = 1 << 62
-
-_LE = ("le",)
 
 
 # ---------------------------------------------------------------------------
 # ancestor directories: every vertex learns (id, label) of all its ancestors.
 
 class _AncestorProgram:
+    """Every vertex sends its label to its children and relays each label
+    frame it receives from its parent to them."""
+
     def __init__(self, view, all_labels, budget):
         self.view = view
         self.labels = all_labels
         self.budget = budget
 
     def init_state(self, v):
-        ch = self.view.children[v]
-        streams = []
-        rec = lbl.label_tokens(self.labels[v]) + (("le",),)
-        for c, eid in ch:
-            s = TokenStream()
-            s.push(rec)
-            streams.append((eid, s))
-        return {"streams": streams, "all": [], "got": 0,
-                "need": self.labels[v].depth}
+        ch = sim.Channel(self.budget)
+        kids = [eid for _, eid in self.view.children[v]]
+        toks = lbl.label_tokens(self.labels[v])
+        for eid in kids:
+            ch.send(eid, toks)
+        return {"ch": ch, "kids": kids, "anc": [None] * self.labels[v].depth,
+                "got": 0}
 
     def step(self, st, rnd, inbox):
-        if inbox:
-            # relayed records are verbatim copies, so incoming tokens go to
-            # the child streams untouched; labels are parsed once at output
-            for _, payload in inbox:
-                st["all"].extend(payload)
-                st["got"] += payload.count(_LE)
-                for _, s in st["streams"]:
-                    s.buf.extend(payload)
-        outbox = []
-        busy = False
-        for eid, s in st["streams"]:
-            if s:
-                outbox.append((eid, s.take(self.budget)))
-                busy = busy or bool(s)
-        if st["got"] == st["need"] and not busy:
-            return outbox, HALT
-        return outbox, ACTIVE if (outbox or busy) else IDLE
+        for _, toks in st["ch"].recv(inbox):
+            label, _ = lbl.parse_label(toks, 0)
+            st["anc"][label.depth] = label
+            st["got"] += 1
+            for eid in st["kids"]:
+                st["ch"].send(eid, toks)
+        return st["ch"].flush(st["got"] == len(st["anc"]))
 
     def output(self, st):
         # ancestors indexed by depth 0..depth(v)-1
-        out = [None] * st["need"]
-        buf = st["all"]
-        i = 0
-        while i < len(buf):
-            label, i = lbl.parse_label(buf, i)
-            if buf[i] != _LE:
-                raise sim.SimError("malformed ancestor record")
-            i += 1
-            out[label.depth] = label
-        if any(a is None for a in out):
+        if None in st["anc"]:
             raise sim.SimError("incomplete ancestor directory")
-        return out
+        return st["anc"]
 
 
 def disseminate_ancestors(g, tree, all_labels, budget: int = sim.DEFAULT_BUDGET,

@@ -77,19 +77,32 @@ def test_repeat_runs_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_fast_transcript_bytes_pinned(tmp_path):
-    # SHA-256 of the transcript computed with the engine that formatted each
-    # line first and sorted by re-parsing its first four fields; building the
-    # lines from sorted (src, dst, edge, payload) tuples must not change a byte
+def _fast_lb_disj_transcript(tmp_path):
     inst = str(tmp_path / "d.txt")
     tr = str(tmp_path / "t.log")
     assert run_cli(["gen", "lb-disj", "--k", "2", "--d", "2", "--p", "4",
                     "--a", "10", "--b", "01", "--unweighted", "-o", inst]) == 0
     assert run_cli(["run", inst, "--algo", "fast", "--transcript", tr]) == 0
-    data = open(tr, "rb").read()
-    assert len(data) == 102741
+    return open(tr, "rb").read()
+
+
+def test_fast_transcript_bytes_pinned(tmp_path):
+    # SHA-256 of the whole transcript, payload text included, with every
+    # multi-token message sent as a length-prefixed frame; the schedule
+    # itself is pinned separately below
+    data = _fast_lb_disj_transcript(tmp_path)
+    assert len(data) == 98106
     assert hashlib.sha256(data).hexdigest() == (
-        "529a4430726926bfe7dba6ab9d61cd3d71b8a1a4f87c8fe5ce9fed815d9ed0f7")
+        "9becf73d8a6a897f1f3e91b7bbb5a5c43ef8b67dead6c163f56697da9c40856e")
+
+
+def test_fast_transcript_schedule_pinned(tmp_path):
+    # round,src,dst,edge,tokens of every delivery: the schedule must not
+    # change when only the framing of a payload does
+    lines = _fast_lb_disj_transcript(tmp_path).decode().splitlines()
+    schedule = "".join(",".join(line.split(",")[:5]) + "\n" for line in lines)
+    assert hashlib.sha256(schedule.encode()).hexdigest() == (
+        "ab0e5cf8086691da8d85ad51ca62db63cbaa72d3978985689d724490dc2536a8")
 
 
 def test_bridged_input_exits_2(tmp_path):

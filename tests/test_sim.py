@@ -1,11 +1,13 @@
+import pathlib
 import random
+import re
 
 import pytest
 
 from treeaug import generators, sim
 from treeaug.graph import Multigraph, bfs_tree
 from treeaug.sim import (ACTIVE, HALT, IDLE, BudgetExceeded, Metrics,
-                         PhaseMetrics, RoundLimitExceeded, SimError,
+                         Channel, PhaseMetrics, RoundLimitExceeded, SimError,
                          TokenStream, broadcast_upcast)
 
 
@@ -166,6 +168,35 @@ def test_token_stream_drains_by_budget():
     assert not s and s.take(4) is None
 
 
+def test_channel_frames_arrive_whole_in_order_when_complete():
+    rng = random.Random(5)
+    for budget in range(1, 7):
+        sender, receiver = Channel(budget), Channel(budget)
+        sent = {3: [], 7: []}   # edge -> [(frame, round its last token leaves)]
+        for eid, frames in sent.items():
+            pos = 0                # wire position of the frame's length token
+            for i in range(12):
+                toks = tuple(("t", eid, i, j) for j in range(rng.randrange(10)))
+                pos += 1 + len(toks)
+                frames.append((toks, (pos - 1) // budget))
+                sender.send(eid, toks)
+        left = sum(len(toks) + 1 for f in sent.values() for toks, _ in f)
+        got = {3: [], 7: []}
+        rnd = 0
+        while left:
+            outbox, status = sender.flush(rnd % 2 == 0)
+            assert outbox and all(1 <= len(p) <= budget for _, p in outbox)
+            left -= sum(len(p) for _, p in outbox)
+            assert status == (ACTIVE if left else (HALT if rnd % 2 == 0 else IDLE))
+            for eid, toks in receiver.recv(sorted(outbox)):
+                got[eid].append((toks, rnd))
+            rnd += 1
+        assert got == sent, budget
+        assert sender.flush(True) == ([], HALT)
+        assert sender.flush(False) == ([], IDLE)
+        assert receiver.recv([]) == ()
+
+
 def test_broadcast_upcast_delivers_identically():
     for seed in range(15):
         rng = random.Random(seed)
@@ -210,3 +241,12 @@ def test_duplicate_edge_send_rejected():
     g = path_graph(2)
     with pytest.raises(SimError):
         sim.run(g, Dup(g))
+
+
+def test_framing_lives_only_in_sim():
+    retired = re.compile(r"""\(\s*["']le["']\s*,\s*\)|["'](eo|um|dm)["']""")
+    for path in sorted(pathlib.Path(sim.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        if path.name != "sim.py":
+            assert "TokenStream" not in text, path.name
+        assert not retired.search(text), path.name
