@@ -15,8 +15,8 @@ import math
 from . import sim, unweighted, weighted
 from .fast import build_bfs_tree_distributed
 from .graph import Augmentation, GraphError, Multigraph, bfs_tree, \
-    build_multigraph, is_connected, mst_tree, root_tree
-from .sim import ACTIVE, HALT, IDLE
+    is_connected, mst_tree, root_tree
+from .sim import HALT, IDLE
 
 
 def two_ecss_unweighted(g, budget: int = sim.DEFAULT_BUDGET, root: int = 0):
@@ -89,6 +89,18 @@ def augment_1_to_2(g, h_edge_ids, budget: int = sim.DEFAULT_BUDGET,
 # ---------------------------------------------------------------------------
 # verification
 
+class _OrState:
+    __slots__ = ("pe", "child_edges", "acc", "got_up", "verdict", "sent_up")
+
+    def __init__(self, pe, child_edges, acc):
+        self.pe = pe
+        self.child_edges = child_edges
+        self.acc = acc        # OR of the own bit and the children's reports
+        self.got_up = 0
+        self.verdict = None
+        self.sent_up = False
+
+
 class _OrUpDown:
     """OR-convergecast of per-vertex bits over a rooted tree, then the root
     broadcasts the verdict; every vertex outputs it."""
@@ -99,35 +111,34 @@ class _OrUpDown:
 
     def init_state(self, v):
         t = self.tree
-        return {"v": v, "pe": t.parent_edge[v],
-                "child_edges": sorted(t.parent_edge[c] for c in t.children[v]),
-                "acc": 1 if self.bits[v] else 0, "got_up": 0,
-                "verdict": None, "sent_up": False}
+        return _OrState(t.parent_edge[v],
+                        sorted(t.parent_edge[c] for c in t.children[v]),
+                        1 if self.bits[v] else 0)
 
     def step(self, st, rnd, inbox):
         if inbox:
             for eid, payload in inbox:
                 tag, bit = payload[0]
                 if tag == "up":
-                    st["got_up"] += 1
-                    st["acc"] |= bit
+                    st.got_up += 1
+                    st.acc |= bit
                 else:
-                    st["verdict"] = bit
-        nchild = len(st["child_edges"])
-        if st["pe"] < 0 and st["verdict"] is None and st["got_up"] == nchild:
-            st["verdict"] = st["acc"]
-            return ([(eid, (("down", st["verdict"]),))
-                     for eid in st["child_edges"]], HALT)
-        if st["pe"] >= 0 and not st["sent_up"] and st["got_up"] == nchild:
-            st["sent_up"] = True
-            return [(st["pe"], (("up", st["acc"]),))], IDLE
-        if st["verdict"] is not None:
-            return ([(eid, (("down", st["verdict"]),))
-                     for eid in st["child_edges"]], HALT)
+                    st.verdict = bit
+        nchild = len(st.child_edges)
+        if st.pe < 0 and st.verdict is None and st.got_up == nchild:
+            st.verdict = st.acc
+            return ([(eid, (("down", st.verdict),))
+                     for eid in st.child_edges], HALT)
+        if st.pe >= 0 and not st.sent_up and st.got_up == nchild:
+            st.sent_up = True
+            return [(st.pe, (("up", st.acc),))], IDLE
+        if st.verdict is not None:
+            return ([(eid, (("down", st.verdict),))
+                     for eid in st.child_edges], HALT)
         return [], IDLE
 
     def output(self, st):
-        return st["verdict"]
+        return st.verdict
 
 
 def verify_2ec_distributed(g, budget: int = sim.DEFAULT_BUDGET, root: int = 0):

@@ -11,12 +11,12 @@ marking spanning-tree edges; the tree is rooted at vertex 0.
 
 Exit codes: 0 success, 2 the produced solution failed its validity check
 (or the input broke the 2-edge-connectivity promise), 3 a token-budget or
-round-limit violation, 1 anything else (bad usage, oracle size guard).
+round-limit violation, 1 anything else (bad usage, a budget below the
+algorithm's minimum, oracle size guard).
 """
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -105,6 +105,9 @@ def _graph_diameter(g) -> int:
 
 
 ALGOS = ("tap", "wtap", "fast", "ecss", "ecss-w", "aug12", "verify")
+# algorithms built on the weighted augmentation, whose fixed-size records
+# need at least weighted.MIN_BUDGET tokens per edge and round
+WEIGHTED_ALGOS = ("wtap", "ecss-w", "aug12")
 
 
 def _run_algo(args, g, tree):
@@ -157,6 +160,11 @@ def _opt_value(args, g, tree):
 
 
 def _run(args) -> int:
+    need = weighted.MIN_BUDGET if args.algo in WEIGHTED_ALGOS else 1
+    if args.budget < need:
+        print("error: --algo %s needs --budget of at least %d (got %d)"
+              % (args.algo, need, args.budget), file=sys.stderr)
+        return 1
     g, tree = read_instance(args.instance)
     max_rounds = sim.DEFAULT_MAX_ROUNDS
     if args.max_rounds is not None:

@@ -162,6 +162,19 @@ def _frame_edge(toks, scheme):
     return VirtualEdge(anc, None, toks[0], 0)
 
 
+class _CoverUpState:
+    __slots__ = ("v", "pe", "child_of_edge", "frames", "nframes", "ch", "rec")
+
+    def __init__(self, v, pe, child_of_edge, ch):
+        self.v = v
+        self.pe = pe
+        self.child_of_edge = child_of_edge
+        self.frames = {eid: [] for eid in child_of_edge}  # child edge -> [nec, opt]
+        self.nframes = 0
+        self.ch = ch
+        self.rec = None
+
+
 class CoverUpProgram:
     """Upward pass of the scan over a TreeView.
 
@@ -180,37 +193,45 @@ class CoverUpProgram:
         self.budget = budget
 
     def init_state(self, v):
-        ch = self.view.children[v]
-        return {"v": v, "pe": self.view.parent_edge[v],
-                "child_of_edge": {eid: c for c, eid in ch},
-                "frames": {eid: [] for _, eid in ch}, "nframes": 0,
-                "ch": sim.Channel(self.budget), "rec": None}
+        return _CoverUpState(v, self.view.parent_edge[v],
+                             {eid: c for c, eid in self.view.children[v]},
+                             sim.Channel(self.budget))
 
     def _decide(self, st):
-        v = st["v"]
+        v = st.v
         node = ScanNode(v, self.labels[v],
-                        children=list(st["child_of_edge"].values()),
+                        children=list(st.child_of_edge.values()),
                         incoming=self.incoming[v], t0=self.t0[v],
-                        root=st["pe"] < 0)
+                        root=st.pe < 0)
         child_recs = []
-        for eid, (nec, opt) in st["frames"].items():
-            child_recs.append((st["child_of_edge"][eid], ScanRecord(nec=nec, opt=opt)))
+        for eid, (nec, opt) in st.frames.items():
+            child_recs.append((st.child_of_edge[eid], ScanRecord(nec=nec, opt=opt)))
         rec = _scan_node(node, child_recs, self.scheme)
-        st["rec"] = rec
-        if st["pe"] >= 0:
-            st["ch"].send(st["pe"], _frame_tokens(rec.nec, self.scheme))
-            st["ch"].send(st["pe"], _frame_tokens(rec.opt, self.scheme))
+        st.rec = rec
+        if st.pe >= 0:
+            st.ch.send(st.pe, _frame_tokens(rec.nec, self.scheme))
+            st.ch.send(st.pe, _frame_tokens(rec.opt, self.scheme))
 
     def step(self, st, rnd, inbox):
-        for eid, toks in st["ch"].recv(inbox):
-            st["frames"][eid].append(_frame_edge(toks, self.scheme))
-            st["nframes"] += 1
-        if st["rec"] is None and st["nframes"] == 2 * len(st["frames"]):
+        for eid, toks in st.ch.recv(inbox):
+            st.frames[eid].append(_frame_edge(toks, self.scheme))
+            st.nframes += 1
+        if st.rec is None and st.nframes == 2 * len(st.frames):
             self._decide(st)
-        return st["ch"].flush(st["rec"] is not None)
+        return st.ch.flush(st.rec is not None)
 
     def output(self, st):
-        return st["rec"]
+        return st.rec
+
+
+class _CoverDownState:
+    __slots__ = ("v", "pe", "child_edges", "extra")
+
+    def __init__(self, v, pe, child_edges):
+        self.v = v
+        self.pe = pe
+        self.child_edges = child_edges  # [(child, edge id)]
+        self.extra = []                 # own optionals the verdict consumed
 
 
 class CoverDownProgram:
@@ -222,19 +243,17 @@ class CoverDownProgram:
         self.budget = budget
 
     def init_state(self, v):
-        ch = self.view.children[v]
-        return {"v": v, "pe": self.view.parent_edge[v],
-                "child_edges": [(c, eid) for c, eid in ch],
-                "extra": []}
+        return _CoverDownState(v, self.view.parent_edge[v],
+                               list(self.view.children[v]))
 
     def _verdicts(self, st, my_need):
-        rec = self.records[st["v"]]
+        rec = self.records[st.v]
         if my_need:
             kind, payload = rec.opt_src
             if kind == "own":
-                st["extra"].append(payload)
+                st.extra.append(payload)
         outbox = []
-        for c, eid in st["child_edges"]:
+        for c, eid in st.child_edges:
             need = rec.case2_child == c
             if my_need and rec.opt_src[0] == "child" and rec.opt_src[1] == c:
                 need = True
@@ -242,7 +261,7 @@ class CoverDownProgram:
         return outbox
 
     def step(self, st, rnd, inbox):
-        if st["pe"] < 0:
+        if st.pe < 0:
             return self._verdicts(st, False), HALT
         if inbox:
             verdict = inbox[0][1][0]
@@ -250,8 +269,8 @@ class CoverDownProgram:
         return [], IDLE
 
     def output(self, st):
-        rec = self.records[st["v"]]
-        return list(rec.added) + st["extra"]
+        rec = self.records[st.v]
+        return list(rec.added) + st.extra
 
 
 def distributed_cover_scan(g, view, resp_labels, incoming, t0, scheme,

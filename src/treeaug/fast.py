@@ -182,32 +182,41 @@ def split_labels_sequential(tree, frag_of):
 # ---------------------------------------------------------------------------
 # distributed BFS tree (carrier for the coordinator broadcasts)
 
+class _BfsState:
+    __slots__ = ("v", "dist", "parent", "fired")
+
+    def __init__(self, v, dist):
+        self.v = v
+        self.dist = dist
+        self.parent = (-1, -1)  # (parent vertex, tree edge id)
+        self.fired = False
+
+
 class _BfsProgram:
     def __init__(self, g, root):
         self.g = g
         self.root = root
 
     def init_state(self, v):
-        return {"v": v, "dist": 0 if v == self.root else None,
-                "parent": (-1, -1), "fired": False}
+        return _BfsState(v, 0 if v == self.root else None)
 
     def step(self, st, rnd, inbox):
-        if st["dist"] is None and inbox:
+        if st.dist is None and inbox:
             best = None
             for eid, payload in inbox:
                 u = payload[0][1]
                 if best is None or (u, eid) < best:
                     best = (u, eid)
-            st["dist"] = rnd  # first delivery round equals the BFS distance
-            st["parent"] = best
-        if st["dist"] is not None and not st["fired"]:
-            st["fired"] = True
-            return ([(eid, (("d", st["v"], st["dist"]),))
-                     for eid, _ in self.g.adj[st["v"]]], HALT)
+            st.dist = rnd  # first delivery round equals the BFS distance
+            st.parent = best
+        if st.dist is not None and not st.fired:
+            st.fired = True
+            return ([(eid, (("d", st.v, st.dist),))
+                     for eid, _ in self.g.adj[st.v]], HALT)
         return [], IDLE
 
     def output(self, st):
-        return st["parent"]
+        return st.parent
 
 
 def build_bfs_tree_distributed(g, root: int, budget: int = sim.DEFAULT_BUDGET,
@@ -220,6 +229,15 @@ def build_bfs_tree_distributed(g, root: int, budget: int = sim.DEFAULT_BUDGET,
 
 # ---------------------------------------------------------------------------
 # parent-side label exchange across global edges
+
+class _ParentLabelState:
+    __slots__ = ("ch", "plabel", "expects")
+
+    def __init__(self, ch, expects):
+        self.ch = ch
+        self.plabel = None
+        self.expects = expects  # the tree parent lies in another fragment
+
 
 class _ParentLabelProgram:
     """Each vertex streams its local label to children in other fragments;
@@ -240,15 +258,15 @@ class _ParentLabelProgram:
                 ch.send(t.parent_edge[c], toks)
         p = t.parent[v]
         expects = p >= 0 and self.frag_of[p] != self.frag_of[v]
-        return {"ch": ch, "plabel": None, "expects": expects}
+        return _ParentLabelState(ch, expects)
 
     def step(self, st, rnd, inbox):
-        for _, toks in st["ch"].recv(inbox):
-            st["plabel"], _ = lbl.parse_label(toks, 0)
-        return st["ch"].flush(st["plabel"] is not None or not st["expects"])
+        for _, toks in st.ch.recv(inbox):
+            st.plabel, _ = lbl.parse_label(toks, 0)
+        return st.ch.flush(st.plabel is not None or not st.expects)
 
     def output(self, st):
-        return st["plabel"]
+        return st.plabel
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +286,19 @@ def _parse_edge(toks, i, origin, scheme):
     return vg.VirtualEdge(anc, desc, origin, 0)
 
 
+class _FragmentMaxState:
+    __slots__ = ("v", "pe", "need", "cands", "ch", "done", "result")
+
+    def __init__(self, v, pe, need, ch):
+        self.v = v
+        self.pe = pe
+        self.need = need   # frames to await, one per local child
+        self.cands = []
+        self.ch = ch
+        self.done = False
+        self.result = None
+
+
 class _FragmentMaxScan:
     """Bottom-up within each fragment: every non-root vertex sends one frame
     (the maximal edge covering its parent edge, or none) to its local
@@ -282,29 +313,29 @@ class _FragmentMaxScan:
         self.budget = budget
 
     def init_state(self, v):
-        return {"v": v, "pe": self.view.parent_edge[v],
-                "need": len(self.view.children[v]), "cands": [],
-                "ch": sim.Channel(self.budget), "done": False, "result": None}
+        return _FragmentMaxState(v, self.view.parent_edge[v],
+                                 len(self.view.children[v]),
+                                 sim.Channel(self.budget))
 
     def _decide(self, st):
-        v = st["v"]
-        best = vg.maximal_covering(st["cands"] + self.own_cands(v),
+        v = st.v
+        best = vg.maximal_covering(st.cands + self.own_cands(v),
                                    self.scheme.depth(self.labels[v]), self.scheme)
-        st["result"] = best
-        st["done"] = True
-        if st["pe"] >= 0:
-            st["ch"].send(st["pe"], _edge_frame(best, self.scheme))
+        st.result = best
+        st.done = True
+        if st.pe >= 0:
+            st.ch.send(st.pe, _edge_frame(best, self.scheme))
 
     def step(self, st, rnd, inbox):
-        for _, toks in st["ch"].recv(inbox):
-            st["cands"].append(_parse_edge(toks, 1, toks[0], self.scheme)
-                               if toks else None)
-        if not st["done"] and len(st["cands"]) == st["need"]:
+        for _, toks in st.ch.recv(inbox):
+            st.cands.append(_parse_edge(toks, 1, toks[0], self.scheme)
+                            if toks else None)
+        if not st.done and len(st.cands) == st.need:
             self._decide(st)
-        return st["ch"].flush(st["done"])
+        return st.ch.flush(st.done)
 
     def output(self, st):
-        return st["result"]
+        return st.result
 
 
 def fragment_max_sequential(view, split_labels, scheme, own_cands):

@@ -212,30 +212,47 @@ def parse_label(buf, i):
 # ---------------------------------------------------------------------------
 # distributed assignment: subtree sizes up, then labels streamed down.
 
+class _SizeState:
+    __slots__ = ("pe", "nchild", "got", "size", "sent")
+
+    def __init__(self, pe, nchild):
+        self.pe = pe
+        self.nchild = nchild
+        self.got = {}  # child edge -> that child's subtree size
+        self.size = 1
+        self.sent = False
+
+
 class _SizeProgram:
     def __init__(self, view: TreeView):
         self.view = view
 
     def init_state(self, v):
-        ch = self.view.children[v]
-        return {"pe": self.view.parent_edge[v], "nchild": len(ch),
-                "got": {}, "sent": False}
+        return _SizeState(self.view.parent_edge[v], len(self.view.children[v]))
 
     def step(self, st, rnd, inbox):
         if inbox:
             for eid, payload in inbox:
-                st["got"][eid] = payload[0][1]
-        if len(st["got"]) == st["nchild"] and not st["sent"]:
-            st["sent"] = True
-            size = 1 + sum(st["got"].values())
-            st["size"] = size
-            if st["pe"] >= 0:
-                return [(st["pe"], (("sz", size),))], HALT
+                st.got[eid] = payload[0][1]
+        if len(st.got) == st.nchild and not st.sent:
+            st.sent = True
+            st.size = 1 + sum(st.got.values())
+            if st.pe >= 0:
+                return [(st.pe, (("sz", st.size),))], HALT
             return [], HALT
         return [], IDLE
 
     def output(self, st):
-        return st.get("size", 1), dict(st["got"])
+        return st.size, dict(st.got)
+
+
+class _AssignState:
+    __slots__ = ("v", "label", "ch")
+
+    def __init__(self, v, ch):
+        self.v = v
+        self.label = None
+        self.ch = ch
 
 
 class _AssignProgram:
@@ -245,26 +262,26 @@ class _AssignProgram:
         self.budget = budget
 
     def init_state(self, v):
-        st = {"v": v, "label": None, "ch": sim.Channel(self.budget)}
+        st = _AssignState(v, sim.Channel(self.budget))
         if self.view.parent_edge[v] < 0:
             self._learn(st, LcaLabel(v, 0, ((v, 0),)))
         return st
 
     def _learn(self, st, label):
-        st["label"] = label
-        ch = self.view.children[st["v"]]
+        st.label = label
+        ch = self.view.children[st.v]
         if ch:
-            hv = heavy_child(ch, self.child_sizes[st["v"]])
+            hv = heavy_child(ch, self.child_sizes[st.v])
             for c, eid in ch:
-                st["ch"].send(eid, label_tokens(_child_label(label, c, c == hv)))
+                st.ch.send(eid, label_tokens(_child_label(label, c, c == hv)))
 
     def step(self, st, rnd, inbox):
-        for _, toks in st["ch"].recv(inbox):
+        for _, toks in st.ch.recv(inbox):
             self._learn(st, parse_label(toks, 0)[0])
-        return st["ch"].flush(st["label"] is not None)
+        return st.ch.flush(st.label is not None)
 
     def output(self, st):
-        return st["label"]
+        return st.label
 
 
 def assign_labels_distributed(g, view: TreeView, budget: int = sim.DEFAULT_BUDGET,

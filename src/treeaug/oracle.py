@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Augmentation, GraphError, tree_path_edges
+from .graph import Augmentation, tree_path_edges
 
 
 class OracleError(Exception):

@@ -17,10 +17,17 @@ HALT (done; later mail is dropped). Vertices are stepped in ascending id
 order but may only interact through messages, so evaluation order is
 unobservable; the transcript-equality test pins that down. Programs that
 stream messages longer than the budget frame them with a per-vertex
-`Channel`.
+`Channel`, and keep their per-vertex state in a `__slots__` class.
+
+A run allocates millions of short-lived message tuples and frees them all
+again, so CPython's cyclic garbage collector finds nothing to free but
+would still sweep every live object many times over. `run` therefore
+pauses the collector for its length and restores the caller's setting
+when it returns or raises.
 """
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 
 ACTIVE = 0
@@ -117,6 +124,10 @@ def run(g, program, budget: int = DEFAULT_BUDGET, max_rounds: int | None = None,
     `transcript` (if a list) receives one "round,src,dst,edge,tokens,payload"
     line per delivered message. `eval_order` overrides the per-round vertex
     evaluation order (testing hook; results must not depend on it).
+
+    The cyclic garbage collector is paused for the whole run, from the first
+    `init_state` to the last `output`; the caller's setting is restored on
+    return and on every exception.
     """
     if max_rounds is None:
         max_rounds = DEFAULT_MAX_ROUNDS
@@ -124,6 +135,17 @@ def run(g, program, budget: int = DEFAULT_BUDGET, max_rounds: int | None = None,
         transcript = TRANSCRIPT_SINK
     if transcript is not None:
         transcript.append("# phase %s" % phase)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run_rounds(g, program, budget, max_rounds, phase, transcript,
+                           eval_order)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _run_rounds(g, program, budget, max_rounds, phase, transcript, eval_order):
     n = g.n
     edges = g.edges
     states = [program.init_state(v) for v in range(n)]

@@ -3,7 +3,6 @@ view, projected back to a 2-approximate augmentation of the graph."""
 from __future__ import annotations
 
 from . import cover_scan, labels as lbl, sim, virtual_graph as vg
-from .graph import Augmentation
 
 
 class BridgeDetected(Exception):

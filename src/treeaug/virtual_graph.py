@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import labels as lbl
 from . import sim
-from .graph import Augmentation, GraphError
+from .graph import Augmentation
 
 
 class VirtualGraphError(Exception):
@@ -144,6 +144,16 @@ def build_incidence_sequential(g, tree, all_labels, scheme=None):
     return incidence
 
 
+class _ExchangeState:
+    __slots__ = ("v", "nt", "ch", "peer")
+
+    def __init__(self, v, nt, ch):
+        self.v = v
+        self.nt = nt      # [(non-tree edge id, neighbour)] by edge id
+        self.ch = ch
+        self.peer = {}    # non-tree edge id -> the neighbour's label
+
+
 class _ExchangeProgram:
     """Stream own label over every incident non-tree edge, then classify."""
 
@@ -161,18 +171,18 @@ class _ExchangeProgram:
         toks = self.scheme.tokens(self.labels[v])
         for eid, _ in nt:
             ch.send(eid, toks)
-        return {"v": v, "nt": nt, "ch": ch, "peer": {}}
+        return _ExchangeState(v, nt, ch)
 
     def step(self, st, rnd, inbox):
-        for eid, toks in st["ch"].recv(inbox):
-            st["peer"][eid], _ = self.scheme.parse(toks, 0)
-        return st["ch"].flush(len(st["peer"]) == len(st["nt"]))
+        for eid, toks in st.ch.recv(inbox):
+            st.peer[eid], _ = self.scheme.parse(toks, 0)
+        return st.ch.flush(len(st.peer) == len(st.nt))
 
     def output(self, st):
-        v = st["v"]
+        v = st.v
         out = []
-        for eid, _ in st["nt"]:
-            ve = classify_incoming(self.labels[v], st["peer"][eid], eid,
+        for eid, _ in st.nt:
+            ve = classify_incoming(self.labels[v], st.peer[eid], eid,
                                    self.g.weight(eid), self.scheme)
             if ve is not None:
                 out.append(ve)

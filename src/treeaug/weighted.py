@@ -18,15 +18,27 @@ produced cover, and no augmentation can cost less than their sum.
 from __future__ import annotations
 
 from . import labels as lbl, sim, virtual_graph as vg
-from .graph import Augmentation
 from .sim import ACTIVE, HALT, IDLE
 from .unweighted import BridgeDetected
 
 INF = 1 << 62
+# the fewest tokens per edge and round that carry the upward (depth, weight)
+# pairs and the downward (topDepth, topId, deciderId) relays unframed
+MIN_BUDGET = 3
 
 
 # ---------------------------------------------------------------------------
 # ancestor directories: every vertex learns (id, label) of all its ancestors.
+
+class _AncestorState:
+    __slots__ = ("ch", "kids", "anc", "got")
+
+    def __init__(self, ch, kids, depth):
+        self.ch = ch
+        self.kids = kids
+        self.anc = [None] * depth  # ancestor labels by depth
+        self.got = 0
+
 
 class _AncestorProgram:
     """Every vertex sends its label to its children and relays each label
@@ -43,23 +55,22 @@ class _AncestorProgram:
         toks = lbl.label_tokens(self.labels[v])
         for eid in kids:
             ch.send(eid, toks)
-        return {"ch": ch, "kids": kids, "anc": [None] * self.labels[v].depth,
-                "got": 0}
+        return _AncestorState(ch, kids, self.labels[v].depth)
 
     def step(self, st, rnd, inbox):
-        for _, toks in st["ch"].recv(inbox):
+        for _, toks in st.ch.recv(inbox):
             label, _ = lbl.parse_label(toks, 0)
-            st["anc"][label.depth] = label
-            st["got"] += 1
-            for eid in st["kids"]:
-                st["ch"].send(eid, toks)
-        return st["ch"].flush(st["got"] == len(st["anc"]))
+            st.anc[label.depth] = label
+            st.got += 1
+            for eid in st.kids:
+                st.ch.send(eid, toks)
+        return st.ch.flush(st.got == len(st.anc))
 
     def output(self, st):
         # ancestors indexed by depth 0..depth(v)-1
-        if None in st["anc"]:
+        if None in st.anc:
             raise sim.SimError("incomplete ancestor directory")
-        return st["anc"]
+        return st.anc
 
 
 def disseminate_ancestors(g, tree, all_labels, budget: int = sim.DEFAULT_BUDGET,
@@ -93,6 +104,29 @@ def _own_table(incoming, depth, scheme):
     return best_w, best_edge
 
 
+class _WeightedUpState:
+    __slots__ = ("v", "d", "pe", "best_w", "best_src", "best_edge", "recv_cnt",
+                 "recv_total", "expected", "nchild", "child_of_edge", "next_j",
+                 "min_v")
+
+    def __init__(self, v, d, pe, best_w, best_edge, child_of_edge):
+        self.v = v
+        self.d = d
+        self.pe = pe
+        # per ancestor depth j < d: cheapest altered weight, the child it
+        # came from (-1: own edge), own edge, and pairs received so far
+        self.best_w = best_w
+        self.best_src = [-1] * d
+        self.best_edge = best_edge
+        self.recv_cnt = [0] * d
+        self.recv_total = 0
+        self.nchild = len(child_of_edge)
+        self.expected = self.nchild * d
+        self.child_of_edge = child_of_edge
+        self.next_j = d - 2  # next depth to send; the parent's is not sent
+        self.min_v = best_w[d - 1] if self.nchild == 0 and d > 0 else None
+
+
 class WeightedUpProgram:
     """One (ancestorDepth, alteredWeight) pair per tree edge per round, for
     ancestors other than the parent, deepest first."""
@@ -106,56 +140,61 @@ class WeightedUpProgram:
     def init_state(self, v):
         d = self.labels[v].depth
         best_w, best_edge = _own_table(self.incidence[v], d, self.scheme)
-        ch = self.view.children[v]
-        st = {
-            "v": v, "d": d, "pe": self.view.parent_edge[v],
-            "best_w": best_w, "best_src": [-1] * d, "best_edge": best_edge,
-            "recv_cnt": [0] * d, "recv_total": 0,
-            "expected": len(ch) * d, "nchild": len(ch),
-            "child_of_edge": {eid: c for c, eid in ch},
-            "next_j": d - 2, "min_v": None,
-        }
-        if st["nchild"] == 0 and d > 0:
-            st["min_v"] = best_w[d - 1]
-        return st
+        return _WeightedUpState(v, d, self.view.parent_edge[v], best_w, best_edge,
+                                {eid: c for c, eid in self.view.children[v]})
 
     def step(self, st, rnd, inbox):
+        bw = st.best_w
+        cnt = st.recv_cnt
+        nchild = st.nchild
         if inbox:
-            bw, bs = st["best_w"], st["best_src"]
-            for eid, payload in inbox:
-                j, w = payload
-                c = st["child_of_edge"][eid]
+            bs = st.best_src
+            be = st.best_edge
+            child_of_edge = st.child_of_edge
+            for eid, (j, w) in inbox:
+                c = child_of_edge[eid]
                 if w < bw[j] or (w == bw[j] and (bs[j] == -1 or c < bs[j])):
                     bw[j] = w
                     bs[j] = c
-                    st["best_edge"][j] = None
-                st["recv_cnt"][j] += 1
-                st["recv_total"] += 1
-            if (st["min_v"] is None and st["d"] > 0
-                    and st["recv_cnt"][st["d"] - 1] == st["nchild"]):
-                st["min_v"] = bw[st["d"] - 1]
+                    be[j] = None
+                cnt[j] += 1
+            st.recv_total += len(inbox)
+            d = st.d
+            if st.min_v is None and d > 0 and cnt[d - 1] == nchild:
+                st.min_v = bw[d - 1]
+        min_v = st.min_v
+        j = st.next_j
         outbox = []
-        j = st["next_j"]
-        if j >= 0 and st["min_v"] is not None and st["recv_cnt"][j] == st["nchild"]:
-            w = st["best_w"][j]
+        if j >= 0 and min_v is not None and cnt[j] == nchild:
+            w = bw[j]
             if w >= INF:
                 alt = INF
             else:
-                alt = w - st["min_v"]
+                alt = w - min_v
                 if alt < 0:
-                    raise sim.SimError("negative altered weight at vertex %d" % st["v"])
-            outbox.append((st["pe"], (j, alt)))
-            st["next_j"] = j - 1
-        if st["next_j"] < 0 and st["recv_total"] == st["expected"]:
+                    raise sim.SimError("negative altered weight at vertex %d" % st.v)
+            outbox.append((st.pe, (j, alt)))
+            j -= 1
+            st.next_j = j
+        if j < 0 and st.recv_total == st.expected:
             return outbox, HALT
-        j = st["next_j"]
-        ready = (j >= 0 and st["min_v"] is not None
-                 and st["recv_cnt"][j] == st["nchild"])
+        ready = j >= 0 and min_v is not None and cnt[j] == nchild
         return outbox, ACTIVE if ready else IDLE
 
     def output(self, st):
-        return {"min": st["min_v"], "d": st["d"], "best_w": st["best_w"],
-                "best_src": st["best_src"], "best_edge": st["best_edge"]}
+        return {"min": st.min_v, "d": st.d, "best_w": st.best_w,
+                "best_src": st.best_src, "best_edge": st.best_edge}
+
+
+class _WeightedDownState:
+    __slots__ = ("v", "pe", "child_edges", "added", "bridge")
+
+    def __init__(self, v, pe, child_edges):
+        self.v = v
+        self.pe = pe
+        self.child_edges = child_edges
+        self.added = []      # (virtual edge, top id, decider id) records
+        self.bridge = False
 
 
 class WeightedDownProgram:
@@ -167,18 +206,16 @@ class WeightedDownProgram:
         self.tables = tables
 
     def init_state(self, v):
-        return {"v": v, "pe": self.view.parent_edge[v],
-                "child_edges": self.view.children[v],
-                "added": [], "bridge": False,
-                "is_root_child": self.tables[v]["d"] == 1}
+        return _WeightedDownState(v, self.view.parent_edge[v],
+                                  self.view.children[v])
 
     def _act(self, st, m):
-        v = st["v"]
+        v = st.v
         tab = self.tables[v]
         chain_child = None
         if m is None:
             if tab["min"] is not None and tab["min"] >= INF:
-                st["bridge"] = True
+                st.bridge = True
             elif tab["min"] is not None:
                 # decider: the top ancestor is the parent, at depth d - 1
                 m = (tab["d"] - 1, self.view.parent_vertex[v], v)
@@ -186,17 +223,17 @@ class WeightedDownProgram:
             j, u, dec = m
             src = tab["best_src"][j]
             if src == -1:
-                st["added"].append((tab["best_edge"][j], u, dec))
+                st.added.append((tab["best_edge"][j], u, dec))
             else:
                 chain_child = src
         return [(eid, m if c == chain_child else ("bot",))
-                for c, eid in st["child_edges"]]
+                for c, eid in st.child_edges]
 
     def step(self, st, rnd, inbox):
-        if st["pe"] < 0:
+        if st.pe < 0:
             # root: children act on their own; nothing to send
             return [], HALT
-        if rnd == 0 and st["is_root_child"]:
+        if rnd == 0 and self.tables[st.v]["d"] == 1:
             return self._act(st, None), HALT
         if inbox:
             payload = inbox[0][1]
@@ -204,12 +241,17 @@ class WeightedDownProgram:
         return [], IDLE
 
     def output(self, st):
-        return {"added": st["added"], "bridge": st["bridge"]}
+        return {"added": st.added, "bridge": st.bridge}
 
 
 def weighted_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
     """Full distributed run. Returns dict with "added" [(ve, top, decider)],
-    "costs" {tree edge id: charge}, "bridges", "labels", "metrics"."""
+    "costs" {tree edge id: charge}, "bridges", "labels", "metrics".
+
+    Raises ValueError when budget is below MIN_BUDGET."""
+    if budget < MIN_BUDGET:
+        raise ValueError("weighted augmentation needs a budget of at least %d "
+                         "tokens (got %d)" % (MIN_BUDGET, budget))
     view = lbl.TreeView.of_tree(tree)
     all_labels, metrics = lbl.assign_labels_distributed(g, view, budget=budget)
     scheme = vg.PlainScheme()

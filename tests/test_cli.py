@@ -174,3 +174,28 @@ def test_console_script_entry_point(tmp_path):
                        capture_output=True, text=True)
     assert r.returncode == 0
     assert "valid=True" in r.stdout and "optimum=" in r.stdout
+
+
+def test_budget_below_the_algorithms_minimum_is_rejected_up_front(tmp_path, capsys):
+    missing = str(tmp_path / "never-read.txt")
+    for algo in cli.ALGOS:
+        need = 3 if algo in ("wtap", "ecss-w", "aug12") else 1
+        assert run_cli(["run", missing, "--algo", algo, "--budget", "0"]) == 1, algo
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "at least %d" % need in err, err
+    for algo in ("wtap", "ecss-w", "aug12"):
+        for budget in ("1", "2"):
+            assert run_cli(["run", missing, "--algo", algo,
+                            "--budget", budget]) == 1, (algo, budget)
+            assert "at least 3" in capsys.readouterr().err
+
+
+def test_lowest_accepted_budgets_run(tmp_path):
+    # the weighted records are 2 and 3 tokens; every other program frames
+    # its messages and streams them at one token a round
+    inst = str(tmp_path / "r.txt")
+    run_cli(["gen", "random", "--n", "30", "--extra", "15", "--seed", "5",
+             "-o", inst])
+    for algo in cli.ALGOS:
+        budget = "3" if algo in ("wtap", "ecss-w", "aug12") else "1"
+        assert run_cli(["run", inst, "--algo", algo, "--budget", budget]) == 0, algo

@@ -1,3 +1,5 @@
+import ast
+import gc
 import pathlib
 import random
 import re
@@ -250,3 +252,130 @@ def test_framing_lives_only_in_sim():
         if path.name != "sim.py":
             assert "TokenStream" not in text, path.name
         assert not retired.search(text), path.name
+
+
+SRC = pathlib.Path(sim.__file__).parent
+
+
+def _unused_imports(tree):
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_no_unused_imports_in_package():
+    for path in sorted(SRC.glob("*.py")):
+        unused = _unused_imports(ast.parse(path.read_text()))
+        assert not unused, (path.name, unused)
+
+
+def _engine_programs():
+    """(module, class) of every class under src/treeaug with init_state."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(f, ast.FunctionDef) and f.name == "init_state"
+                    for f in node.body):
+                found.add(("treeaug." + path.stem, node.name))
+    return found
+
+
+def test_engine_state_is_slotted_everywhere(monkeypatch):
+    dict_subscript = re.compile(r"""\bst\[\s*["']""")
+    for path in sorted(SRC.glob("*.py")):
+        assert not dict_subscript.search(path.read_text()), path.name
+
+    from treeaug import apps, fast, unweighted, weighted
+    real_run = sim.run
+    states = {}
+
+    def recording_run(g, program, *args, **kwargs):
+        cls = type(program)
+        states[(cls.__module__, cls.__name__)] = program.init_state(0)
+        return real_run(g, program, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "run", recording_run)
+    g, tree = generators.gen_random_2ec(40, 25, 2, wmin=1, wmax=9)
+    unweighted.augment_unweighted(g, tree)
+    weighted.augment_weighted(g, tree)
+    fast.augment_fast(g, tree)
+    apps.verify_2ec_distributed(g)
+    labels = unweighted.cover_virtual_optimal(g, tree)["labels"]
+    weighted.disseminate_ancestors(g, tree, labels)
+
+    assert set(states) == _engine_programs()
+    for prog, st in sorted(states.items()):
+        assert "__slots__" in vars(type(st)), prog
+        assert not hasattr(st, "__dict__"), prog
+
+
+class _GcProbe:
+    """Records gc.isenabled() at every step, then halts."""
+
+    def __init__(self):
+        self.seen = []
+
+    def init_state(self, v):
+        return None
+
+    def step(self, st, rnd, inbox):
+        self.seen.append(gc.isenabled())
+        return [], HALT
+
+    def output(self, st):
+        return None
+
+
+def _set_collector(enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def _run_to_quiescence():
+    g = path_graph(3)
+    sim.run(g, Flood(g))
+
+
+def _run_over_budget():
+    g = path_graph(3)
+    with pytest.raises(BudgetExceeded):
+        sim.run(g, Overflow(g), budget=4)
+
+
+def _run_past_round_limit():
+    g = path_graph(2)
+    with pytest.raises(RoundLimitExceeded):
+        sim.run(g, Chatter(g), max_rounds=10)
+
+
+@pytest.mark.parametrize("ending", [_run_to_quiescence, _run_over_budget,
+                                    _run_past_round_limit])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_restores_the_callers_collector_setting(enabled, ending):
+    was = gc.isenabled()
+    try:
+        _set_collector(enabled)
+        ending()
+        assert gc.isenabled() is enabled
+    finally:
+        _set_collector(was)
+
+
+def test_collector_is_paused_inside_run():
+    was = gc.isenabled()
+    try:
+        gc.enable()
+        probe = _GcProbe()
+        sim.run(path_graph(4), probe)
+        assert probe.seen == [False] * 4
+        assert gc.isenabled()
+    finally:
+        _set_collector(was)

@@ -8,7 +8,8 @@ from treeaug.labels import TreeView, assign_labels_sequential
 from treeaug.unweighted import BridgeDetected
 from treeaug.virtual_graph import (PlainScheme, build_incidence_sequential,
                                    covered_tree_edges)
-from treeaug.weighted import (augment_weighted, sequential_weighted_cover,
+from treeaug.weighted import (MIN_BUDGET, augment_weighted,
+                              sequential_weighted_cover,
                               weighted_cover_distributed)
 
 
@@ -161,3 +162,15 @@ def test_bridge_detected():
     tree = bfs_tree(g, 0)
     with pytest.raises(BridgeDetected):
         augment_weighted(g, tree)
+
+
+def test_budget_below_the_record_size_is_rejected():
+    g, tree = instance(4)
+    assert MIN_BUDGET == 3
+    for budget in range(-1, MIN_BUDGET):
+        with pytest.raises(ValueError, match="at least 3"):
+            weighted_cover_distributed(g, tree, budget=budget)
+    want = sequential_weighted_cover(g, tree)
+    got = weighted_cover_distributed(g, tree, budget=MIN_BUDGET)
+    assert got["costs"] == want["costs"]
+    assert got["metrics"].max_tokens_edge_round <= MIN_BUDGET
