@@ -11,8 +11,9 @@ marking spanning-tree edges; the tree is rooted at vertex 0.
 
 Exit codes: 0 success, 2 the produced solution failed its validity check
 (or the input broke the 2-edge-connectivity promise), 3 a token-budget or
-round-limit violation, 1 anything else (bad usage, a budget below the
-algorithm's minimum, oracle size guard).
+round-limit violation, 1 anything else (bad usage, an instance file that
+cannot be read or parsed, a budget below the algorithm's minimum, oracle
+size guard).
 """
 from __future__ import annotations
 
@@ -273,7 +274,7 @@ def main(argv=None) -> int:
         if args.cmd == "run":
             return _run(args)
         return _oracle(args)
-    except GraphError as e:
+    except (GraphError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
 

@@ -354,7 +354,7 @@ def parse_instance(text: str):
     head = lines[0].split()
     if len(head) != 2:
         raise GraphError("header must be 'n m'")
-    n, m = int(head[0]), int(head[1])
+    n, m = _ints(lines[0], head)
     if len(lines) - 1 != m:
         raise GraphError("expected %d edge lines, got %d" % (m, len(lines) - 1))
     g = Multigraph(n)
@@ -363,7 +363,7 @@ def parse_instance(text: str):
         parts = line.split()
         if len(parts) not in (3, 4):
             raise GraphError("bad edge line %r" % line)
-        u, v, w = int(parts[0]), int(parts[1]), int(parts[2])
+        u, v, w = _ints(line, parts[:3])
         eid = g.add_edge(u, v, w)
         if len(parts) == 4:
             if parts[3] != "t":
@@ -373,6 +373,13 @@ def parse_instance(text: str):
     if tree_ids:
         tree = root_tree(g, tree_ids, 0)
     return g, tree
+
+
+def _ints(line: str, words) -> list[int]:
+    try:
+        return [int(x) for x in words]
+    except ValueError:
+        raise GraphError("expected integers in line %r" % line) from None
 
 
 def read_instance(path: str):

@@ -18,6 +18,10 @@ order but may only interact through messages, so evaluation order is
 unobservable; the transcript-equality test pins that down. Programs that
 stream messages longer than the budget frame them with a per-vertex
 `Channel`, and keep their per-vertex state in a `__slots__` class.
+`broadcast_upcast` gathers k messages at a tree root, store-and-forward,
+and streams them down cut-through: the root sends each message as it
+collects it, and every vertex relays each chunk to its children in the
+round it arrives.
 
 A run allocates millions of short-lived message tuples and frees them all
 again, so CPython's cyclic garbage collector finds nothing to free but
@@ -254,6 +258,11 @@ class TokenStream:
     def push(self, tokens):
         self.buf.extend(tokens)
 
+    def push_frame(self, tokens):
+        """Queue one frame: a length token, then `tokens`."""
+        self.buf.append(len(tokens))
+        self.buf.extend(tokens)
+
     def take(self, budget):
         if not self.buf:
             return None
@@ -286,8 +295,7 @@ class Channel:
         s = self._out.get(eid)
         if s is None:
             s = self._out[eid] = TokenStream()
-        s.push((len(tokens),))
-        s.push(tokens)
+        s.push_frame(tokens)
 
     def recv(self, inbox):
         """The frames this round's mail completed, as (eid, tokens)."""
@@ -326,8 +334,8 @@ class Channel:
 
 # ---------------------------------------------------------------------------
 # broadcast/upcast utility: deliver k source messages to every vertex over a
-# rooted (BFS) tree. Each message travels as one frame; its direction is
-# that of the edge it arrives on.
+# rooted (BFS) tree. Each message travels up as one frame; the root's frames
+# travel down as one stream of chunks, relayed as they arrive.
 
 def broadcast_upcast(g, tree, sources, budget: int = DEFAULT_BUDGET,
                      max_rounds: int | None = None, phase: str = "broadcast"):
@@ -337,6 +345,13 @@ def broadcast_upcast(g, tree, sources, budget: int = DEFAULT_BUDGET,
     `sources` is a list of (vertex, message) pairs. Returns (delivered,
     Metrics) where delivered is the list of k messages in the order the root
     collected them (identical at every vertex).
+
+    Round bound: let T = sum(len(msg) + 1) be the length of the root's down
+    stream in tokens, h the tree's height, and t_k the round in which the
+    root collects the k-th message (0 when every source is the root). Each
+    downward tree edge carries exactly ceil(T/budget) messages, every vertex
+    has all k messages by round t_k + ceil(T/budget) + h, and the run takes
+    at most t_k + ceil(T/budget) + h - 1 rounds; see `_UpDownProgram`.
     """
     by_vertex: dict[int, list] = {}
     for v, msg in sources:
@@ -356,20 +371,40 @@ def broadcast_upcast(g, tree, sources, budget: int = DEFAULT_BUDGET,
 
 
 class _UpDownState:
-    __slots__ = ("ch", "pe", "child_edges", "got")
+    __slots__ = ("ch", "pe", "child_edges", "got", "down")
 
     def __init__(self, ch, pe, child_edges):
         self.ch = ch
         self.pe = pe
         self.child_edges = child_edges
         self.got = []
+        self.down = TokenStream() if pe < 0 else None  # the root's down stream
 
 
 class _UpDownProgram:
-    """A frame arriving from a child is upcast (a non-root vertex forwards it
-    to its parent, the root collects it); a frame arriving from the parent
-    is delivered and forwarded to every child. The root broadcasts its k
-    messages, in the order it collected them, once the k-th arrives."""
+    """Store-and-forward upcast, cut-through broadcast.
+
+    Up: a source frames its messages to its parent, and a non-root vertex
+    forwards each frame that arrives whole from a child to its parent, so
+    frames from different children never interleave on an edge. The root
+    collects them.
+
+    Down: the root frames each message into its down stream as soon as it
+    collects it, and each round sends one chunk of that stream, the same
+    tuple on every child edge: exactly `budget` tokens, or, once the k-th
+    message is in, the rest of the stream. A non-root vertex relays each
+    chunk from its parent to all its children in the step it arrives,
+    unchanged, and parses the chunks to deliver the messages. So every
+    vertex gets the root's stream, in collection order, and every downward
+    tree edge carries exactly ceil(T/budget) messages, T = sum(len(m) + 1).
+
+    Bound: if the root collects the k-th message in round t_k (0 when every
+    source is the root), the chunk it sends in round r reaches depth d in
+    round r + d, and it sends the last one by round t_k + ceil(T/budget) - 1.
+    So a vertex at depth d has all k messages by round
+    t_k + ceil(T/budget) + d - 1, and the run takes at most
+    t_k + ceil(T/budget) + h - 1 rounds on a tree of height h >= 1.
+    """
 
     def __init__(self, tree, sources_by_vertex, k, budget):
         self.tree = tree
@@ -388,27 +423,40 @@ class _UpDownProgram:
                 self._collect(st, msg)
         return st
 
-    def _collect(self, st, msg):
+    @staticmethod
+    def _collect(st, msg):
         st.got.append(msg)
-        if len(st.got) == self.k:
-            for m in st.got:
-                self._down(st, m)
-
-    def _down(self, st, msg):
-        for eid in st.child_edges:
-            st.ch.send(eid, msg)
+        st.down.push_frame(msg)
 
     def step(self, st, rnd, inbox):
         pe = st.pe
-        for eid, msg in st.ch.recv(inbox):
+        if pe < 0:
+            return self._root_step(st, inbox)
+        ch = st.ch
+        for eid, msg in ch.recv(inbox):
             if eid == pe:
                 st.got.append(msg)
-                self._down(st, msg)
-            elif pe >= 0:
-                st.ch.send(pe, msg)
             else:
-                self._collect(st, msg)
-        return st.ch.flush(len(st.got) == self.k)
+                ch.send(pe, msg)
+        outbox, status = ch.flush(len(st.got) == self.k)
+        for eid, chunk in inbox or ():
+            if eid == pe:
+                outbox.extend((c, chunk) for c in st.child_edges)
+                break
+        return outbox, status
+
+    def _root_step(self, st, inbox):
+        for _, msg in st.ch.recv(inbox):
+            self._collect(st, msg)
+        done = len(st.got) == self.k
+        queued = st.down.buf
+        outbox = []
+        if queued and (done or len(queued) >= self.budget):
+            chunk = st.down.take(self.budget)
+            outbox = [(eid, chunk) for eid in st.child_edges]
+            if queued and (done or len(queued) >= self.budget):
+                return outbox, ACTIVE
+        return outbox, HALT if done else IDLE
 
     def output(self, st):
         return list(st.got)

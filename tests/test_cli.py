@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from treeaug import cli, sim
+from treeaug import cli, fast, sim
+from treeaug.graph import read_instance
 
 
 def run_cli(args):
@@ -86,23 +87,39 @@ def _fast_lb_disj_transcript(tmp_path):
     return open(tr, "rb").read()
 
 
+def test_fast_output_pinned(tmp_path, capsys):
+    # what fast computes on the transcript-pinned instance; unlike the two
+    # transcript pins below, this must not move when only the delivery
+    # schedule does
+    _fast_lb_disj_transcript(tmp_path)
+    assert "value=16 valid=True" in capsys.readouterr().out
+    g, tree = read_instance(str(tmp_path / "d.txt"))
+    aug, _, _ = fast.augment_fast(g, tree)
+    assert sorted(aug.edge_ids) == list(range(124, 139)) + [153]
+
+
 def test_fast_transcript_bytes_pinned(tmp_path):
     # SHA-256 of the whole transcript, payload text included, with every
     # multi-token message sent as a length-prefixed frame; the schedule
-    # itself is pinned separately below
+    # itself is pinned separately below. Re-pinned when the broadcast
+    # became cut-through: the root streams each message as it collects it
+    # and every vertex relays its parent's chunks unchanged, so chunk
+    # boundaries and rounds moved
     data = _fast_lb_disj_transcript(tmp_path)
-    assert len(data) == 98106
+    assert len(data) == 97764
     assert hashlib.sha256(data).hexdigest() == (
-        "9becf73d8a6a897f1f3e91b7bbb5a5c43ef8b67dead6c163f56697da9c40856e")
+        "406f69cdb6c8a20f06faf4c61a55b8636bc2f2d59e037549283b3b35327b726d")
 
 
 def test_fast_transcript_schedule_pinned(tmp_path):
     # round,src,dst,edge,tokens of every delivery: the schedule must not
-    # change when only the framing of a payload does
+    # change when only the framing of a payload does. Re-pinned when the
+    # broadcast became cut-through, which moves its deliveries to earlier
+    # rounds; fast's output is pinned above
     lines = _fast_lb_disj_transcript(tmp_path).decode().splitlines()
     schedule = "".join(",".join(line.split(",")[:5]) + "\n" for line in lines)
     assert hashlib.sha256(schedule.encode()).hexdigest() == (
-        "ab0e5cf8086691da8d85ad51ca62db63cbaa72d3978985689d724490dc2536a8")
+        "a7f1c54fe7397233f7fcb5929975aedd9a708bbe4dbbb50c6193067023bfb3d6")
 
 
 def test_bridged_input_exits_2(tmp_path):
@@ -199,3 +216,16 @@ def test_lowest_accepted_budgets_run(tmp_path):
     for algo in cli.ALGOS:
         budget = "3" if algo in ("wtap", "ecss-w", "aug12") else "1"
         assert run_cli(["run", inst, "--algo", algo, "--budget", budget]) == 0, algo
+
+
+def test_unreadable_or_malformed_instance_is_an_error(tmp_path, capsys):
+    missing = str(tmp_path / "nope.txt")
+    assert run_cli(["run", missing, "--algo", "tap"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nope.txt" in err, err
+    bad = tmp_path / "bad.txt"
+    bad.write_text("2 1\n1 x 1 t\n")
+    for cmd in (["run", str(bad), "--algo", "tap"], ["oracle", str(bad)]):
+        assert run_cli(cmd) == 1, cmd
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'1 x 1 t'" in err, err

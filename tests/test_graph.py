@@ -180,6 +180,13 @@ def test_instance_comments_and_missing_tree():
     assert tree is None
 
 
+def test_non_integer_field_names_its_line():
+    for text, bad in (("2 1\n1 x 1 t\n", "'1 x 1 t'"), ("2 y\n0 1 1 t\n", "'2 y'"),
+                      ("2 1\n0 1 1.5\n", "'0 1 1.5'")):
+        with pytest.raises(GraphError, match=bad):
+            parse_instance(text)
+
+
 def test_diameter_and_eccentricity():
     g, _ = generators.gen_cycle(8)
     assert diameter(g) == 4

@@ -5,9 +5,10 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treeaug import generators, sim
-from treeaug.graph import Multigraph, bfs_tree
+from treeaug.graph import Multigraph, bfs_tree, root_tree
 from treeaug.sim import (ACTIVE, HALT, IDLE, BudgetExceeded, Metrics,
                          Channel, PhaseMetrics, RoundLimitExceeded, SimError,
                          TokenStream, broadcast_upcast)
@@ -221,6 +222,103 @@ def test_broadcast_upcast_round_bound():
         delivered, m = broadcast_upcast(g, tree, msgs)
         assert len(delivered) == k
         assert m.rounds <= 4 * (tree.height + k) + 8, (n, k, m.rounds)
+
+
+def _star(n):
+    g = Multigraph(n)
+    return g, root_tree(g, [g.add_edge(0, v, 1) for v in range(1, n)], 0)
+
+
+def _chunks(msgs, budget):
+    # ceil(T / budget), T the broadcast stream's length in tokens
+    return -(-sum(len(m) + 1 for _, m in msgs) // budget)
+
+
+@pytest.mark.parametrize("budget", (1, 4, 7))
+@pytest.mark.parametrize("shape", ("path", "star"))
+def test_broadcast_from_the_root_is_cut_through(shape, budget):
+    # the root streams its k messages down at once and every vertex relays
+    # each chunk as it arrives: ceil(T/b) + h - 1 rounds, and ceil(T/b)
+    # messages on each of the n - 1 tree edges; broadcast_upcast itself
+    # checks that every vertex delivers the root's list
+    g, tree = generators.gen_cycle(65) if shape == "path" else _star(65)
+    msgs = [(0, tuple(("m", i, j) for j in range(6))) for i in range(5)]
+    delivered, m = broadcast_upcast(g, tree, msgs, budget=budget)
+    assert delivered == [msg for _, msg in msgs]
+    c = _chunks(msgs, budget)
+    assert m.rounds == c + tree.height - 1
+    assert m.messages == (g.n - 1) * c
+    if shape == "path" and budget == 4:
+        assert (m.rounds, m.messages) == (72, 576)
+
+
+@pytest.mark.parametrize("budget", (1, 4, 7))
+@pytest.mark.parametrize("shape", ("path", "star"))
+def test_broadcast_from_the_deepest_vertex(shape, budget):
+    # one frame climbs store-and-forward, ceil(L/b) rounds a hop, and then
+    # comes down cut-through
+    g, tree = generators.gen_cycle(65) if shape == "path" else _star(65)
+    deepest = max(range(g.n), key=lambda v: (tree.depth[v], v))
+    msgs = [(deepest, tuple(range(7)))]
+    delivered, m = broadcast_upcast(g, tree, msgs, budget=budget)
+    assert delivered == [tuple(range(7))]
+    c = _chunks(msgs, budget)
+    assert m.rounds == tree.depth[deepest] * c + c + tree.height - 1
+    if shape == "path" and budget == 4:
+        assert m.rounds == 193
+
+
+def test_root_streams_its_messages_before_the_last_arrives():
+    # the root's own message is down the path before the deep one reaches
+    # the root, so the two take as long as the deep one alone
+    g, tree = generators.gen_cycle(65)
+    mine, deep = tuple("r" * 7), tuple(range(7))
+    delivered, m = broadcast_upcast(g, tree, [(64, deep), (0, mine)], budget=4)
+    assert delivered == [mine, deep]
+    assert m.rounds == 193
+    assert m.messages == 64 * 2 + 64 * 4   # 2 chunks a hop up, 4 down each edge
+
+
+def _arrivals(g, tree, msgs, budget):
+    """Run broadcast_upcast with a transcript; return the round t_k in which
+    the root collects the k-th message, the round in which each vertex has
+    all k, the messages sent on each downward tree edge, and the Metrics."""
+    lines = []
+    sim.TRANSCRIPT_SINK = lines
+    try:
+        _, m = broadcast_upcast(g, tree, msgs, budget=budget)
+    finally:
+        sim.TRANSCRIPT_SINK = None
+    last = [-1] * g.n                    # last round v was sent mail from its parent
+    down = {tree.parent_edge[v]: 0 for v in range(g.n) if v != tree.root}
+    for line in lines[1:]:
+        rnd, _, dst, eid = map(int, line.split(",")[:4])
+        if dst == tree.root:
+            last[dst] = rnd
+        elif eid == tree.parent_edge[dst]:
+            last[dst] = rnd
+            down[eid] += 1
+    t_k = last[tree.root] + 1
+    return t_k, [t_k if v == tree.root else last[v] + 1 for v in range(g.n)], down, m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=7))
+def test_property_broadcast_round_bound(seed, budget):
+    # a vertex at depth d has all k messages by t_k + ceil(T/b) + d - 1, so
+    # every vertex has them by t_k + ceil(T/b) + h
+    rng = random.Random(seed)
+    g, _ = generators.gen_random_2ec(rng.randint(3, 40), rng.randint(0, 20), seed)
+    tree = bfs_tree(g, rng.randrange(g.n))
+    msgs = [(rng.randrange(g.n), tuple(range(rng.randrange(9))))
+            for _ in range(rng.randint(1, 8))]
+    t_k, has_all, down, m = _arrivals(g, tree, msgs, budget)
+    c = _chunks(msgs, budget)
+    for v in range(g.n):
+        assert has_all[v] <= t_k + c + tree.depth[v] - 1
+    assert m.rounds <= t_k + c + tree.height - 1
+    assert set(down.values()) == {c}
+    assert m.max_tokens_edge_round <= budget
 
 
 def test_duplicate_edge_send_rejected():
