@@ -7,6 +7,8 @@
 * bridge-free reinforcement of a given connected spanning subgraph H
   (edges of H recosted to 0 so reuse is free);
 * distributed verification that a graph is 2-edge-connected.
+
+Every tree built here is rooted at vertex 0.
 """
 from __future__ import annotations
 
@@ -19,28 +21,28 @@ from .graph import Augmentation, GraphError, Multigraph, bfs_tree, \
 from .sim import HALT, IDLE
 
 
-def two_ecss_unweighted(g, budget: int = sim.DEFAULT_BUDGET, root: int = 0):
+def two_ecss_unweighted(g, budget: int = sim.DEFAULT_BUDGET):
     """2-approximate smallest 2-edge-connected spanning subgraph.
 
     Returns (edge id set, tree, Augmentation, Metrics); at most 2(n-1)
     edges since the tree has n-1 and the cover adds at most one per leaf
     path, i.e. at most n-1 more."""
-    tree, metrics = build_bfs_tree_distributed(g, root, budget=budget)
+    tree, metrics = build_bfs_tree_distributed(g, 0, budget=budget)
     aug, cover, m = unweighted.augment_unweighted(g, tree, budget=budget)
     metrics.merge(m)
     edges = set(tree.tree_edges) | set(aug.edge_ids)
     return edges, tree, aug, metrics
 
 
-def two_ecss_weighted(g, budget: int = sim.DEFAULT_BUDGET, root: int = 0):
+def two_ecss_weighted(g, budget: int = sim.DEFAULT_BUDGET):
     """3-approximate minimum-weight 2-edge-connected spanning subgraph: MST
     weight is at most the optimum, and the augmentation of the MST is at
     most twice it.
 
     The MST itself is injected; its phase is charged like a distributed
     MST construction: one BFS depth plus sqrt(n) rounds."""
-    tree = mst_tree(g, root)
-    _, metrics = build_bfs_tree_distributed(g, root, budget=budget)
+    tree = mst_tree(g, 0)
+    _, metrics = build_bfs_tree_distributed(g, 0, budget=budget)
     metrics.phases.append(sim.PhaseMetrics(
         "mst", rounds=metrics.phase("bfs").rounds + math.isqrt(g.n) + 1))
     aug, _, _, m = weighted.augment_weighted(g, tree, budget=budget)
@@ -50,7 +52,7 @@ def two_ecss_weighted(g, budget: int = sim.DEFAULT_BUDGET, root: int = 0):
     return edges, tree, aug, value, metrics
 
 
-def recost_for_h(g, h_edge_ids, root: int = 0):
+def recost_for_h(g, h_edge_ids):
     """Copy of g with the edges of H recosted to 0, plus a spanning tree of
     H (BFS, rooted) to anchor the augmentation."""
     h_edge_ids = set(h_edge_ids)
@@ -61,24 +63,23 @@ def recost_for_h(g, h_edge_ids, root: int = 0):
         hmap[hg.add_edge(u, v, w)] = eid
     if not is_connected(hg):
         raise GraphError("H is not a connected spanning subgraph")
-    htree = bfs_tree(hg, root)
+    htree = bfs_tree(hg, 0)
     tree_ids = sorted(hmap[e] for e in htree.tree_edges)
 
     g0 = Multigraph(g.n)
     for eid, (u, v, w) in enumerate(g.edges):
         g0.add_edge(u, v, 0 if eid in h_edge_ids else w)
-    return g0, root_tree(g0, tree_ids, root)
+    return g0, root_tree(g0, tree_ids, 0)
 
 
-def augment_1_to_2(g, h_edge_ids, budget: int = sim.DEFAULT_BUDGET,
-                   root: int = 0):
+def augment_1_to_2(g, h_edge_ids, budget: int = sim.DEFAULT_BUDGET):
     """Cheapest reinforcement of a connected spanning subgraph H: edges of
     H are recosted to 0 (reuse is free), a spanning tree of H anchors the
     weighted augmentation, and only the newly bought edges are returned.
 
     Returns (Augmentation of new edges, tree, Metrics)."""
     h_edge_ids = set(h_edge_ids)
-    g0, tree = recost_for_h(g, h_edge_ids, root)
+    g0, tree = recost_for_h(g, h_edge_ids)
     aug, _, _, metrics = weighted.augment_weighted(g0, tree, budget=budget)
     new_ids = frozenset(e for e in aug.edge_ids if e not in h_edge_ids)
     value = sum(g.weight(e) for e in new_ids)
@@ -141,7 +142,7 @@ class _OrUpDown:
         return st.verdict
 
 
-def verify_2ec_distributed(g, budget: int = sim.DEFAULT_BUDGET, root: int = 0):
+def verify_2ec_distributed(g, budget: int = sim.DEFAULT_BUDGET):
     """Every vertex learns whether g is 2-edge-connected: the covering scan
     over a BFS tree flags bridges, an OR-convergecast merges the flags and
     the root broadcasts the verdict.
@@ -149,7 +150,7 @@ def verify_2ec_distributed(g, budget: int = sim.DEFAULT_BUDGET, root: int = 0):
     Returns (verdict, bridge vertex list, Metrics)."""
     if not is_connected(g):
         raise GraphError("input graph is not connected")
-    tree, metrics = build_bfs_tree_distributed(g, root, budget=budget)
+    tree, metrics = build_bfs_tree_distributed(g, 0, budget=budget)
     res = unweighted.cover_virtual_optimal(g, tree, budget=budget)
     metrics.merge(res["metrics"])
     bits = [False] * g.n
@@ -158,7 +159,7 @@ def verify_2ec_distributed(g, budget: int = sim.DEFAULT_BUDGET, root: int = 0):
     prog = _OrUpDown(tree, bits)
     verdicts, m = sim.run(g, prog, budget=budget, phase="verify_verdict")
     metrics.merge(m)
-    verdict = verdicts[root] == 0
+    verdict = verdicts[tree.root] == 0
     for v in range(g.n):
         if (verdicts[v] == 0) != verdict:
             raise sim.SimError("verdict disagreement at vertex %d" % v)

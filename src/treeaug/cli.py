@@ -144,20 +144,22 @@ def _run_algo(args, g, tree):
     raise GraphError("unknown algorithm %s" % algo)
 
 
-def _opt_value(args, g, tree):
-    algo = args.algo
-    if algo in ("tap", "fast"):
-        return len(oracle.opt_augmentation(g, _need_tree(tree), weighted=False).edge_ids)
-    if algo == "wtap":
-        return oracle.opt_augmentation(g, _need_tree(tree), weighted=True).weight
-    if algo == "ecss":
-        return oracle.min_two_ecss_size(g)
-    if algo == "ecss-w":
-        return oracle.min_two_ecss_weight(g)
-    if algo == "aug12":
+def _optimum(problem, g, tree):
+    """(optimal value, edge ids of an optimal augmentation) for one of the
+    oracle's problems; the edge ids are None for the subgraph problems."""
+    if problem == "ecss":
+        return oracle.min_two_ecss_size(g), None
+    if problem == "ecss-w":
+        return oracle.min_two_ecss_weight(g), None
+    if problem == "tap":
+        aug = oracle.opt_augmentation(g, _need_tree(tree), weighted=False)
+        return len(aug.edge_ids), aug.edge_ids
+    if problem == "wtap":
+        aug = oracle.opt_augmentation(g, _need_tree(tree), weighted=True)
+    else:
         g0, t0 = apps.recost_for_h(g, _need_tree(tree).tree_edges)
-        return oracle.opt_augmentation(g0, t0, weighted=True).weight
-    return None
+        aug = oracle.opt_augmentation(g0, t0, weighted=True)
+    return aug.weight, aug.edge_ids
 
 
 def _run(args) -> int:
@@ -190,9 +192,10 @@ def _run(args) -> int:
                 f.write("\n".join(transcript) + "\n")
 
     opt = None
-    if args.oracle:
+    if args.oracle and args.algo != "verify":
         try:
-            opt = _opt_value(args, g, tree)
+            opt, _ = _optimum("tap" if args.algo == "fast" else args.algo,
+                              g, tree)
         except OracleSizeError as e:
             print("oracle skipped: %s" % e)
     ratio = ""
@@ -225,23 +228,14 @@ def _run(args) -> int:
 def _oracle(args) -> int:
     g, tree = read_instance(args.instance)
     try:
-        if args.problem == "tap":
-            aug = oracle.opt_augmentation(g, _need_tree(tree), weighted=False)
-            print("optimum=%d edges=%s" % (len(aug.edge_ids), sorted(aug.edge_ids)))
-        elif args.problem == "wtap":
-            aug = oracle.opt_augmentation(g, _need_tree(tree), weighted=True)
-            print("optimum=%d edges=%s" % (aug.weight, sorted(aug.edge_ids)))
-        elif args.problem == "ecss":
-            print("optimum=%d" % oracle.min_two_ecss_size(g))
-        elif args.problem == "ecss-w":
-            print("optimum=%d" % oracle.min_two_ecss_weight(g))
-        else:
-            g0, t0 = apps.recost_for_h(g, _need_tree(tree).tree_edges)
-            aug = oracle.opt_augmentation(g0, t0, weighted=True)
-            print("optimum=%d edges=%s" % (aug.weight, sorted(aug.edge_ids)))
+        opt, edge_ids = _optimum(args.problem, g, tree)
     except OracleError as e:
         print("oracle error: %s" % e)
         return 1
+    if edge_ids is None:
+        print("optimum=%d" % opt)
+    else:
+        print("optimum=%d edges=%s" % (opt, sorted(edge_ids)))
     return 0
 
 

@@ -107,8 +107,7 @@ def _scan_node(node: ScanNode, child_recs, scheme) -> ScanRecord:
 def sequential_cover_scan(nodes: dict, scheme):
     """Run the scan centrally. nodes maps ident -> ScanNode.
 
-    Returns dict with "added" (list of VirtualEdge), "bridges" (idents),
-    and "records" (per-ident ScanRecord, verdicts resolved).
+    Returns dict with "added" (list of VirtualEdge) and "bridges" (idents).
     """
     roots = [nid for nid, nd in nodes.items() if nd.root]
     order = []
@@ -143,7 +142,7 @@ def sequential_cover_scan(nodes: dict, scheme):
         added.extend(rec.added)
         if rec.bridge:
             bridges.append(nid)
-    return {"added": added, "bridges": bridges, "records": records}
+    return {"added": added, "bridges": bridges}
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +276,8 @@ def distributed_cover_scan(g, view, resp_labels, incoming, t0, scheme,
                            budget: int = sim.DEFAULT_BUDGET,
                            phase_prefix: str = "cover"):
     """Run the up and down passes on the engine; returns a result dict of
-    the same shape as sequential_cover_scan plus the Metrics."""
+    the same shape as sequential_cover_scan plus "adds_by_vertex" (the
+    edges each vertex added) and the Metrics."""
     up = CoverUpProgram(view, resp_labels, incoming, t0, scheme, budget)
     recs, metrics = sim.run(g, up, budget=budget, phase=phase_prefix + "_up")
     down = CoverDownProgram(view, recs, budget)
@@ -289,5 +289,5 @@ def distributed_cover_scan(g, view, resp_labels, incoming, t0, scheme,
         added.extend(adds[v])
         if recs[v] is not None and recs[v].bridge:
             bridges.append(v)
-    return {"added": added, "bridges": bridges, "records": recs,
-            "adds_by_vertex": adds, "metrics": metrics}
+    return {"added": added, "bridges": bridges, "adds_by_vertex": adds,
+            "metrics": metrics}

@@ -2,9 +2,16 @@
 of diameter O(sqrt(n)); ancestry queries use a (fragment, local label)
 pair plus a globally broadcast directory of the fragment tree, and the
 cover is built in three passes (tree-leaf edges, cross-fragment edges,
-in-fragment edges), each a short in-fragment scan plus a broadcast over a
-BFS tree. The result is an optimal-within-factor-2 cover of the
+in-fragment edges). The result is an optimal-within-factor-2 cover of the
 ancestor-descendant view, hence a 4-approximate augmentation.
+
+Every broadcast runs over a BFS tree. The parent endpoint of each global
+edge (a tree edge between two fragments) already holds its local label, so
+it announces the edge's directory record itself. The first two passes
+share one in-fragment scan, which finds for each vertex both the maximal
+leaf-added edge and the maximal incoming edge covering its parent edge;
+their two broadcasts stay separate, so no vertex holds both message lists
+at once. The third pass is an in-fragment covering scan.
 """
 from __future__ import annotations
 
@@ -228,49 +235,7 @@ def build_bfs_tree_distributed(g, root: int, budget: int = sim.DEFAULT_BUDGET,
 
 
 # ---------------------------------------------------------------------------
-# parent-side label exchange across global edges
-
-class _ParentLabelState:
-    __slots__ = ("ch", "plabel", "expects")
-
-    def __init__(self, ch, expects):
-        self.ch = ch
-        self.plabel = None
-        self.expects = expects  # the tree parent lies in another fragment
-
-
-class _ParentLabelProgram:
-    """Each vertex streams its local label to children in other fragments;
-    fragment roots record the parent endpoint label of their global edge."""
-
-    def __init__(self, tree, frag_of, local_labels, budget):
-        self.tree = tree
-        self.frag_of = frag_of
-        self.labels = local_labels
-        self.budget = budget
-
-    def init_state(self, v):
-        t = self.tree
-        toks = lbl.label_tokens(self.labels[v])
-        ch = sim.Channel(self.budget)
-        for c in t.children[v]:
-            if self.frag_of[c] != self.frag_of[v]:
-                ch.send(t.parent_edge[c], toks)
-        p = t.parent[v]
-        expects = p >= 0 and self.frag_of[p] != self.frag_of[v]
-        return _ParentLabelState(ch, expects)
-
-    def step(self, st, rnd, inbox):
-        for _, toks in st.ch.recv(inbox):
-            st.plabel, _ = lbl.parse_label(toks, 0)
-        return st.ch.flush(st.plabel is not None or not st.expects)
-
-    def output(self, st):
-        return st.plabel
-
-
-# ---------------------------------------------------------------------------
-# in-fragment maximal-edge scans (leaf pass and global pass share this)
+# in-fragment maximal-edge scan (one run serves the leaf and global passes)
 
 def _edge_frame(ve, scheme):
     """(originEdgeId,) + ancestor label + descendant label; empty for none."""
@@ -287,23 +252,24 @@ def _parse_edge(toks, i, origin, scheme):
 
 
 class _FragmentMaxState:
-    __slots__ = ("v", "pe", "need", "cands", "ch", "done", "result")
+    __slots__ = ("v", "pe", "frames", "nframes", "ch", "result")
 
-    def __init__(self, v, pe, need, ch):
+    def __init__(self, v, pe, child_edges, ch):
         self.v = v
         self.pe = pe
-        self.need = need   # frames to await, one per local child
-        self.cands = []
+        self.frames = {eid: [] for eid in child_edges}  # child edge -> per kind
+        self.nframes = 0
         self.ch = ch
-        self.done = False
         self.result = None
 
 
 class _FragmentMaxScan:
-    """Bottom-up within each fragment: every non-root vertex sends one frame
-    (the maximal edge covering its parent edge, or none) to its local
-    parent; a fragment root's result is the maximal edge covering its
-    global edge. own_cands(v) lists the vertex's own contributions."""
+    """Bottom-up within each fragment, for several kinds of candidate at
+    once: every non-root vertex sends its local parent one frame per kind,
+    in kind order, each the maximal edge of that kind covering its parent
+    edge, or none. A fragment root's result holds, per kind, the maximal
+    edge covering its global edge. own_cands[i](v) lists the vertex's own
+    contributions of kind i."""
 
     def __init__(self, view, split_labels, scheme, own_cands, budget):
         self.view = view
@@ -314,25 +280,30 @@ class _FragmentMaxScan:
 
     def init_state(self, v):
         return _FragmentMaxState(v, self.view.parent_edge[v],
-                                 len(self.view.children[v]),
+                                 [eid for _, eid in self.view.children[v]],
                                  sim.Channel(self.budget))
 
     def _decide(self, st):
         v = st.v
-        best = vg.maximal_covering(st.cands + self.own_cands(v),
-                                   self.scheme.depth(self.labels[v]), self.scheme)
-        st.result = best
-        st.done = True
+        depth = self.scheme.depth(self.labels[v])
+        st.result = tuple(
+            vg.maximal_covering([f[i] for f in st.frames.values()] + own(v),
+                                depth, self.scheme)
+            for i, own in enumerate(self.own_cands))
+        st.frames = None  # all children have reported; free their edges
         if st.pe >= 0:
-            st.ch.send(st.pe, _edge_frame(best, self.scheme))
+            for best in st.result:
+                st.ch.send(st.pe, _edge_frame(best, self.scheme))
 
     def step(self, st, rnd, inbox):
-        for _, toks in st.ch.recv(inbox):
-            st.cands.append(_parse_edge(toks, 1, toks[0], self.scheme)
-                            if toks else None)
-        if not st.done and len(st.cands) == st.need:
+        for eid, toks in st.ch.recv(inbox):
+            st.frames[eid].append(_parse_edge(toks, 1, toks[0], self.scheme)
+                                  if toks else None)
+            st.nframes += 1
+        if (st.result is None
+                and st.nframes == len(self.own_cands) * len(st.frames)):
             self._decide(st)
-        return st.ch.flush(st.done)
+        return st.ch.flush(st.result is not None)
 
     def output(self, st):
         return st.result
@@ -443,11 +414,10 @@ def _dedup_cover(parts, scheme):
 # ---------------------------------------------------------------------------
 # engine driver
 
-def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET,
-                           target: int | None = None):
-    """All passes on the engine. Returns a dict with the virtual cover, the
-    per-pass pieces, bridges, labels and Metrics."""
-    frag_of, frag_roots = fragment_decompose(tree, target)
+def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
+    """All passes on the engine. Returns a dict with the virtual cover,
+    bridges, labels, the broadcast fragment-maximal edges and Metrics."""
+    frag_of, frag_roots = fragment_decompose(tree)
     view = lbl.TreeView.of_fragments(tree, frag_of)
     metrics = sim.Metrics([])
     n = g.n
@@ -464,15 +434,15 @@ def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET,
         g, view, budget=budget, phase_prefix="labels_local")
     metrics.merge(m)
 
-    exch = _ParentLabelProgram(tree, frag_of, local_labels, budget)
-    exch_out, m = sim.run(g, exch, budget=budget, phase="labels_global_exchange")
-    metrics.merge(m)
+    # the parent endpoint of each global edge announces it with its own
+    # local label
     msgs = []
     for v in frag_roots:
         if v == tree.root:
             continue
-        msgs.append((v, (("gr", v, frag_of[tree.parent[v]]),)
-                     + lbl.label_tokens(exch_out[v])))
+        p = tree.parent[v]
+        msgs.append((p, (("gr", v, frag_of[p]),)
+                     + lbl.label_tokens(local_labels[p])))
     delivered, m = sim.broadcast_upcast(g, bfs, msgs, budget=budget,
                                         phase="labels_global_bcast")
     metrics.merge(m)
@@ -487,34 +457,39 @@ def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET,
         g, tree, split, scheme, budget=budget, phase="exchange")
     metrics.merge(m)
 
-    # pass 1: tree leaves add their maximal incoming edges
+    # one in-fragment scan serves passes 1 and 2: the maximal leaf-added
+    # edge and the maximal incoming edge covering each vertex's parent edge
     added_leaf = leaf_adds(tree, incidence, split, scheme)
 
     def leaf_cands(v):
         ve = added_leaf.get(v)
         return [ve] if ve is not None else []
 
-    scan1 = _FragmentMaxScan(view, split, scheme, leaf_cands, budget)
-    res1, m = sim.run(g, scan1, budget=budget, phase="leaf_cover")
+    scan = _FragmentMaxScan(view, split, scheme,
+                            (leaf_cands, lambda v: incidence[v]), budget)
+    res, m = sim.run(g, scan, budget=budget, phase="global_cover")
     metrics.merge(m)
-    msgs = [(v, (("lc", res1[v].origin),) + scheme.tokens(res1[v].anc)
-             + scheme.tokens(res1[v].desc))
-            for v in frag_roots if v != tree.root and res1[v] is not None]
+    # only fragment roots announce their maximal incoming edge; building
+    # those messages now frees the other vertices' results before the
+    # leaf broadcast
+    leaf_max = [r[0] for r in res]
+    glob_msgs = [(v, (("gc", v, res[v][1].origin),) + scheme.tokens(res[v][1].anc)
+                  + scheme.tokens(res[v][1].desc))
+                 for v in frag_roots if v != tree.root and res[v][1] is not None]
+    del res
+
+    # pass 1: each fragment announces its maximal leaf-added edge
+    msgs = [(v, _edge_frame(leaf_max[v], scheme))
+            for v in frag_roots if v != tree.root and leaf_max[v] is not None]
     bc1, m = sim.broadcast_upcast(g, bfs, msgs, budget=budget, phase="leaf_bcast")
     metrics.merge(m)
-    bcast1 = [_parse_edge(msg, 1, msg[0][1], scheme) for msg in bc1]
-    t0 = _coverage_after_leaf_pass(tree, split, scheme, res1, bcast1)
+    bcast1 = [_parse_edge(msg, 1, msg[0], scheme) for msg in bc1]
+    t0 = _coverage_after_leaf_pass(tree, split, scheme, leaf_max, bcast1)
 
     # pass 2: per-fragment maximal incoming edges, broadcast, and the
     # contracted-tree scan replayed at every vertex
-    scan2 = _FragmentMaxScan(view, split, scheme,
-                             lambda v: incidence[v], budget)
-    res2, m = sim.run(g, scan2, budget=budget, phase="global_cover")
-    metrics.merge(m)
-    msgs = [(v, (("gc", v, res2[v].origin),) + scheme.tokens(res2[v].anc)
-             + scheme.tokens(res2[v].desc))
-            for v in frag_roots if v != tree.root and res2[v] is not None]
-    bc2, m = sim.broadcast_upcast(g, bfs, msgs, budget=budget, phase="global_bcast")
+    bc2, m = sim.broadcast_upcast(g, bfs, glob_msgs, budget=budget,
+                                  phase="global_bcast")
     metrics.merge(m)
     frag_max = {msg[0][1]: _parse_edge(msg, 1, msg[0][2], scheme) for msg in bc2}
     glob_t0 = {f: t0[f] for f in frag_roots}
@@ -531,7 +506,6 @@ def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET,
         g, view, split, incoming, t0, scheme,
         budget=budget, phase_prefix="local_cover")
     metrics.merge(res3["metrics"])
-    added_local = res3["added"]
 
     # owners of cross-fragment selections announce them
     msgs = []
@@ -547,22 +521,20 @@ def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET,
     cover = _dedup_cover(
         sorted(added_leaf.values(), key=lambda e: e.origin)
         + sorted(added_global, key=lambda e: e.origin)
-        + sorted(added_local, key=lambda e: e.origin), scheme)
+        + sorted(res3["added"], key=lambda e: e.origin), scheme)
     bridges = sorted(set(tf_res["bridges"]) | set(res3["bridges"]))
     return {
-        "cover": cover, "bridges": bridges,
-        "leaf_added": added_leaf, "global_added": added_global,
-        "local_added": added_local, "frag_max": frag_max,
+        "cover": cover, "bridges": bridges, "frag_max": frag_max,
         "frag_of": frag_of, "frag_roots": frag_roots,
-        "labels": split, "scheme": scheme, "incidence": incidence,
+        "labels": split, "scheme": scheme,
         "final_announced": sorted(t[0][1] for t in fin),
         "metrics": metrics,
     }
 
 
-def sequential_fast_cover(g, tree, target: int | None = None):
+def sequential_fast_cover(g, tree):
     """Central shadow of fast_cover_distributed: same passes, same ties."""
-    frag_of, frag_roots = fragment_decompose(tree, target)
+    frag_of, frag_roots = fragment_decompose(tree)
     view = lbl.TreeView.of_fragments(tree, frag_of)
     split, scheme, _ = split_labels_sequential(tree, frag_of)
     incidence = vg.build_incidence_sequential(g, tree, split, scheme)
@@ -608,12 +580,11 @@ def sequential_fast_cover(g, tree, target: int | None = None):
             "scheme": scheme, "frag_of": frag_of, "frag_roots": frag_roots}
 
 
-def augment_fast(g, tree, budget: int = sim.DEFAULT_BUDGET,
-                 target: int | None = None):
+def augment_fast(g, tree, budget: int = sim.DEFAULT_BUDGET):
     """4-approximate augmentation with O(D + sqrt(n)) style round count.
 
     Returns (Augmentation, virtual cover, Metrics)."""
-    res = fast_cover_distributed(g, tree, budget=budget, target=target)
+    res = fast_cover_distributed(g, tree, budget=budget)
     if res["bridges"]:
         raise BridgeDetected(res["bridges"])
     aug = vg.project_augmentation(g, tree, res["labels"], res["cover"],

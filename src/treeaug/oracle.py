@@ -56,13 +56,8 @@ def _solve_cover(masks, weights, full_mask, deep_order, halve_lb: bool):
     min_cover_w = [min((weights[ci] for ci in by_bit[b]), default=0)
                    for b in range(full_mask.bit_length())]
 
-    # subtree masks per bit for the antichain lower bound: bit b is minimal
-    # uncovered iff no other uncovered bit's edge lies strictly below it,
-    # which we approximate via the candidate structure: bit b dominates bit c
-    # when every candidate covering c also covers b is not generally true, so
-    # instead the caller passes deep_order and we use containment of the
-    # covering sets' union masks. Simpler and still admissible: greedily pick
-    # uncovered bits whose candidate sets are pairwise disjoint.
+    # lower bound: uncovered bits with pairwise disjoint candidate sets,
+    # picked greedily deepest first, each needing its own cheapest cover
     best = {"w": None, "sol": None}
     nodes = [0]
     cand_sets = [frozenset(by_bit[b]) for b in range(full_mask.bit_length())]

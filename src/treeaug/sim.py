@@ -338,7 +338,7 @@ class Channel:
 # travel down as one stream of chunks, relayed as they arrive.
 
 def broadcast_upcast(g, tree, sources, budget: int = DEFAULT_BUDGET,
-                     max_rounds: int | None = None, phase: str = "broadcast"):
+                     phase: str = "broadcast"):
     """Deliver k messages (each a token tuple) from their source vertices to
     every vertex, by upcast to the tree root then broadcast down.
 
@@ -362,7 +362,7 @@ def broadcast_upcast(g, tree, sources, budget: int = DEFAULT_BUDGET,
     if k == 0:
         return [], Metrics([PhaseMetrics(phase)])
     prog = _UpDownProgram(tree, by_vertex, k, budget)
-    outputs, metrics = run(g, prog, budget=budget, max_rounds=max_rounds, phase=phase)
+    outputs, metrics = run(g, prog, budget=budget, phase=phase)
     delivered = outputs[tree.root]
     for v in range(g.n):
         if outputs[v] != delivered:

@@ -274,7 +274,7 @@ def weighted_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
         if outs[v]["bridge"]:
             bridges.append(v)
     return {"added": added, "costs": costs, "bridges": bridges,
-            "labels": all_labels, "tables": tables, "metrics": metrics}
+            "labels": all_labels, "metrics": metrics}
 
 
 def sequential_weighted_cover(g, tree):
@@ -285,10 +285,6 @@ def sequential_weighted_cover(g, tree):
     incidence = vg.build_incidence_sequential(g, tree, all_labels, scheme)
     n = g.n
     depth = tree.depth
-    anc_ids = [None] * n
-    for v in tree.order:
-        p = tree.parent[v]
-        anc_ids[v] = [] if p < 0 else anc_ids[p] + [p]
     best_w = [None] * n
     best_src = [None] * n
     best_edge = [None] * n
@@ -321,11 +317,10 @@ def sequential_weighted_cover(g, tree):
                 if min_v[v] is not None and min_v[v] >= INF:
                     bridges.append(v)
                 continue
-            j = depth[v] - 1
-            u, dec = anc_ids[v][j], v
+            u, dec = tree.parent[v], v
         else:
             u, dec = m
-            j = anc_ids[v].index(u)
+        j = depth[u]
         src = best_src[v][j]
         if src == -1:
             added.append((best_edge[v][j], u, dec))

@@ -87,6 +87,37 @@ def test_distributed_equals_sequential():
         assert sorted(map(key, got["cover"])) == sorted(map(key, want["cover"]))
 
 
+def test_distributed_equals_sequential_at_every_budget():
+    # at small budgets the in-fragment scan's two frames per edge, and the
+    # broadcast chunks, are streamed over several rounds and interleave
+    for budget in (1, 2, 4, 7):
+        for seed in range(150):
+            g, tree = instance(seed, nmax=30)
+            want = sequential_fast_cover(g, tree)
+            got = fast_cover_distributed(g, tree, budget=budget)
+            assert got["metrics"].max_tokens_edge_round <= budget
+            assert got["bridges"] == want["bridges"], (budget, seed)
+            scheme = got["scheme"]
+            key = lambda ve: (ve.origin, scheme.key(ve.anc), scheme.key(ve.desc))
+            assert (sorted(map(key, got["cover"]))
+                    == sorted(map(key, want["cover"]))), (budget, seed)
+
+
+def test_phases_are_exactly_the_needed_ones():
+    # the parent endpoint of a global edge announces it, so no exchange
+    # phase precedes the directory broadcast; one in-fragment scan finds
+    # both the leaf-pass and the global-pass maxima
+    g, tree = generators.gen_lb_disjointness(2, 2, 4, [1, 0], [0, 1],
+                                             weighted=False)
+    res = fast_cover_distributed(g, tree)
+    assert [p.phase for p in res["metrics"].phases] == [
+        "bfs", "fragmentation", "labels_local_sizes", "labels_local_assign",
+        "labels_global_bcast", "exchange", "global_cover", "leaf_bcast",
+        "global_bcast", "local_cover_up", "local_cover_down",
+        "final_broadcast"]
+    assert not hasattr(fast, "_ParentLabelProgram")
+
+
 def test_cover_complete_and_at_most_twice_optimal():
     plain = PlainScheme()
     for seed in range(100):
