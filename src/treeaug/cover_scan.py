@@ -16,15 +16,16 @@ The scan is generic over:
   * pre-covered edges (t0 flags) and extra leaf candidates, both used by
     the fast algorithm.
 
-Both a sequential executor and engine programs are provided; they must
-produce identical results.
+Both a sequential executor and an engine run are provided; they must
+produce identical results. The engine run is the simulator's two tree
+waves: a sim.Convergecast for the up pass and a sim.Downcast from the
+roots for the verdicts.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from . import sim
-from .sim import HALT, IDLE
 from .virtual_graph import VirtualEdge, maximal_covering, maximal_of
 
 
@@ -146,7 +147,7 @@ def sequential_cover_scan(nodes: dict, scheme):
 
 
 # ---------------------------------------------------------------------------
-# engine programs. Each vertex sends its parent two frames, the necessary
+# engine passes. Each vertex sends its parent two frames, the necessary
 # edge then the optional one, each (originEdgeId,) + ancestor label, or
 # empty for none.
 
@@ -161,115 +162,46 @@ def _frame_edge(toks, scheme):
     return VirtualEdge(anc, None, toks[0], 0)
 
 
-class _CoverUpState:
-    __slots__ = ("v", "pe", "child_of_edge", "frames", "nframes", "ch", "rec")
-
-    def __init__(self, v, pe, child_of_edge, ch):
-        self.v = v
-        self.pe = pe
-        self.child_of_edge = child_of_edge
-        self.frames = {eid: [] for eid in child_of_edge}  # child edge -> [nec, opt]
-        self.nframes = 0
-        self.ch = ch
-        self.rec = None
-
-
-class CoverUpProgram:
-    """Upward pass of the scan over a TreeView.
+def cover_up(view, resp_labels, incoming, t0, scheme, budget):
+    """Upward pass of the scan over a TreeView, as a sim.Convergecast.
 
     Per-vertex inputs: responsible label, incoming candidates (incidence
     plus any extra leaf candidates), t0 flag. A received frame reconstructs
     a candidate as VirtualEdge(anc, desc=None, origin, 0): the descendant
     endpoint is structurally below and never inspected on the way up.
     """
+    def decide(v, frames):
+        kids = [c for c, _ in view.children[v]]
+        node = ScanNode(v, resp_labels[v], children=kids,
+                        incoming=incoming[v], t0=t0[v],
+                        root=view.parent_edge[v] < 0)
+        child_recs = [(c, ScanRecord(nec=nec, opt=opt))
+                      for c, (nec, opt) in zip(kids, frames.values())]
+        rec = _scan_node(node, child_recs, scheme)
+        return rec, (_frame_tokens(rec.nec, scheme), _frame_tokens(rec.opt, scheme))
 
-    def __init__(self, view, resp_labels, incoming, t0, scheme, budget):
-        self.view = view
-        self.labels = resp_labels
-        self.incoming = incoming
-        self.t0 = t0
-        self.scheme = scheme
-        self.budget = budget
-
-    def init_state(self, v):
-        return _CoverUpState(v, self.view.parent_edge[v],
-                             {eid: c for c, eid in self.view.children[v]},
-                             sim.Channel(self.budget))
-
-    def _decide(self, st):
-        v = st.v
-        node = ScanNode(v, self.labels[v],
-                        children=list(st.child_of_edge.values()),
-                        incoming=self.incoming[v], t0=self.t0[v],
-                        root=st.pe < 0)
-        child_recs = []
-        for eid, (nec, opt) in st.frames.items():
-            child_recs.append((st.child_of_edge[eid], ScanRecord(nec=nec, opt=opt)))
-        rec = _scan_node(node, child_recs, self.scheme)
-        st.rec = rec
-        if st.pe >= 0:
-            st.ch.send(st.pe, _frame_tokens(rec.nec, self.scheme))
-            st.ch.send(st.pe, _frame_tokens(rec.opt, self.scheme))
-
-    def step(self, st, rnd, inbox):
-        for eid, toks in st.ch.recv(inbox):
-            st.frames[eid].append(_frame_edge(toks, self.scheme))
-            st.nframes += 1
-        if st.rec is None and st.nframes == 2 * len(st.frames):
-            self._decide(st)
-        return st.ch.flush(st.rec is not None)
-
-    def output(self, st):
-        return st.rec
+    return sim.Convergecast(view, 2, lambda toks: _frame_edge(toks, scheme),
+                            decide, budget)
 
 
-class _CoverDownState:
-    __slots__ = ("v", "pe", "child_edges", "extra")
-
-    def __init__(self, v, pe, child_edges):
-        self.v = v
-        self.pe = pe
-        self.child_edges = child_edges  # [(child, edge id)]
-        self.extra = []                 # own optionals the verdict consumed
-
-
-class CoverDownProgram:
-    """Verdict pass: tells each child whether its offered optional was used."""
-
-    def __init__(self, view, records, budget):
-        self.view = view
-        self.records = records  # per-vertex ScanRecord from the up pass
-        self.budget = budget
-
-    def init_state(self, v):
-        return _CoverDownState(v, self.view.parent_edge[v],
-                               list(self.view.children[v]))
-
-    def _verdicts(self, st, my_need):
-        rec = self.records[st.v]
-        if my_need:
-            kind, payload = rec.opt_src
-            if kind == "own":
-                st.extra.append(payload)
+def cover_down(view, records):
+    """Verdict pass, as a sim.Downcast from the view roots: tells each child
+    whether its offered optional was used. A vertex outputs the edges it
+    added: its up-pass additions, plus its own optional if the verdict
+    consumed it."""
+    def act(v, verdict):
+        rec = records[v]
+        my_need = verdict == ("need",)
+        added = list(rec.added)
+        if my_need and rec.opt_src[0] == "own":
+            added.append(rec.opt_src[1])
         outbox = []
-        for c, eid in st.child_edges:
-            need = rec.case2_child == c
-            if my_need and rec.opt_src[0] == "child" and rec.opt_src[1] == c:
-                need = True
-            outbox.append((eid, (("need",) if need else ("bot",))))
-        return outbox
+        for c, eid in view.children[v]:
+            need = rec.case2_child == c or (my_need and rec.opt_src == ("child", c))
+            outbox.append((eid, ("need",) if need else ("bot",)))
+        return added, outbox
 
-    def step(self, st, rnd, inbox):
-        if st.pe < 0:
-            return self._verdicts(st, False), HALT
-        if inbox:
-            verdict = inbox[0][1][0]
-            return self._verdicts(st, verdict == "need"), HALT
-        return [], IDLE
-
-    def output(self, st):
-        rec = self.records[st.v]
-        return list(rec.added) + st.extra
+    return sim.Downcast(lambda v: view.parent_edge[v] < 0, act)
 
 
 def distributed_cover_scan(g, view, resp_labels, incoming, t0, scheme,
@@ -278,16 +210,16 @@ def distributed_cover_scan(g, view, resp_labels, incoming, t0, scheme,
     """Run the up and down passes on the engine; returns a result dict of
     the same shape as sequential_cover_scan plus "adds_by_vertex" (the
     edges each vertex added) and the Metrics."""
-    up = CoverUpProgram(view, resp_labels, incoming, t0, scheme, budget)
+    up = cover_up(view, resp_labels, incoming, t0, scheme, budget)
     recs, metrics = sim.run(g, up, budget=budget, phase=phase_prefix + "_up")
-    down = CoverDownProgram(view, recs, budget)
-    adds, m2 = sim.run(g, down, budget=budget, phase=phase_prefix + "_down")
+    adds, m2 = sim.run(g, cover_down(view, recs), budget=budget,
+                       phase=phase_prefix + "_down")
     metrics.merge(m2)
     added = []
     bridges = []
     for v in range(g.n):
         added.extend(adds[v])
-        if recs[v] is not None and recs[v].bridge:
+        if recs[v].bridge:
             bridges.append(v)
     return {"added": added, "bridges": bridges, "adds_by_vertex": adds,
             "metrics": metrics}

@@ -251,66 +251,29 @@ def _parse_edge(toks, i, origin, scheme):
     return vg.VirtualEdge(anc, desc, origin, 0)
 
 
-class _FragmentMaxState:
-    __slots__ = ("v", "pe", "frames", "nframes", "ch", "result")
+def _fragment_max_scan(view, split_labels, scheme, own_cands, budget):
+    """Bottom-up within each fragment, as a sim.Convergecast, for several
+    kinds of candidate at once: every non-root vertex sends its local parent
+    one frame per kind, in kind order, each the maximal edge of that kind
+    covering its parent edge, or none. A fragment root's result holds, per
+    kind, the maximal edge covering its global edge. own_cands[i](v) lists
+    the vertex's own contributions of kind i."""
+    def parse(toks):
+        return _parse_edge(toks, 1, toks[0], scheme) if toks else None
 
-    def __init__(self, v, pe, child_edges, ch):
-        self.v = v
-        self.pe = pe
-        self.frames = {eid: [] for eid in child_edges}  # child edge -> per kind
-        self.nframes = 0
-        self.ch = ch
-        self.result = None
+    def decide(v, frames):
+        depth = scheme.depth(split_labels[v])
+        best = tuple(
+            vg.maximal_covering([f[i] for f in frames.values()] + own(v),
+                                depth, scheme)
+            for i, own in enumerate(own_cands))
+        return best, [_edge_frame(e, scheme) for e in best]
 
-
-class _FragmentMaxScan:
-    """Bottom-up within each fragment, for several kinds of candidate at
-    once: every non-root vertex sends its local parent one frame per kind,
-    in kind order, each the maximal edge of that kind covering its parent
-    edge, or none. A fragment root's result holds, per kind, the maximal
-    edge covering its global edge. own_cands[i](v) lists the vertex's own
-    contributions of kind i."""
-
-    def __init__(self, view, split_labels, scheme, own_cands, budget):
-        self.view = view
-        self.labels = split_labels
-        self.scheme = scheme
-        self.own_cands = own_cands
-        self.budget = budget
-
-    def init_state(self, v):
-        return _FragmentMaxState(v, self.view.parent_edge[v],
-                                 [eid for _, eid in self.view.children[v]],
-                                 sim.Channel(self.budget))
-
-    def _decide(self, st):
-        v = st.v
-        depth = self.scheme.depth(self.labels[v])
-        st.result = tuple(
-            vg.maximal_covering([f[i] for f in st.frames.values()] + own(v),
-                                depth, self.scheme)
-            for i, own in enumerate(self.own_cands))
-        st.frames = None  # all children have reported; free their edges
-        if st.pe >= 0:
-            for best in st.result:
-                st.ch.send(st.pe, _edge_frame(best, self.scheme))
-
-    def step(self, st, rnd, inbox):
-        for eid, toks in st.ch.recv(inbox):
-            st.frames[eid].append(_parse_edge(toks, 1, toks[0], self.scheme)
-                                  if toks else None)
-            st.nframes += 1
-        if (st.result is None
-                and st.nframes == len(self.own_cands) * len(st.frames)):
-            self._decide(st)
-        return st.ch.flush(st.result is not None)
-
-    def output(self, st):
-        return st.result
+    return sim.Convergecast(view, len(own_cands), parse, decide, budget)
 
 
 def fragment_max_sequential(view, split_labels, scheme, own_cands):
-    """Central shadow of _FragmentMaxScan; same recurrence, same ties."""
+    """Central shadow of _fragment_max_scan; same recurrence, same ties."""
     order = []
     stack = list(view.roots)
     while stack:
@@ -339,6 +302,11 @@ def leaf_adds(tree, incidence, split, scheme):
         if best is not None:
             added[v] = best
     return added
+
+
+def _leaf_cands(added_leaf):
+    """own_cands for the leaf pass: the edge vertex v added, if any."""
+    return lambda v: [added_leaf[v]] if v in added_leaf else []
 
 
 def _coverage_after_leaf_pass(tree, split, scheme, scan_results, bcast):
@@ -460,13 +428,9 @@ def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
     # one in-fragment scan serves passes 1 and 2: the maximal leaf-added
     # edge and the maximal incoming edge covering each vertex's parent edge
     added_leaf = leaf_adds(tree, incidence, split, scheme)
-
-    def leaf_cands(v):
-        ve = added_leaf.get(v)
-        return [ve] if ve is not None else []
-
-    scan = _FragmentMaxScan(view, split, scheme,
-                            (leaf_cands, lambda v: incidence[v]), budget)
+    scan = _fragment_max_scan(view, split, scheme,
+                              (_leaf_cands(added_leaf), lambda v: incidence[v]),
+                              budget)
     res, m = sim.run(g, scan, budget=budget, phase="global_cover")
     metrics.merge(m)
     # only fragment roots announce their maximal incoming edge; building
@@ -540,12 +504,7 @@ def sequential_fast_cover(g, tree):
     incidence = vg.build_incidence_sequential(g, tree, split, scheme)
 
     added_leaf = leaf_adds(tree, incidence, split, scheme)
-
-    def leaf_cands(v):
-        ve = added_leaf.get(v)
-        return [ve] if ve is not None else []
-
-    res1 = fragment_max_sequential(view, split, scheme, leaf_cands)
+    res1 = fragment_max_sequential(view, split, scheme, _leaf_cands(added_leaf))
     bcast1 = [res1[v] for v in frag_roots
               if v != tree.root and res1[v] is not None]
     t0 = _coverage_after_leaf_pass(tree, split, scheme, res1, bcast1)

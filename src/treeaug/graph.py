@@ -45,10 +45,6 @@ class Multigraph:
         self.adj[v].append((eid, u))
         return eid
 
-    def other(self, eid: int, v: int) -> int:
-        u, x, _ = self.edges[eid]
-        return u + x - v
-
     def weight(self, eid: int) -> int:
         return self.edges[eid][2]
 
@@ -191,9 +187,6 @@ class RootedTree:
     @property
     def n(self) -> int:
         return len(self.parent)
-
-    def post_order(self):
-        return reversed(self.order)
 
     def is_ancestor(self, a: int, d: int) -> bool:
         # parent-pointer walk; only for oracles and small-scale checks

@@ -177,10 +177,6 @@ def is_ancestor(a: LcaLabel, d: LcaLabel) -> bool:
     return lca_query(a, d).seq == a.seq
 
 
-def closer_to_root(a: LcaLabel, b: LcaLabel) -> bool:
-    return a.depth < b.depth
-
-
 # ---------------------------------------------------------------------------
 # wire format: header ('lh', vertexId|-1, depth), one ('lp', head, pos) per
 # hop. A label sent on its own is one frame of exactly these tokens.
@@ -188,10 +184,6 @@ def closer_to_root(a: LcaLabel, b: LcaLabel) -> bool:
 def label_tokens(label: LcaLabel) -> tuple:
     vid = -1 if label.vertex is None else label.vertex
     return (("lh", vid, label.depth),) + tuple(("lp", h, p) for h, p in label.seq)
-
-
-def label_cost(label: LcaLabel) -> int:
-    return 1 + len(label.seq)
 
 
 def parse_label(buf, i):

@@ -18,6 +18,10 @@ order but may only interact through messages, so evaluation order is
 unobservable; the transcript-equality test pins that down. Programs that
 stream messages longer than the budget frame them with a per-vertex
 `Channel`, and keep their per-vertex state in a `__slots__` class.
+The algorithms' two tree waves are written once here: `Convergecast`, a
+leaves-to-root scan in which each vertex decides once all its children's
+frames are in and frames its own up, and `Downcast`, a root-to-leaves
+relay in which each vertex acts once on its parent's message.
 `broadcast_upcast` gathers k messages at a tree root, store-and-forward,
 and streams them down cut-through: the root sends each message as it
 collects it, and every vertex relays each chunk to its children in the
@@ -330,6 +334,107 @@ class Channel:
         if queued:
             return outbox, ACTIVE
         return outbox, HALT if done else IDLE
+
+
+# ---------------------------------------------------------------------------
+# the two tree waves. Convergecast runs over a TreeView, a rooted forest
+# given by parent_edge[v] (-1 at a root) and children[v], a list of
+# (child, edge id) pairs; Downcast's `act` reads the forest itself
+
+class _ConvergeState:
+    __slots__ = ("v", "pe", "frames", "nframes", "ch", "result")
+
+    def __init__(self, v, pe, child_edges, ch):
+        self.v = v
+        self.pe = pe
+        self.frames = {eid: [] for eid in child_edges}  # child edge -> parsed frames
+        self.nframes = 0
+        self.ch = ch
+        self.result = None
+
+
+class Convergecast:
+    """Leaves-to-root wave: every non-root vertex sends its parent k frames.
+
+    A vertex parses each frame from a child edge with `parse(tokens)`. Once
+    it holds k from every child it calls `decide(v, frames)`, where `frames`
+    maps each child edge, in `children[v]` order, to its k parsed frames;
+    `decide` returns (result, up). A non-root vertex then frames the k token
+    tuples in `up` to its parent. The vertex outputs `result`.
+
+    Cost: if every `up` frame has L tokens, each tree edge carries
+    c = ceil(k(L+1)/budget) messages, and the run takes h*c rounds on a
+    forest of height h.
+    """
+
+    def __init__(self, view, k, parse, decide, budget):
+        self.view = view
+        self.k = k
+        self.parse = parse
+        self.decide = decide
+        self.budget = budget
+
+    def init_state(self, v):
+        return _ConvergeState(v, self.view.parent_edge[v],
+                              [eid for _, eid in self.view.children[v]],
+                              Channel(self.budget))
+
+    def step(self, st, rnd, inbox):
+        ch = st.ch
+        for eid, toks in ch.recv(inbox):
+            st.frames[eid].append(self.parse(toks))
+            st.nframes += 1
+        if st.frames is not None and st.nframes == self.k * len(st.frames):
+            st.result, up = self.decide(st.v, st.frames)
+            st.frames = None  # every child has reported; free its frames
+            if st.pe >= 0:
+                for toks in up:
+                    ch.send(st.pe, toks)
+        return ch.flush(st.result is not None)
+
+    def output(self, st):
+        return st.result
+
+
+class _DownState:
+    __slots__ = ("v", "out")
+
+    def __init__(self, v):
+        self.v = v
+        self.out = None
+
+
+class Downcast:
+    """Root-to-leaves wave: every vertex acts once and halts.
+
+    A vertex acts on the first message from its parent, or in round 0 if
+    `starts(v)`; a child never sends to its parent, so the only mail a
+    vertex gets is its parent's. `act(v, payload)`, with payload None in
+    round 0, returns (output, outbox): the vertex's output and its
+    unframed messages to its children. A vertex that never acts outputs
+    None. From the roots of a forest of height h the run takes h rounds and
+    sends one message per tree edge.
+    """
+
+    def __init__(self, starts, act):
+        self.starts = starts
+        self.act = act
+
+    def init_state(self, v):
+        return _DownState(v)
+
+    def step(self, st, rnd, inbox):
+        if inbox:
+            payload = inbox[0][1]
+        elif rnd == 0 and self.starts(st.v):
+            payload = None
+        else:
+            return [], IDLE
+        st.out, outbox = self.act(st.v, payload)
+        return outbox, HALT
+
+    def output(self, st):
+        return st.out
 
 
 # ---------------------------------------------------------------------------

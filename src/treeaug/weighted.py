@@ -129,7 +129,9 @@ class _WeightedUpState:
 
 class WeightedUpProgram:
     """One (ancestorDepth, alteredWeight) pair per tree edge per round, for
-    ancestors other than the parent, deepest first."""
+    ancestors other than the parent, deepest first. A vertex outputs its
+    state, whose min_v, d, best_src and best_edge the downward phase
+    reads."""
 
     def __init__(self, view, incidence, all_labels, scheme):
         self.view = view
@@ -182,66 +184,39 @@ class WeightedUpProgram:
         return outbox, ACTIVE if ready else IDLE
 
     def output(self, st):
-        return {"min": st.min_v, "d": st.d, "best_w": st.best_w,
-                "best_src": st.best_src, "best_edge": st.best_edge}
+        return st
 
 
-class _WeightedDownState:
-    __slots__ = ("v", "pe", "child_edges", "added", "bridge")
-
-    def __init__(self, v, pe, child_edges):
-        self.v = v
-        self.pe = pe
-        self.child_edges = child_edges
-        self.added = []      # (virtual edge, top id, decider id) records
-        self.bridge = False
-
-
-class WeightedDownProgram:
+def weighted_down(view, tables):
     """Relay (topDepth, topId, deciderId) unchanged along the recorded
-    cheapest-sender chain; the chain end adds its own incoming edge."""
-
-    def __init__(self, view, tables):
-        self.view = view
-        self.tables = tables
-
-    def init_state(self, v):
-        return _WeightedDownState(v, self.view.parent_edge[v],
-                                  self.view.children[v])
-
-    def _act(self, st, m):
-        v = st.v
-        tab = self.tables[v]
+    cheapest-sender chain; the chain end adds its own incoming edge. A
+    sim.Downcast started by the depth-1 vertices, each a decider for its own
+    tree edge; the tree root never acts. A vertex outputs its (virtual
+    edge, top id, decider id) records and whether its tree edge is a
+    bridge."""
+    def act(v, m):
+        tab = tables[v]
+        added = []
+        bridge = False
         chain_child = None
-        if m is None:
-            if tab["min"] is not None and tab["min"] >= INF:
-                st.bridge = True
-            elif tab["min"] is not None:
+        if m is None or m[0] == "bot":
+            m = None
+            if tab.min_v >= INF:
+                bridge = True
+            else:
                 # decider: the top ancestor is the parent, at depth d - 1
-                m = (tab["d"] - 1, self.view.parent_vertex[v], v)
+                m = (tab.d - 1, view.parent_vertex[v], v)
         if m is not None:
             j, u, dec = m
-            src = tab["best_src"][j]
+            src = tab.best_src[j]
             if src == -1:
-                st.added.append((tab["best_edge"][j], u, dec))
+                added.append((tab.best_edge[j], u, dec))
             else:
                 chain_child = src
-        return [(eid, m if c == chain_child else ("bot",))
-                for c, eid in st.child_edges]
+        return (added, bridge), [(eid, m if c == chain_child else ("bot",))
+                                 for c, eid in view.children[v]]
 
-    def step(self, st, rnd, inbox):
-        if st.pe < 0:
-            # root: children act on their own; nothing to send
-            return [], HALT
-        if rnd == 0 and self.tables[st.v]["d"] == 1:
-            return self._act(st, None), HALT
-        if inbox:
-            payload = inbox[0][1]
-            return self._act(st, None if payload[0] == "bot" else payload), HALT
-        return [], IDLE
-
-    def output(self, st):
-        return {"added": st.added, "bridge": st.bridge}
+    return sim.Downcast(lambda v: tables[v].d == 1, act)
 
 
 def weighted_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
@@ -261,17 +236,19 @@ def weighted_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
     up = WeightedUpProgram(view, incidence, all_labels, scheme)
     tables, m3 = sim.run(g, up, budget=budget, phase="weighted_up")
     metrics.merge(m3)
-    down = WeightedDownProgram(view, tables)
-    outs, m4 = sim.run(g, down, budget=budget, phase="weighted_down")
+    outs, m4 = sim.run(g, weighted_down(view, tables), budget=budget,
+                       phase="weighted_down")
     metrics.merge(m4)
     added = []
     bridges = []
     costs = {}
     for v in range(g.n):
-        if v != tree.root:
-            costs[tree.parent_edge[v]] = tables[v]["min"]
-        added.extend(outs[v]["added"])
-        if outs[v]["bridge"]:
+        if v == tree.root:
+            continue  # the root has no tree edge and never acts
+        costs[tree.parent_edge[v]] = tables[v].min_v
+        added_v, bridge = outs[v]
+        added.extend(added_v)
+        if bridge:
             bridges.append(v)
     return {"added": added, "costs": costs, "bridges": bridges,
             "labels": all_labels, "metrics": metrics}

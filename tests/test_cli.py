@@ -129,6 +129,33 @@ def test_fast_transcript_schedule_pinned(tmp_path):
         "61a9a5a42bf66823441923a45466229521c745650b745175a5c992ee7f261cff")
 
 
+# SHA-256 of the full transcript and of the --metrics CSV at budget 4 on one
+# small weighted instance; a change to how a phase is written must not move
+# a single delivered byte
+RUN_PINS = {
+    "tap": ("4fd8a87bd0ab7e43fa05528d7151e50b6838efc51b627fdfae3d7f7a9c12a203",
+            "3511c622ad762dd449c13b5ea63da80885ecb135a5d07f30416879ed1016863b"),
+    "wtap": ("ea8796c0f9b71a6ab0f18a7cfc6526d068c160f9e22c0d382fcb28c933eb0daa",
+             "651802bdf9f44c190509f6e097423fa3a9331742a7c2e140b7ad6d24d5ecb0d7"),
+    "verify": ("0d4076a1d37bfb9a37df96b6248b0eadfe4d1dee539ae0446d5c13f909749a5b",
+               "431bb6edc0c73952d4fdd8f4371ac0ba2bd11b434cc5c9e4a90c8141d37dee6e"),
+}
+
+
+@pytest.mark.parametrize("algo", sorted(RUN_PINS))
+def test_run_transcript_and_metrics_pinned(tmp_path, algo):
+    inst = str(tmp_path / "r.txt")
+    tr = str(tmp_path / "t.log")
+    met = str(tmp_path / "m.csv")
+    assert run_cli(["gen", "random", "--n", "40", "--extra", "20", "--seed", "3",
+                    "--wmin", "1", "--wmax", "9", "-o", inst]) == 0
+    assert run_cli(["run", inst, "--algo", algo, "--budget", "4",
+                    "--transcript", tr, "--metrics", met]) == 0
+    digests = tuple(hashlib.sha256(open(p, "rb").read()).hexdigest()
+                    for p in (tr, met))
+    assert digests == RUN_PINS[algo]
+
+
 def test_bridged_input_exits_2(tmp_path):
     inst = tmp_path / "b.txt"
     inst.write_text("4 4\n0 1 1 t\n1 2 1 t\n2 3 1 t\n1 3 1\n")

@@ -79,7 +79,6 @@ def test_rooted_tree_structure():
         pos = {v: i for i, v in enumerate(tree.order)}
         for v in range(1, g.n):
             assert pos[tree.parent[v]] < pos[v]
-        assert sorted(tree.post_order()) == list(range(g.n))
 
 
 def test_bfs_tree_layers_and_parent_rule():

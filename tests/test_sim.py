@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from treeaug import generators, sim
 from treeaug.graph import Multigraph, bfs_tree, root_tree
+from treeaug.labels import TreeView
 from treeaug.sim import (ACTIVE, HALT, IDLE, BudgetExceeded, Metrics,
                          Channel, PhaseMetrics, RoundLimitExceeded, SimError,
                          TokenStream, broadcast_upcast)
@@ -131,23 +132,34 @@ def test_mail_to_halted_vertex_is_dropped_but_counted():
     assert m.messages == 1      # still paid for
 
 
+def _wave_transcript(g, tree, order):
+    """Transcript of the covering scan's two waves and wtap's two phases,
+    with vertices stepped in `order`."""
+    from treeaug import cover_scan, labels as lbl, virtual_graph as vg, weighted
+    view = lbl.TreeView.of_tree(tree)
+    labels = lbl.assign_labels_sequential(view)
+    scheme = vg.PlainScheme()
+    inc = vg.build_incidence_sequential(g, tree, labels, scheme)
+    tr = []
+    up = cover_scan.cover_up(view, labels, inc, [False] * g.n, scheme, 4)
+    recs, _ = sim.run(g, up, transcript=tr, eval_order=order)
+    sim.run(g, cover_scan.cover_down(view, recs), transcript=tr,
+            eval_order=order)
+    tables, _ = sim.run(g, weighted.WeightedUpProgram(view, inc, labels, scheme),
+                        transcript=tr, eval_order=order)
+    sim.run(g, weighted.weighted_down(view, tables), transcript=tr,
+            eval_order=order)
+    return tr
+
+
 def test_transcript_independent_of_eval_order():
     for seed in range(10):
         g, tree = generators.gen_random_2ec(12, 6, seed)
-        from treeaug import unweighted
         base = None
         for order_seed in range(3):
             order = list(range(g.n))
             random.Random(order_seed).shuffle(order)
-            tr = []
-            from treeaug.cover_scan import CoverUpProgram
-            from treeaug import labels as lbl, virtual_graph as vg
-            view = lbl.TreeView.of_tree(tree)
-            labels = lbl.assign_labels_sequential(view)
-            scheme = vg.PlainScheme()
-            inc = vg.build_incidence_sequential(g, tree, labels, scheme)
-            prog = CoverUpProgram(view, labels, inc, [False] * g.n, scheme, 4)
-            out, m = sim.run(g, prog, transcript=tr, eval_order=order)
+            tr = _wave_transcript(g, tree, order)
             if base is None:
                 base = tr
             else:
@@ -277,6 +289,47 @@ def test_root_streams_its_messages_before_the_last_arrives():
     assert delivered == [mine, deep]
     assert m.rounds == 193
     assert m.messages == 64 * 2 + 64 * 4   # 2 chunks a hop up, 4 down each edge
+
+
+@pytest.mark.parametrize("budget", (1, 4, 7))
+@pytest.mark.parametrize("shape", ("path", "star"))
+def test_convergecast_costs_exactly_h_times_c(shape, budget):
+    # k frames of L tokens up every tree edge: c = ceil(k(L+1)/b) messages
+    # an edge, and a vertex decides only once all its children's frames
+    # are in, so each level adds c rounds
+    g, tree = generators.gen_cycle(65) if shape == "path" else _star(65)
+    view = TreeView.of_tree(tree)
+    k, L = 2, 3
+
+    def decide(v, frames):
+        size = 1 + sum(f[0][0] for f in frames.values())
+        return size, [(size, v, i) for i in range(k)]
+
+    prog = sim.Convergecast(view, k, lambda toks: toks, decide, budget)
+    sizes, m = sim.run(g, prog, budget=budget)
+    assert sizes[tree.root] == g.n
+    c = -(-k * (L + 1) // budget)
+    assert m.rounds == tree.height * c
+    assert m.messages == (g.n - 1) * c
+    if shape == "path" and budget == 4:
+        assert (m.rounds, m.messages) == (128, 128)
+
+
+@pytest.mark.parametrize("budget", (1, 4, 7))
+@pytest.mark.parametrize("shape", ("path", "star"))
+def test_downcast_from_the_root_costs_h_rounds(shape, budget):
+    g, tree = generators.gen_cycle(65) if shape == "path" else _star(65)
+    view = TreeView.of_tree(tree)
+
+    def act(v, payload):
+        return payload, [(eid, (v,)) for _, eid in view.children[v]]
+
+    out, m = sim.run(g, sim.Downcast(lambda v: v == tree.root, act),
+                     budget=budget)
+    assert out == [None if v == tree.root else (tree.parent[v],)
+                   for v in range(g.n)]
+    assert m.rounds == tree.height
+    assert m.messages == g.n - 1
 
 
 def _arrivals(g, tree, msgs, budget):
