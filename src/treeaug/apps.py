@@ -44,7 +44,8 @@ def two_ecss_weighted(g, budget: int = sim.DEFAULT_BUDGET):
     tree = mst_tree(g, 0)
     _, metrics = build_bfs_tree_distributed(g, 0, budget=budget)
     metrics.phases.append(sim.PhaseMetrics(
-        "mst", rounds=metrics.phase("bfs").rounds + math.isqrt(g.n) + 1))
+        "mst", rounds=metrics.phase("bfs").rounds + math.isqrt(g.n) + 1,
+        nominal=True))
     aug, _, _, m = weighted.augment_weighted(g, tree, budget=budget)
     metrics.merge(m)
     edges = set(tree.tree_edges) | set(aug.edge_ids)

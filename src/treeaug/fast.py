@@ -396,7 +396,7 @@ def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
     # the injected decomposition stands in for a convergecast along the BFS
     # tree plus a sqrt(n)-deep local pass; charge it accordingly
     metrics.phases.append(sim.PhaseMetrics(
-        "fragmentation", rounds=metrics.phase("bfs").rounds + s))
+        "fragmentation", rounds=metrics.phase("bfs").rounds + s, nominal=True))
 
     local_labels, m = lbl.assign_labels_distributed(
         g, view, budget=budget, phase_prefix="labels_local")

@@ -25,7 +25,9 @@ relay in which each vertex acts once on its parent's message.
 `broadcast_upcast` gathers k messages at a tree root, store-and-forward,
 and streams them down cut-through: the root sends each message as it
 collects it, and every vertex relays each chunk to its children in the
-round it arrives.
+round it arrives. A relay keeps the root's chunks and only counts the
+frames they complete; the stream is parsed once, after the run, when every
+vertex is shown to hold the same chunks.
 
 A run allocates millions of short-lived message tuples and frees them all
 again, so CPython's cyclic garbage collector finds nothing to free but
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field
+from itertools import chain
 
 ACTIVE = 0
 IDLE = 1
@@ -79,6 +82,9 @@ class PhaseMetrics:
     messages: int = 0
     tokens: int = 0
     max_tokens_edge_round: int = 0
+    # charged a round count for a central computation, not run on the engine;
+    # not part of the CSV
+    nominal: bool = False
 
 
 @dataclass
@@ -192,11 +198,9 @@ def _run_rounds(g, program, budget, max_rounds, phase, transcript, eval_order):
             outbox, status = step(states[v], rnd, inbox)
             if outbox:
                 sent_any = True
-                if len(outbox) > 1:
-                    eids = [e for e, _ in outbox]
-                    if len(set(eids)) != len(eids):
-                        raise SimError("vertex %d sent twice on an edge in round %d"
-                                       % (v, rnd))
+                if len(outbox) > 1 and len({e for e, _ in outbox}) != len(outbox):
+                    raise SimError("vertex %d sent twice on an edge in round %d"
+                                   % (v, rnd))
                 for eid, payload in outbox:
                     ntok = len(payload)
                     if ntok > budget:
@@ -440,7 +444,7 @@ class Downcast:
 # ---------------------------------------------------------------------------
 # broadcast/upcast utility: deliver k source messages to every vertex over a
 # rooted (BFS) tree. Each message travels up as one frame; the root's frames
-# travel down as one stream of chunks, relayed as they arrive.
+# travel down as one stream of chunks, relayed as they arrive and parsed once.
 
 def broadcast_upcast(g, tree, sources, budget: int = DEFAULT_BUDGET,
                      phase: str = "broadcast"):
@@ -449,7 +453,14 @@ def broadcast_upcast(g, tree, sources, budget: int = DEFAULT_BUDGET,
 
     `sources` is a list of (vertex, message) pairs. Returns (delivered,
     Metrics) where delivered is the list of k messages in the order the root
-    collected them (identical at every vertex).
+    collected them.
+
+    Every vertex keeps the chunks of the root's down stream as they reach
+    it, without parsing them. The run is accepted only if every vertex holds
+    exactly the chunks the root sent and one parse of that stream gives
+    exactly the messages the root collected; else SimError is raised. That
+    parse is `delivered`: a local function of a stream shown to be the same
+    at every vertex, so computing it once moves no information.
 
     Round bound: let T = sum(len(msg) + 1) be the length of the root's down
     stream in tokens, h the tree's height, and t_k the round in which the
@@ -468,22 +479,32 @@ def broadcast_upcast(g, tree, sources, budget: int = DEFAULT_BUDGET,
         return [], Metrics([PhaseMetrics(phase)])
     prog = _UpDownProgram(tree, by_vertex, k, budget)
     outputs, metrics = run(g, prog, budget=budget, phase=phase)
-    delivered = outputs[tree.root]
+    chunks, collected = outputs[tree.root]
     for v in range(g.n):
-        if outputs[v] != delivered:
-            raise SimError("broadcast outputs disagree at vertex %d" % v)
+        if outputs[v][0] != chunks:
+            raise SimError("broadcast streams disagree at vertex %d" % v)
+    stream = tuple(chain.from_iterable(chunks))
+    delivered = [msg for _, msg in Channel(budget).recv([(0, stream)])]
+    if delivered != collected:
+        raise SimError("the broadcast stream does not parse to the root's messages")
     return delivered, metrics
 
 
 class _UpDownState:
-    __slots__ = ("ch", "pe", "child_edges", "got", "down")
+    __slots__ = ("ch", "pe", "child_edges", "up_queued", "chunks", "nframes",
+                 "left", "got", "down")
 
     def __init__(self, ch, pe, child_edges):
         self.ch = ch
         self.pe = pe
         self.child_edges = child_edges
-        self.got = []
-        self.down = TokenStream() if pe < 0 else None  # the root's down stream
+        self.up_queued = True  # whether `ch` may hold tokens to send up
+        self.chunks = []   # the down stream's chunks, as sent or received
+        self.nframes = 0   # frames begun in `chunks`
+        self.left = 0      # tokens of the last begun frame not yet received
+        root = pe < 0
+        self.got = [] if root else None  # the root's collected messages
+        self.down = TokenStream() if root else None  # the root's down stream
 
 
 class _UpDownProgram:
@@ -499,9 +520,14 @@ class _UpDownProgram:
     tuple on every child edge: exactly `budget` tokens, or, once the k-th
     message is in, the rest of the stream. A non-root vertex relays each
     chunk from its parent to all its children in the step it arrives,
-    unchanged, and parses the chunks to deliver the messages. So every
-    vertex gets the root's stream, in collection order, and every downward
-    tree edge carries exactly ceil(T/budget) messages, T = sum(len(m) + 1).
+    unchanged, and keeps it. It does not parse the chunks: it steps from
+    length token to length token to count the frames they complete, and it
+    is done once it has all k. So every vertex gets the root's stream, in
+    collection order, and every downward tree edge carries exactly
+    ceil(T/budget) messages, T = sum(len(m) + 1).
+
+    A vertex outputs (chunks, got): the chunks it sent or received, and at
+    the root the messages in collection order (None elsewhere).
 
     Bound: if the root collects the k-th message in round t_k (0 when every
     source is the root), the chunk it sends in round r reaches depth d in
@@ -537,17 +563,28 @@ class _UpDownProgram:
         pe = st.pe
         if pe < 0:
             return self._root_step(st, inbox)
-        ch = st.ch
-        for eid, msg in ch.recv(inbox):
+        relay = ()
+        up = inbox
+        for i, (eid, chunk) in enumerate(inbox or ()):
             if eid == pe:
-                st.got.append(msg)
-            else:
-                ch.send(pe, msg)
-        outbox, status = ch.flush(len(st.got) == self.k)
-        for eid, chunk in inbox or ():
-            if eid == pe:
-                outbox.extend((c, chunk) for c in st.child_edges)
+                st.chunks.append(chunk)
+                j, n = st.left, len(chunk)
+                while j < n:          # chunk[j] is a frame's length token
+                    j += chunk[j] + 1
+                    st.nframes += 1
+                st.left = j - n
+                relay = [(c, chunk) for c in st.child_edges]
+                up = inbox[:i] + inbox[i + 1:]
                 break
+        done = st.nframes == self.k and not st.left
+        if not (up or st.up_queued):
+            return relay, HALT if done else IDLE  # what flush would return
+        ch = st.ch
+        for _, msg in ch.recv(up):
+            ch.send(pe, msg)
+        outbox, status = ch.flush(done)
+        st.up_queued = status == ACTIVE
+        outbox.extend(relay)
         return outbox, status
 
     def _root_step(self, st, inbox):
@@ -556,12 +593,14 @@ class _UpDownProgram:
         done = len(st.got) == self.k
         queued = st.down.buf
         outbox = []
-        if queued and (done or len(queued) >= self.budget):
+        chunk = None
+        while queued and (done or len(queued) >= self.budget):
+            if chunk is not None:
+                return outbox, ACTIVE  # the next chunk goes out next round
             chunk = st.down.take(self.budget)
+            st.chunks.append(chunk)
             outbox = [(eid, chunk) for eid in st.child_edges]
-            if queued and (done or len(queued) >= self.budget):
-                return outbox, ACTIVE
         return outbox, HALT if done else IDLE
 
     def output(self, st):
-        return list(st.got)
+        return st.chunks, st.got

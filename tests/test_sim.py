@@ -174,6 +174,20 @@ def test_metrics_csv_shape():
     assert m.rounds == 3 and m.messages == 4 and m.tokens == 6
 
 
+def test_nominal_phases_are_flagged_and_kept_out_of_the_csv():
+    from treeaug import apps, fast
+    g, tree = generators.gen_random_2ec(40, 25, 2, wmin=1, wmax=9)
+    _, _, fm = fast.augment_fast(g, tree)
+    wm = apps.two_ecss_weighted(g)[-1]
+    assert [p.phase for p in fm.phases if p.nominal] == ["fragmentation"]
+    assert [p.phase for p in wm.phases if p.nominal] == ["mst"]
+    for m in (fm, wm):
+        rows = [line.split(",") for line in m.to_csv().splitlines()]
+        assert rows[0] == ["phase", "rounds", "messages", "tokens",
+                           "max_tokens_edge_round"]
+        assert {len(r) for r in rows} == {5}
+
+
 def test_token_stream_drains_by_budget():
     s = TokenStream()
     s.push(("a", "b", "c", "d", "e"))
@@ -289,6 +303,97 @@ def test_root_streams_its_messages_before_the_last_arrives():
     assert delivered == [mine, deep]
     assert m.rounds == 193
     assert m.messages == 64 * 2 + 64 * 4   # 2 chunks a hop up, 4 down each edge
+
+
+@pytest.mark.parametrize("budget", (1, 4, 7))
+@pytest.mark.parametrize("shape", ("path", "star"))
+def test_relays_keep_the_roots_chunks(shape, budget):
+    # every vertex outputs the very chunk objects the root sent, so the
+    # whole broadcast holds ceil(T/b) chunks however many vertices it has
+    g, tree = generators.gen_cycle(65) if shape == "path" else _star(65)
+    msgs = [(0, tuple(("m", i, j) for j in range(6))) for i in range(5)]
+    prog = sim._UpDownProgram(tree, {0: [m for _, m in msgs]}, len(msgs), budget)
+    outputs, _ = sim.run(g, prog, budget=budget)
+    root_chunks, got = outputs[tree.root]
+    assert got == [m for _, m in msgs]
+    for chunks, _ in outputs:
+        assert len(chunks) == len(root_chunks)
+        assert all(c is r for c, r in zip(chunks, root_chunks))
+    assert len({id(c) for chunks, _ in outputs for c in chunks}) == _chunks(msgs, budget)
+
+
+def _root_stream(g, tree, msgs, budget):
+    """Run broadcast_upcast with a transcript; return what it delivered, its
+    Metrics, and the token stream the root sent down one child edge."""
+    lines = []
+    sim.TRANSCRIPT_SINK = lines
+    try:
+        delivered, m = broadcast_upcast(g, tree, msgs, budget=budget)
+    finally:
+        sim.TRANSCRIPT_SINK = None
+    first_child = tree.children[tree.root][0]
+    stream = []
+    for line in lines[1:]:
+        _, src, dst, _, _, payload = line.split(",")
+        if int(src) == tree.root and int(dst) == first_child:
+            stream.extend(int(tok) for tok in payload.split(";"))
+    return delivered, m, tuple(stream)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=7),
+       st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=8))
+def test_property_broadcast_parses_the_stream_once(seed, budget, lengths):
+    # empty messages, and frames that cross chunk boundaries whenever a
+    # length + 1 is not a multiple of the budget: what is delivered is a
+    # plain Channel parse of the root's stream as it went over the wire
+    rng = random.Random(seed)
+    g, _ = generators.gen_random_2ec(rng.randint(3, 30), rng.randint(0, 15), seed)
+    tree = bfs_tree(g, rng.randrange(g.n))
+    msgs = [(tree.root, tuple(range(100 * i, 100 * i + n)))
+            for i, n in enumerate(lengths)]
+    c = _chunks(msgs, budget)
+
+    # from the root alone, the schedule is exact: ceil(T/b) + h - 1 rounds
+    delivered, m, stream = _root_stream(g, tree, msgs, budget)
+    assert stream == tuple(tok for _, msg in msgs for tok in (len(msg),) + msg)
+    assert delivered == [msg for _, msg in Channel(budget).recv([(0, stream)])]
+    assert delivered == [msg for _, msg in msgs]
+    assert (m.rounds, m.messages) == (c + tree.height - 1, (g.n - 1) * c)
+
+    # from anywhere, in the order the root collected them
+    msgs = [(rng.randrange(g.n), msg) for _, msg in msgs]
+    delivered, m, stream = _root_stream(g, tree, msgs, budget)
+    assert delivered == [msg for _, msg in Channel(budget).recv([(0, stream)])]
+    assert sorted(delivered) == sorted(msg for _, msg in msgs)
+
+
+def _lose_a_chunk_at_vertex_5(tree, chunks, got, st):
+    return (chunks[1:] if st.pe == tree.parent_edge[5] else chunks), got
+
+
+def _lose_a_message_at_the_root(tree, chunks, got, st):
+    return chunks, (got[1:] if st.pe < 0 else got)
+
+
+@pytest.mark.parametrize("tamper, error", [
+    (_lose_a_chunk_at_vertex_5, "disagree at vertex 5"),
+    (_lose_a_message_at_the_root, "does not parse"),
+])
+def test_broadcast_rejects_a_tampered_output(monkeypatch, tamper, error):
+    # both checks are live: every vertex must hold the root's chunks, and
+    # they must parse to exactly the messages the root collected
+    g, tree = generators.gen_cycle(9)
+    msgs = [(0, tuple(range(7))), (4, ())]
+    real_output = sim._UpDownProgram.output
+
+    def tampered_output(self, st):
+        return tamper(tree, *real_output(self, st), st)
+
+    assert broadcast_upcast(g, tree, msgs)[0] == [msgs[0][1], ()]
+    monkeypatch.setattr(sim._UpDownProgram, "output", tampered_output)
+    with pytest.raises(SimError, match=error):
+        broadcast_upcast(g, tree, msgs)
 
 
 @pytest.mark.parametrize("budget", (1, 4, 7))
