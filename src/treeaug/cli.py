@@ -162,6 +162,31 @@ def _optimum(problem, g, tree):
     return aug.weight, aug.edge_ids
 
 
+class _TranscriptFile:
+    """Transcript sink that writes each line to the file as it comes, so the
+    log is never held in memory. The file reads as the lines joined with
+    newlines plus a final newline; a log with no lines is one newline."""
+
+    __slots__ = ("f", "empty")
+
+    def __init__(self, path):
+        self.f = open(path, "w")
+        self.empty = True
+
+    def append(self, line):  # sim.run's phase line, before any extend
+        self.f.write(line + "\n")
+        self.empty = False
+
+    def extend(self, lines):  # one round's lines, a list and never empty
+        self.f.write("\n".join(lines))
+        self.f.write("\n")
+
+    def close(self):
+        with self.f:
+            if self.empty:
+                self.f.write("\n")
+
+
 def _run(args) -> int:
     need = weighted.MIN_BUDGET if args.algo in WEIGHTED_ALGOS else 1
     if args.budget < need:
@@ -169,12 +194,12 @@ def _run(args) -> int:
               % (args.algo, need, args.budget), file=sys.stderr)
         return 1
     g, tree = read_instance(args.instance)
+    # opened before the run, so an unusable path fails before any work
+    transcript = _TranscriptFile(args.transcript) if args.transcript else None
     max_rounds = sim.DEFAULT_MAX_ROUNDS
     if args.max_rounds is not None:
         sim.DEFAULT_MAX_ROUNDS = args.max_rounds
-    transcript = None
-    if args.transcript:
-        transcript = []
+    if transcript is not None:
         sim.TRANSCRIPT_SINK = transcript
     try:
         metrics, aug_value, valid, note = _run_algo(args, g, tree)
@@ -188,8 +213,7 @@ def _run(args) -> int:
         sim.DEFAULT_MAX_ROUNDS = max_rounds
         sim.TRANSCRIPT_SINK = None
         if transcript is not None:
-            with open(args.transcript, "w") as f:
-                f.write("\n".join(transcript) + "\n")
+            transcript.close()
 
     opt = None
     if args.oracle and args.algo != "verify":

@@ -29,6 +29,12 @@ round it arrives. A relay keeps the root's chunks and only counts the
 frames they complete; the stream is parsed once, after the run, when every
 vertex is shown to hold the same chunks.
 
+A transcript is one "round,src,dst,edge,tokens,payload" line per delivered
+message, written to a sink: any object with `append(line)` and
+`extend(lines)`, such as a list or the command line tool's file writer.
+Each round's lines go to the sink in one `extend`, and each distinct
+payload object is formatted once per round, however many edges carry it.
+
 A run allocates millions of short-lived message tuples and frees them all
 again, so CPython's cyclic garbage collector finds nothing to free but
 would still sweep every live object many times over. `run` therefore
@@ -48,10 +54,10 @@ HALT = 2
 DEFAULT_BUDGET = 4
 DEFAULT_MAX_ROUNDS = 1 << 20
 
-# when set (a list), every run() without an explicit transcript appends its
-# delivery log here; the command line tool uses this to capture whole
-# multi-phase pipelines
-TRANSCRIPT_SINK: list | None = None
+# when set (a transcript sink), every run() without an explicit transcript
+# writes its delivery log here; the command line tool uses this to capture
+# whole multi-phase pipelines
+TRANSCRIPT_SINK = None
 
 
 class SimError(Exception):
@@ -130,14 +136,17 @@ class Metrics:
 
 
 def run(g, program, budget: int = DEFAULT_BUDGET, max_rounds: int | None = None,
-        phase: str = "main", transcript: list | None = None,
+        phase: str = "main", transcript=None,
         eval_order=None):
     """Drive `program` on multigraph `g` to quiescence.
 
     Returns (outputs, Metrics) where outputs[v] = program.output(state_v).
-    `transcript` (if a list) receives one "round,src,dst,edge,tokens,payload"
-    line per delivered message. `eval_order` overrides the per-round vertex
-    evaluation order (testing hook; results must not depend on it).
+    `transcript`, if given (else `TRANSCRIPT_SINK`), is a sink with `append`
+    and `extend`: it gets a "# phase <phase>" line, then one
+    "round,src,dst,edge,tokens,payload" line per delivered message, each
+    round's lines in one `extend`. Each distinct payload object is formatted
+    once per round. `eval_order` overrides the per-round vertex evaluation
+    order (testing hook; results must not depend on it).
 
     The cyclic garbage collector is paused for the whole run, from the first
     `init_state` to the last `output`; the caller's setting is restored on
@@ -237,9 +246,18 @@ def _run_rounds(g, program, budget, max_rounds, phase, transcript, eval_order):
             # (src, dst, edge) is unique within a round, so payloads are
             # never compared
             round_msgs.sort()
-            transcript.extend("%d,%d,%d,%d,%d,%s"
-                              % (rnd, src, dst, eid, len(payload), _fmt_payload(payload))
-                              for src, dst, eid, payload in round_msgs)
+            # a payload sent on several edges (a broadcast chunk) is formatted
+            # once: round_msgs holds every payload until the round's lines
+            # are written, so no id is reused for another object meanwhile
+            text: dict[int, str] = {}
+            lines = []
+            for src, dst, eid, payload in round_msgs:
+                t = text.get(id(payload))
+                if t is None:
+                    t = text[id(payload)] = "%d,%s" % (len(payload),
+                                                       _fmt_payload(payload))
+                lines.append("%d,%d,%d,%d,%s" % (rnd, src, dst, eid, t))
+            transcript.extend(lines)
         if sent_any:
             last_comm_round = rnd
         inbox_map = next_inbox

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import treeaug
-from treeaug import cli, fast, sim
+from treeaug import cli, fast, sim, unweighted
 from treeaug.graph import read_instance
 
 
@@ -166,6 +166,49 @@ def test_round_limit_exits_3(tmp_path):
     inst = str(tmp_path / "c.txt")
     run_cli(["gen", "cycle", "--n", "64", "-o", inst])
     assert run_cli(["run", inst, "--algo", "tap", "--max-rounds", "3"]) == 3
+
+
+def test_transcript_cut_short_by_the_round_limit(tmp_path):
+    # the streamed file holds exactly the lines a list sink collects from
+    # the same run, joined with newlines plus a final newline
+    inst = str(tmp_path / "c.txt")
+    tr = str(tmp_path / "t.log")
+    run_cli(["gen", "cycle", "--n", "64", "-o", inst])
+    assert run_cli(["run", inst, "--algo", "tap", "--max-rounds", "3",
+                    "--transcript", tr]) == 3
+    g, tree = read_instance(inst)
+    lines = []
+    sim.DEFAULT_MAX_ROUNDS = 3
+    sim.TRANSCRIPT_SINK = lines
+    with pytest.raises(sim.RoundLimitExceeded):
+        unweighted.augment_unweighted(g, tree)
+    assert len(lines) > 1
+    assert open(tr).read() == "\n".join(lines) + "\n"
+
+
+def test_transcript_with_no_lines_is_one_newline(tmp_path):
+    # tap needs the tree marks, so it fails before any engine run
+    inst = tmp_path / "nt.txt"
+    inst.write_text("3 3\n0 1 1\n1 2 1\n0 2 1\n")
+    tr = tmp_path / "t.log"
+    assert run_cli(["run", str(inst), "--algo", "tap",
+                    "--transcript", str(tr)]) == 1
+    assert tr.read_bytes() == b"\n"
+
+
+def test_unusable_transcript_path_fails_before_the_run(tmp_path, capsys,
+                                                      monkeypatch):
+    inst = str(tmp_path / "c.txt")
+    run_cli(["gen", "cycle", "--n", "12", "-o", inst])
+    capsys.readouterr()
+    calls = []
+    monkeypatch.setattr(cli, "_run_algo", lambda *a: calls.append(a))
+    tr = str(tmp_path / "missing-dir" / "t.log")
+    assert run_cli(["run", inst, "--algo", "tap", "--transcript", tr]) == 1
+    out, err = capsys.readouterr()
+    assert calls == []
+    assert err.startswith("error: ") and "missing-dir" in err, err
+    assert out == ""
 
 
 def test_max_rounds_option_does_not_leak(tmp_path):

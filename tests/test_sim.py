@@ -166,6 +166,69 @@ def test_transcript_independent_of_eval_order():
                 assert tr == base, (seed, order_seed)
 
 
+class _Echo:
+    """The star's centre sends one tuple on edges 0 and 1, an equal but
+    distinct tuple on edge 2 and nested-tuple tokens on edge 3; each leaf
+    sends back what it got."""
+
+    def init_state(self, v):
+        return v
+
+    def step(self, v, rnd, inbox):
+        if v == 0 and rnd == 0:
+            shared = tuple([7, "x"])
+            twin = tuple([7, "x"])
+            nested = ((1, 2), 3, ("a", "b"))
+            return [(0, shared), (1, shared), (2, twin), (3, nested)], IDLE
+        if not inbox:
+            return [], IDLE
+        return [] if v == 0 else inbox, HALT
+
+    def output(self, v):
+        return None
+
+
+def test_transcript_lines_with_shared_and_nested_payloads():
+    g, _ = _star(5)
+    lines = []
+    sim.run(g, _Echo(), transcript=lines)
+    payloads = ["7;x", "7;x", "7;x", "1:2;3;a:b"]
+    want = ["# phase main"]
+    want += ["%d,%d,%d,%d,%d,%s" % (0, 0, e + 1, e, 3 if e == 3 else 2, p)
+             for e, p in enumerate(payloads)]
+    want += ["%d,%d,%d,%d,%d,%s" % (1, e + 1, 0, e, 3 if e == 3 else 2, p)
+             for e, p in enumerate(payloads)]
+    assert lines == want
+
+
+def _count_formats(monkeypatch):
+    calls = []
+    real = sim._fmt_payload
+    monkeypatch.setattr(sim, "_fmt_payload", lambda p: calls.append(p) or real(p))
+    return calls
+
+
+def test_a_broadcast_chunk_is_formatted_once_a_round(monkeypatch):
+    # the root sends each chunk of its stream, one tuple, on all 8 edges in
+    # the same round; the transcript formats it once, not 8 times
+    calls = _count_formats(monkeypatch)
+    lines = []
+    monkeypatch.setattr(sim, "TRANSCRIPT_SINK", lines)
+    g, tree = _star(9)
+    _, m = broadcast_upcast(g, tree, [(0, tuple(range(10)))], budget=4)
+    assert (m.rounds, m.messages) == (3, 3 * 8)
+    assert calls == [(10, 0, 1, 2), (3, 4, 5, 6), (7, 8, 9)]
+    assert len(lines) == 1 + 3 * 8
+
+
+def test_no_transcript_formats_nothing(monkeypatch):
+    calls = _count_formats(monkeypatch)
+    g, tree = _star(9)
+    broadcast_upcast(g, tree, [(0, tuple(range(10)))], budget=4)
+    sim.run(g, _Echo())
+    assert calls == []
+
+
 def test_metrics_csv_shape():
     m = Metrics([PhaseMetrics("a", 2, 3, 4, 1), PhaseMetrics("b", 1, 1, 2, 2)])
     lines = m.to_csv().strip().split("\n")
