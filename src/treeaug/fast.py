@@ -226,10 +226,9 @@ class _BfsProgram:
         return st.parent
 
 
-def build_bfs_tree_distributed(g, root: int, budget: int = sim.DEFAULT_BUDGET,
-                               phase: str = "bfs"):
+def build_bfs_tree_distributed(g, root: int, budget: int = sim.DEFAULT_BUDGET):
     prog = _BfsProgram(g, root)
-    outputs, metrics = sim.run(g, prog, budget=budget, phase=phase)
+    outputs, metrics = sim.run(g, prog, budget=budget, phase="bfs")
     tree_ids = [outputs[v][1] for v in range(g.n) if v != root]
     return root_tree(g, tree_ids, root), metrics
 
@@ -274,15 +273,8 @@ def _fragment_max_scan(view, split_labels, scheme, own_cands, budget):
 
 def fragment_max_sequential(view, split_labels, scheme, own_cands):
     """Central shadow of _fragment_max_scan; same recurrence, same ties."""
-    order = []
-    stack = list(view.roots)
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for c, _ in view.children[v]:
-            stack.append(c)
     best = [None] * view.n
-    for v in reversed(order):
+    for v in reversed(view.preorder()):
         best[v] = vg.maximal_covering(
             [best[c] for c, _ in view.children[v]] + own_cands(v),
             scheme.depth(split_labels[v]), scheme)
@@ -421,8 +413,8 @@ def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
     scheme = SplitScheme(records, frag_of[tree.root])
     split = [SplitLabel(frag_of[v], local_labels[v]) for v in range(n)]
 
-    incidence, m = vg.build_incidence_distributed(
-        g, tree, split, scheme, budget=budget, phase="exchange")
+    incidence, m = vg.build_incidence_distributed(g, tree, split, scheme,
+                                                  budget=budget)
     metrics.merge(m)
 
     # one in-fragment scan serves passes 1 and 2: the maximal leaf-added

@@ -308,9 +308,6 @@ class Augmentation:
     weight: int = 0
     meta: dict = field(default_factory=dict)
 
-    def __len__(self):
-        return len(self.edge_ids)
-
 
 def augmentation_covers(g: Multigraph, t: RootedTree, aug_edge_ids) -> bool:
     """True iff every tree edge lies on the fundamental cycle of some

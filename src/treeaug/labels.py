@@ -8,14 +8,15 @@ is a heavy-path head); otherwise it is None, and callers name that
 ancestor by its depth, which is unique on a root path.
 
 Labeling works on a TreeView, which is either a whole rooted tree or a
-forest of tree fragments (each fragment root acting as a local root).
+forest of tree fragments (each fragment root acting as a local root). On
+the engine it is the two tree waves of `sim`: subtree sizes go up as an
+unframed Convergecast, then labels go down as a framed Downcast.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from . import sim
-from .sim import HALT, IDLE
 
 
 class LabelError(Exception):
@@ -79,17 +80,20 @@ class TreeView:
             children[v].sort()
         return TreeView(tree.n, pv, pe, children, roots)
 
+    def preorder(self) -> list[int]:
+        """Every vertex of the forest, each one after its parent."""
+        order = []
+        stack = list(self.roots)
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            stack.extend(c for c, _ in self.children[v])
+        return order
+
 
 def subtree_sizes(view: TreeView) -> list[int]:
     size = [1] * view.n
-    order = []
-    stack = list(view.roots)
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for c, _ in view.children[v]:
-            stack.append(c)
-    for v in reversed(order):
+    for v in reversed(view.preorder()):
         for c, _ in view.children[v]:
             size[v] += size[c]
     return size
@@ -118,19 +122,14 @@ def heavy_child(children, sizes_by_child) -> int:
 def assign_labels_sequential(view: TreeView) -> list[LcaLabel | None]:
     size = subtree_sizes(view)
     labels: list[LcaLabel | None] = [None] * view.n
-    stack = []
     for r in view.roots:
         labels[r] = LcaLabel(r, 0, ((r, 0),))
-        stack.append(r)
-    while stack:
-        v = stack.pop()
+    for v in view.preorder():
         ch = view.children[v]
-        if not ch:
-            continue
-        hv = heavy_child(ch, {c: size[c] for c, _ in ch})
-        for c, _ in ch:
-            labels[c] = _child_label(labels[v], c, c == hv)
-            stack.append(c)
+        if ch:
+            hv = heavy_child(ch, {c: size[c] for c, _ in ch})
+            for c, _ in ch:
+                labels[c] = _child_label(labels[v], c, c == hv)
     return labels
 
 
@@ -202,95 +201,35 @@ def parse_label(buf, i):
 
 
 # ---------------------------------------------------------------------------
-# distributed assignment: subtree sizes up, then labels streamed down.
-
-class _SizeState:
-    __slots__ = ("pe", "nchild", "got", "size", "sent")
-
-    def __init__(self, pe, nchild):
-        self.pe = pe
-        self.nchild = nchild
-        self.got = {}  # child edge -> that child's subtree size
-        self.size = 1
-        self.sent = False
-
-
-class _SizeProgram:
-    def __init__(self, view: TreeView):
-        self.view = view
-
-    def init_state(self, v):
-        return _SizeState(self.view.parent_edge[v], len(self.view.children[v]))
-
-    def step(self, st, rnd, inbox):
-        if inbox:
-            for eid, payload in inbox:
-                st.got[eid] = payload[0][1]
-        if len(st.got) == st.nchild and not st.sent:
-            st.sent = True
-            st.size = 1 + sum(st.got.values())
-            if st.pe >= 0:
-                return [(st.pe, (("sz", st.size),))], HALT
-            return [], HALT
-        return [], IDLE
-
-    def output(self, st):
-        return st.size, dict(st.got)
-
-
-class _AssignState:
-    __slots__ = ("v", "label", "ch")
-
-    def __init__(self, v, ch):
-        self.v = v
-        self.label = None
-        self.ch = ch
-
-
-class _AssignProgram:
-    def __init__(self, view: TreeView, child_sizes, budget):
-        self.view = view
-        self.child_sizes = child_sizes  # v -> {child: size}
-        self.budget = budget
-
-    def init_state(self, v):
-        st = _AssignState(v, sim.Channel(self.budget))
-        if self.view.parent_edge[v] < 0:
-            self._learn(st, LcaLabel(v, 0, ((v, 0),)))
-        return st
-
-    def _learn(self, st, label):
-        st.label = label
-        ch = self.view.children[st.v]
-        if ch:
-            hv = heavy_child(ch, self.child_sizes[st.v])
-            for c, eid in ch:
-                st.ch.send(eid, label_tokens(_child_label(label, c, c == hv)))
-
-    def step(self, st, rnd, inbox):
-        for _, toks in st.ch.recv(inbox):
-            self._learn(st, parse_label(toks, 0)[0])
-        return st.ch.flush(st.label is not None)
-
-    def output(self, st):
-        return st.label
-
+# distributed assignment: the two tree waves from the view roots.
 
 def assign_labels_distributed(g, view: TreeView, budget: int = sim.DEFAULT_BUDGET,
                               phase_prefix: str = "label"):
-    """Run the two labeling phases on the engine; returns (labels, Metrics)."""
-    size_prog = _SizeProgram(view)
-    size_out, metrics = sim.run(g, size_prog, budget=budget,
-                                phase=phase_prefix + "_sizes")
-    child_sizes = []
-    for v in range(view.n):
-        by_edge = size_out[v][1]
-        by_child = {}
-        for c, eid in view.children[v]:
-            by_child[c] = by_edge[eid]
-        child_sizes.append(by_child)
-    assign_prog = _AssignProgram(view, child_sizes, budget)
-    labels, m2 = sim.run(g, assign_prog, budget=budget,
-                         phase=phase_prefix + "_assign")
-    metrics.merge(m2)
-    return labels, metrics
+    """Run the two labeling phases on the engine; returns (labels, Metrics).
+
+    <prefix>_sizes is an unframed sim.Convergecast: every vertex sends its
+    parent one ("sz", subtreeSize) token, so it takes h rounds and one
+    message per tree edge. Each vertex keeps its children's sizes.
+    <prefix>_assign is a framed sim.Downcast from the view roots: every
+    vertex picks its heavy child and sends each child its label as one
+    frame.
+    """
+    def sizes(v, frames):
+        by_child = {c: frames[eid][0] for c, eid in view.children[v]}
+        return by_child, [(("sz", 1 + sum(by_child.values())),)]
+
+    up = sim.Convergecast(view, 1, lambda toks: toks[0][1], sizes, budget,
+                          framed=False)
+    child_sizes, metrics = sim.run(g, up, budget=budget,
+                                   phase=phase_prefix + "_sizes")
+
+    def act(v, toks):
+        label = LcaLabel(v, 0, ((v, 0),)) if toks is None else parse_label(toks, 0)[0]
+        ch = view.children[v]
+        hv = heavy_child(ch, child_sizes[v]) if ch else None
+        return label, [(eid, label_tokens(_child_label(label, c, c == hv)))
+                       for c, eid in ch]
+
+    down = sim.Downcast(lambda v: view.parent_edge[v] < 0, act, budget, framed=True)
+    labels, m2 = sim.run(g, down, budget=budget, phase=phase_prefix + "_assign")
+    return labels, metrics.merge(m2)

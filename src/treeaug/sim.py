@@ -15,12 +15,14 @@ list of (edge_id, payload) with payload a tuple of tokens. `status` is
 ACTIVE (step me next round even without mail), IDLE (wake me on mail), or
 HALT (done; later mail is dropped). Vertices are stepped in ascending id
 order but may only interact through messages, so evaluation order is
-unobservable; the transcript-equality test pins that down. Programs that
-stream messages longer than the budget frame them with a per-vertex
-`Channel`, and keep their per-vertex state in a `__slots__` class.
-The algorithms' two tree waves are written once here: `Convergecast`, a
+unobservable; the transcript-equality test pins that down. Programs keep
+their per-vertex state in a `__slots__` class. A per-vertex `Channel`
+sends a program's messages framed (a length token, then the message,
+streamed under the budget) or unframed (each message as it is, one per
+edge a round, never split). The algorithms' two tree waves are written
+once here, each in the format its caller picks: `Convergecast`, a
 leaves-to-root scan in which each vertex decides once all its children's
-frames are in and frames its own up, and `Downcast`, a root-to-leaves
+messages are in and sends its own up, and `Downcast`, a root-to-leaves
 relay in which each vertex acts once on its parent's message.
 `broadcast_upcast` gathers k messages at a tree root, store-and-forward,
 and streams them down cut-through: the root sends each message as it
@@ -296,37 +298,46 @@ class TokenStream:
         del self.buf[:budget]
         return out
 
-    def __bool__(self):
-        return bool(self.buf)
-
 
 class Channel:
-    """One vertex's framed streams over its incident edges.
+    """One vertex's streams over its incident edges, framed or unframed.
 
-    Each message is sent as a frame: one length token followed by that
-    many tokens, streamed under the budget and handed to the receiver once
-    its last token arrives. Frames on one edge arrive whole and in the
+    Framed, each message is sent as a frame: one length token followed by
+    that many tokens, streamed under the budget and handed to the receiver
+    once its last token arrives. Frames on one edge arrive whole and in the
     order they were sent.
+
+    Unframed, each message is sent as it is, one message per edge a round,
+    and handed to the receiver as it arrives. It is never split: a message
+    longer than the budget makes `run` raise BudgetExceeded.
     """
 
-    __slots__ = ("budget", "_out", "_partial")
+    __slots__ = ("budget", "framed", "_out", "_partial")
 
-    def __init__(self, budget):
+    def __init__(self, budget, framed=True):
         self.budget = budget
+        self.framed = framed
+        # edge -> its queue; unframed, each entry of `buf` is a whole message
         self._out: dict[int, TokenStream] = {}
         self._partial: dict[int, tuple] = {}  # edge -> tokens of an unfinished frame
 
     def send(self, eid, tokens):
-        """Queue a frame carrying `tokens` (possibly none) on edge `eid`."""
+        """Queue a message carrying `tokens` on edge `eid`; a frame may
+        carry none."""
         s = self._out.get(eid)
         if s is None:
             s = self._out[eid] = TokenStream()
-        s.push_frame(tokens)
+        if self.framed:
+            s.push_frame(tokens)
+        else:
+            s.buf.append(tokens)
 
     def recv(self, inbox):
-        """The frames this round's mail completed, as (eid, tokens)."""
+        """The messages this round's mail completed, as (eid, tokens)."""
         if not inbox:
             return ()
+        if not self.framed:
+            return inbox
         frames = []
         partial = self._partial
         for eid, payload in inbox:
@@ -343,14 +354,15 @@ class Channel:
         return frames
 
     def flush(self, done):
-        """This round's outbox, at most `budget` tokens per edge, and the
-        status: ACTIVE while anything is queued, else HALT if `done`, else
-        IDLE."""
+        """This round's outbox, one message per edge, and the status: ACTIVE
+        while anything is queued, else HALT if `done`, else IDLE. A framed
+        message carries at most `budget` tokens."""
         outbox = []
         queued = False
         for eid, s in self._out.items():
             if s.buf:
-                outbox.append((eid, s.take(self.budget)))
+                outbox.append((eid, s.take(self.budget) if self.framed
+                               else s.buf.pop(0)))
                 if s.buf:
                     queued = True
         if queued:
@@ -366,94 +378,108 @@ class Channel:
 class _ConvergeState:
     __slots__ = ("v", "pe", "frames", "nframes", "ch", "result")
 
-    def __init__(self, v, pe, child_edges, ch):
+    def __init__(self, v, pe, children, ch):
         self.v = v
         self.pe = pe
-        self.frames = {eid: [] for eid in child_edges}  # child edge -> parsed frames
+        self.frames = {eid: [] for _, eid in children}  # child edge -> parsed frames
         self.nframes = 0
         self.ch = ch
         self.result = None
 
 
 class Convergecast:
-    """Leaves-to-root wave: every non-root vertex sends its parent k frames.
+    """Leaves-to-root wave: every non-root vertex sends its parent k messages.
 
-    A vertex parses each frame from a child edge with `parse(tokens)`. Once
-    it holds k from every child it calls `decide(v, frames)`, where `frames`
-    maps each child edge, in `children[v]` order, to its k parsed frames;
-    `decide` returns (result, up). A non-root vertex then frames the k token
-    tuples in `up` to its parent. The vertex outputs `result`.
+    A vertex parses each message from a child edge with `parse(tokens)`.
+    Once it holds k from every child it calls `decide(v, frames)`, where
+    `frames` maps each child edge, in `children[v]` order, to its k parsed
+    messages; `decide` returns (result, up). A non-root vertex then sends
+    the k token tuples in `up` to its parent through a Channel, framed
+    unless `framed` is False. The vertex outputs `result`.
 
-    Cost: if every `up` frame has L tokens, each tree edge carries
-    c = ceil(k(L+1)/budget) messages, and the run takes h*c rounds on a
-    forest of height h.
+    Cost: if every `up` message has L tokens, each tree edge carries c
+    messages, c = ceil(k(L+1)/budget) framed and c = k unframed, and the
+    run takes h*c rounds on a forest of height h.
     """
 
-    def __init__(self, view, k, parse, decide, budget):
+    def __init__(self, view, k, parse, decide, budget, framed=True):
         self.view = view
         self.k = k
         self.parse = parse
         self.decide = decide
         self.budget = budget
+        self.framed = framed
 
     def init_state(self, v):
-        return _ConvergeState(v, self.view.parent_edge[v],
-                              [eid for _, eid in self.view.children[v]],
-                              Channel(self.budget))
+        return _ConvergeState(v, self.view.parent_edge[v], self.view.children[v],
+                              Channel(self.budget, self.framed))
 
     def step(self, st, rnd, inbox):
         ch = st.ch
-        for eid, toks in ch.recv(inbox):
-            st.frames[eid].append(self.parse(toks))
-            st.nframes += 1
-        if st.frames is not None and st.nframes == self.k * len(st.frames):
+        if st.frames is not None:
+            for eid, toks in ch.recv(inbox):
+                st.frames[eid].append(self.parse(toks))
+                st.nframes += 1
+            if st.nframes < self.k * len(st.frames):
+                return [], IDLE  # a vertex sends nothing before it decides
             st.result, up = self.decide(st.v, st.frames)
             st.frames = None  # every child has reported; free its frames
             if st.pe >= 0:
                 for toks in up:
                     ch.send(st.pe, toks)
-        return ch.flush(st.result is not None)
+        return ch.flush(True)
 
     def output(self, st):
         return st.result
 
 
 class _DownState:
-    __slots__ = ("v", "out")
+    __slots__ = ("v", "ch", "acted", "out")
 
-    def __init__(self, v):
+    def __init__(self, v, ch):
         self.v = v
+        self.ch = ch
+        self.acted = False
         self.out = None
 
 
 class Downcast:
-    """Root-to-leaves wave: every vertex acts once and halts.
+    """Root-to-leaves wave: every vertex acts once, sends, and halts.
 
     A vertex acts on the first message from its parent, or in round 0 if
     `starts(v)`; a child never sends to its parent, so the only mail a
     vertex gets is its parent's. `act(v, payload)`, with payload None in
-    round 0, returns (output, outbox): the vertex's output and its
-    unframed messages to its children. A vertex that never acts outputs
-    None. From the roots of a forest of height h the run takes h rounds and
-    sends one message per tree edge.
+    round 0, returns (output, outbox): the vertex's output and its messages
+    to its children, sent through a Channel, unframed unless `framed`, in
+    which case they stream under `budget`. A vertex that never acts outputs
+    None.
+
+    Cost from the roots of a forest of height h: unframed, h rounds and one
+    message per tree edge; framed, if every message has L tokens, each tree
+    edge carries c = ceil((L+1)/budget) messages and the run takes h*c
+    rounds.
     """
 
-    def __init__(self, starts, act):
+    def __init__(self, starts, act, budget=None, framed=False):
         self.starts = starts
         self.act = act
+        self.budget = budget
+        self.framed = framed
 
     def init_state(self, v):
-        return _DownState(v)
+        return _DownState(v, Channel(self.budget, self.framed))
 
     def step(self, st, rnd, inbox):
-        if inbox:
-            payload = inbox[0][1]
-        elif rnd == 0 and self.starts(st.v):
-            payload = None
-        else:
-            return [], IDLE
-        st.out, outbox = self.act(st.v, payload)
-        return outbox, HALT
+        ch = st.ch
+        if not st.acted:
+            msgs = ch.recv(inbox)
+            if not msgs and not (rnd == 0 and self.starts(st.v)):
+                return [], IDLE
+            st.acted = True
+            st.out, outbox = self.act(st.v, msgs[0][1] if msgs else None)
+            for eid, toks in outbox:
+                ch.send(eid, toks)
+        return ch.flush(True)
 
     def output(self, st):
         return st.out

@@ -130,9 +130,8 @@ def virtual_edges_of(g, tree, all_labels, eid, scheme) -> list[VirtualEdge]:
     return out
 
 
-def build_incidence_sequential(g, tree, all_labels, scheme=None):
+def build_incidence_sequential(g, tree, all_labels, scheme):
     """incidence[v] = virtual edges with descendant endpoint v, by origin id."""
-    scheme = scheme or PlainScheme()
     incidence: list[list[VirtualEdge]] = [[] for _ in range(g.n)]
     for eid in range(g.m):
         if eid in tree.tree_edges:
@@ -190,13 +189,10 @@ class _ExchangeProgram:
         return out
 
 
-def build_incidence_distributed(g, tree, all_labels, scheme=None,
-                                budget: int = sim.DEFAULT_BUDGET,
-                                phase: str = "exchange"):
-    scheme = scheme or PlainScheme()
+def build_incidence_distributed(g, tree, all_labels, scheme,
+                                budget: int = sim.DEFAULT_BUDGET):
     prog = _ExchangeProgram(g, tree, all_labels, scheme, budget)
-    outputs, metrics = sim.run(g, prog, budget=budget, phase=phase)
-    return outputs, metrics
+    return sim.run(g, prog, budget=budget, phase="exchange")
 
 
 def project_augmentation(g, tree, all_labels, virt_edges, scheme=None) -> Augmentation:

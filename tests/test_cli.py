@@ -156,6 +156,23 @@ def test_run_transcript_and_metrics_pinned(tmp_path, algo):
     assert digests == RUN_PINS[algo]
 
 
+# tap's transcript and --metrics CSV on the same instance at budget 1, where
+# every label frame is split across the most rounds
+TAP_BUDGET_1_PIN = (
+    "af6cd25b43d976054c87a94ff9c7312f556e4a9dbe3aebd9a06ced16d1821604",
+    "4a6cea9204ca4fb1af12943e1bdfbcd2ab0f53698e6b193623b8221b962782ab")
+
+
+def test_tap_at_the_smallest_budget_pinned(tmp_path):
+    inst, tr, met = (str(tmp_path / f) for f in ("r.txt", "t.log", "m.csv"))
+    assert run_cli(["gen", "random", "--n", "40", "--extra", "20", "--seed", "3",
+                    "--wmin", "1", "--wmax", "9", "-o", inst]) == 0
+    assert run_cli(["run", inst, "--algo", "tap", "--budget", "1",
+                    "--transcript", tr, "--metrics", met]) == 0
+    assert tuple(hashlib.sha256(open(p, "rb").read()).hexdigest()
+                 for p in (tr, met)) == TAP_BUDGET_1_PIN
+
+
 def test_bridged_input_exits_2(tmp_path):
     inst = tmp_path / "b.txt"
     inst.write_text("4 4\n0 1 1 t\n1 2 1 t\n2 3 1 t\n1 3 1\n")

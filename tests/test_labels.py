@@ -92,6 +92,41 @@ def test_distributed_label_round_bound():
         assert m.rounds <= 8 * (h + 1), (n, m.rounds, h)
 
 
+@pytest.mark.parametrize("budget", (1, 4))
+def test_labeling_runs_on_the_two_tree_waves(monkeypatch, budget):
+    # sizes go up as an unframed Convergecast, one ("sz", size) token per
+    # view edge; labels go down as a framed Downcast, one frame per child
+    assert not [name for name, obj in vars(lbl).items()
+                if isinstance(obj, type) and hasattr(obj, "init_state")]
+    real_run = sim.run
+    runs = []
+
+    def recording_run(g, program, *args, **kwargs):
+        runs.append((kwargs["phase"], type(program)))
+        return real_run(g, program, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "run", recording_run)
+    from treeaug.fast import fragment_decompose
+    for seed in range(10):
+        g, tree = random_tree_instance(seed)
+        frag_of, _ = fragment_decompose(tree, 3)
+        for view in (TreeView.of_tree(tree), TreeView.of_fragments(tree, frag_of)):
+            runs.clear()
+            got, m = assign_labels_distributed(g, view, budget=budget,
+                                               phase_prefix="x")
+            assert got == assign_labels_sequential(view)
+            assert runs == [("x_sizes", sim.Convergecast),
+                            ("x_assign", sim.Downcast)]
+            kids = [v for v in range(g.n) if view.parent_edge[v] >= 0]
+            sizes, assign = m.phases
+            height = max(label.depth for label in got)
+            assert (sizes.rounds, sizes.messages, sizes.tokens) == (
+                height, len(kids), len(kids))
+            frames = [len(label_tokens(got[v])) + 1 for v in kids]
+            assert assign.messages == sum(-(-f // budget) for f in frames)
+            assert assign.tokens == sum(frames)
+
+
 def test_fragment_view_labels_are_local():
     for seed in range(30):
         g, tree = random_tree_instance(seed)

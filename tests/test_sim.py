@@ -255,9 +255,9 @@ def test_token_stream_drains_by_budget():
     s = TokenStream()
     s.push(("a", "b", "c", "d", "e"))
     assert s.take(4) == ("a", "b", "c", "d")
-    assert bool(s)
+    assert s.buf == ["e"]
     assert s.take(4) == ("e",)
-    assert not s and s.take(4) is None
+    assert not s.buf and s.take(4) is None
 
 
 def test_channel_frames_arrive_whole_in_order_when_complete():
@@ -460,44 +460,87 @@ def test_broadcast_rejects_a_tampered_output(monkeypatch, tamper, error):
 
 
 @pytest.mark.parametrize("budget", (1, 4, 7))
-@pytest.mark.parametrize("shape", ("path", "star"))
-def test_convergecast_costs_exactly_h_times_c(shape, budget):
-    # k frames of L tokens up every tree edge: c = ceil(k(L+1)/b) messages
-    # an edge, and a vertex decides only once all its children's frames
-    # are in, so each level adds c rounds
+@pytest.mark.parametrize("shape, framed", [
+    ("path", True), ("star", True), ("path", False), ("star", False),
+], ids=["path", "star", "path-unframed", "star-unframed"])
+def test_convergecast_costs_exactly_h_times_c(shape, framed, budget):
+    # framed, k frames of L tokens up every tree edge: c = ceil(k(L+1)/b)
+    # messages an edge, and a vertex decides only once all its children's
+    # frames are in, so each level adds c rounds. Unframed, one message of
+    # one token an edge: h rounds and n - 1 messages at every budget
     g, tree = generators.gen_cycle(65) if shape == "path" else _star(65)
     view = TreeView.of_tree(tree)
-    k, L = 2, 3
+    k, L = (2, 3) if framed else (1, 1)
 
     def decide(v, frames):
         size = 1 + sum(f[0][0] for f in frames.values())
-        return size, [(size, v, i) for i in range(k)]
+        return size, [(size, v, i)[:L] for i in range(k)]
 
-    prog = sim.Convergecast(view, k, lambda toks: toks, decide, budget)
+    prog = sim.Convergecast(view, k, lambda toks: toks, decide, budget,
+                            framed=framed)
     sizes, m = sim.run(g, prog, budget=budget)
     assert sizes[tree.root] == g.n
-    c = -(-k * (L + 1) // budget)
+    c = -(-k * (L + 1) // budget) if framed else 1
     assert m.rounds == tree.height * c
     assert m.messages == (g.n - 1) * c
+    assert m.tokens == (g.n - 1) * k * (L + framed)
     if shape == "path" and budget == 4:
-        assert (m.rounds, m.messages) == (128, 128)
+        assert (m.rounds, m.messages) == ((128, 128) if framed else (64, 64))
 
 
 @pytest.mark.parametrize("budget", (1, 4, 7))
-@pytest.mark.parametrize("shape", ("path", "star"))
-def test_downcast_from_the_root_costs_h_rounds(shape, budget):
+@pytest.mark.parametrize("shape, framed", [
+    ("path", False), ("star", False), ("path", True), ("star", True),
+], ids=["path", "star", "path-framed", "star-framed"])
+def test_downcast_from_the_root_costs_h_rounds(shape, framed, budget):
+    # unframed, one message of one token a tree edge: h rounds. Framed, one
+    # frame of L tokens a child: c = ceil((L+1)/b) messages a tree edge, and
+    # a vertex acts only once its parent's frame is whole, so each level
+    # adds c rounds
     g, tree = generators.gen_cycle(65) if shape == "path" else _star(65)
     view = TreeView.of_tree(tree)
+    L = 5 if framed else 1
 
     def act(v, payload):
-        return payload, [(eid, (v,)) for _, eid in view.children[v]]
+        return payload, [(eid, (v,) * L) for _, eid in view.children[v]]
 
-    out, m = sim.run(g, sim.Downcast(lambda v: v == tree.root, act),
-                     budget=budget)
-    assert out == [None if v == tree.root else (tree.parent[v],)
+    down = sim.Downcast(lambda v: v == tree.root, act, budget, framed=framed)
+    out, m = sim.run(g, down, budget=budget)
+    assert out == [None if v == tree.root else (tree.parent[v],) * L
                    for v in range(g.n)]
-    assert m.rounds == tree.height
-    assert m.messages == g.n - 1
+    c = -(-(L + 1) // budget) if framed else 1
+    assert m.rounds == tree.height * c
+    assert m.messages == (g.n - 1) * c
+    assert m.tokens == (g.n - 1) * (L + framed)
+
+
+@pytest.mark.parametrize("wave", ("convergecast", "downcast"))
+def test_unframed_message_over_budget_is_never_split(wave):
+    # an unframed wave sends each message as it is: one longer than the
+    # budget is the engine's BudgetExceeded, not a stream of pieces
+    g, tree = generators.gen_cycle(9)
+    view = TreeView.of_tree(tree)
+    long_msg = ("x",) * 3
+    if wave == "convergecast":
+        prog = sim.Convergecast(view, 1, lambda toks: toks,
+                                lambda v, frames: (v, [long_msg]), 2,
+                                framed=False)
+        sender = tree.order[-1]  # the deepest vertex is a leaf
+    else:
+        prog = sim.Downcast(lambda v: v == tree.root,
+                            lambda v, payload: (v, [(eid, long_msg) for _, eid
+                                                    in view.children[v]]))
+        sender = tree.root
+    lines = []
+    with pytest.raises(BudgetExceeded) as ei:
+        sim.run(g, prog, budget=2, transcript=lines)
+    assert (ei.value.vertex, ei.value.round, ei.value.tokens) == (sender, 0, 3)
+    assert lines == ["# phase main"]
+    # the same wave runs once the budget fits the message
+    sim.run(g, prog, budget=3)
+    ch = Channel(2, framed=False)
+    ch.send(5, long_msg)
+    assert ch.flush(True) == ([(5, long_msg)], HALT)
 
 
 def _arrivals(g, tree, msgs, budget):
