@@ -3,7 +3,11 @@
 The tree of an n-cycle is the Hamiltonian path, so h = n-1; both the
 unweighted and the weighted augmentation should track 8h+16 linearly.
 Run with a smaller max n if the weighted 4096 run is too slow for you.
+Each row ends with the size's wall time and the process's peak resident
+memory so far (ru_maxrss, which Linux gives in kilobytes), so --big shows the
+4096-cycle's memory directly.
 """
+import resource
 import sys
 import time
 
@@ -21,6 +25,7 @@ for n in sizes:
     _, _, m1 = unweighted.augment_unweighted(g, tree)
     res = weighted.weighted_cover_distributed(g, tree)
     m2 = res["metrics"]
-    print("%6d %6d %10d %10d %10d   (%.1fs)"
-          % (n, h, m1.rounds, m2.rounds, 8 * h + 16, time.time() - t))
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print("%6d %6d %10d %10d %10d   (%.1fs, peak RSS %.1f MB)"
+          % (n, h, m1.rounds, m2.rounds, 8 * h + 16, time.time() - t, peak_mb))
     assert m1.rounds <= 8 * h + 16 and m2.rounds <= 8 * h + 16

@@ -373,17 +373,33 @@ class Channel:
 # ---------------------------------------------------------------------------
 # the two tree waves. Convergecast runs over a TreeView, a rooted forest
 # given by parent_edge[v] (-1 at a root) and children[v], a list of
-# (child, edge id) pairs; Downcast's `act` reads the forest itself
+# (child, edge id) pairs; Downcast's `act` reads the forest itself. A wave
+# vertex builds its Channel at its first send, or at its first mail when
+# framed, since only then does it hold a partial frame; until then it has
+# nothing queued, so its flush is empty. A root that receives unframed, or
+# a leaf of a Downcast, never builds one.
+
+def _channel(st, budget, framed):
+    """The wave vertex's Channel, built on first use."""
+    ch = st.ch
+    if ch is None:
+        ch = st.ch = Channel(budget, framed)
+    return ch
+
+
+def _flush(st):
+    return ([], HALT) if st.ch is None else st.ch.flush(True)
+
 
 class _ConvergeState:
     __slots__ = ("v", "pe", "frames", "nframes", "ch", "result")
 
-    def __init__(self, v, pe, children, ch):
+    def __init__(self, v, pe, children):
         self.v = v
         self.pe = pe
         self.frames = {eid: [] for _, eid in children}  # child edge -> parsed frames
         self.nframes = 0
-        self.ch = ch
+        self.ch = None
         self.result = None
 
 
@@ -411,23 +427,25 @@ class Convergecast:
         self.framed = framed
 
     def init_state(self, v):
-        return _ConvergeState(v, self.view.parent_edge[v], self.view.children[v],
-                              Channel(self.budget, self.framed))
+        return _ConvergeState(v, self.view.parent_edge[v], self.view.children[v])
 
     def step(self, st, rnd, inbox):
-        ch = st.ch
         if st.frames is not None:
-            for eid, toks in ch.recv(inbox):
-                st.frames[eid].append(self.parse(toks))
-                st.nframes += 1
+            if inbox:
+                if self.framed:
+                    inbox = _channel(st, self.budget, True).recv(inbox)
+                for eid, toks in inbox:
+                    st.frames[eid].append(self.parse(toks))
+                    st.nframes += 1
             if st.nframes < self.k * len(st.frames):
                 return [], IDLE  # a vertex sends nothing before it decides
             st.result, up = self.decide(st.v, st.frames)
             st.frames = None  # every child has reported; free its frames
-            if st.pe >= 0:
+            if st.pe >= 0 and up:
+                ch = _channel(st, self.budget, self.framed)
                 for toks in up:
                     ch.send(st.pe, toks)
-        return ch.flush(True)
+        return _flush(st)
 
     def output(self, st):
         return st.result
@@ -436,9 +454,9 @@ class Convergecast:
 class _DownState:
     __slots__ = ("v", "ch", "acted", "out")
 
-    def __init__(self, v, ch):
+    def __init__(self, v):
         self.v = v
-        self.ch = ch
+        self.ch = None
         self.acted = False
         self.out = None
 
@@ -467,19 +485,22 @@ class Downcast:
         self.framed = framed
 
     def init_state(self, v):
-        return _DownState(v, Channel(self.budget, self.framed))
+        return _DownState(v)
 
     def step(self, st, rnd, inbox):
-        ch = st.ch
         if not st.acted:
-            msgs = ch.recv(inbox)
+            msgs = inbox
+            if inbox and self.framed:
+                msgs = _channel(st, self.budget, True).recv(inbox)
             if not msgs and not (rnd == 0 and self.starts(st.v)):
                 return [], IDLE
             st.acted = True
             st.out, outbox = self.act(st.v, msgs[0][1] if msgs else None)
-            for eid, toks in outbox:
-                ch.send(eid, toks)
-        return ch.flush(True)
+            if outbox:
+                ch = _channel(st, self.budget, self.framed)
+                for eid, toks in outbox:
+                    ch.send(eid, toks)
+        return _flush(st)
 
     def output(self, st):
         return st.out

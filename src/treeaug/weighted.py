@@ -7,7 +7,12 @@ edge). Values flow to the parent as (ancestorDepth, alteredWeight) pairs,
 exactly one pair per tree edge per round, deepest ancestor first, so the
 whole phase is pipelined. An ancestor is named by its depth, which every
 label carries and which is unique on a root path, so no vertex needs an
-ancestor directory. Downward phase: each vertex either starts a cover for
+ancestor directory. Nor does a vertex keep a table by depth: it forwards
+each depth's value in the step its last child reports it, and keeps only
+its own edges' breakpoints, one pending entry per depth some children have
+reported and others have not, and the runs of the winning source, so its
+memory is O(own edges + children + winner runs + pending window) rather
+than O(depth). Downward phase: each vertex either starts a cover for
 its own tree edge, naming its parent as the top ancestor, or relays the
 ancestor's (topDepth, topId, deciderId) choice to the recorded cheapest
 sender; the vertex at the end of a chain adds its own incoming edge.
@@ -16,6 +21,8 @@ The per-tree-edge charges c(t) = min_v sum exactly to the weight of the
 produced cover, and no augmentation can cost less than their sum.
 """
 from __future__ import annotations
+
+from bisect import bisect_right
 
 from . import labels as lbl, sim, virtual_graph as vg
 from .sim import ACTIVE, HALT, IDLE
@@ -104,34 +111,103 @@ def _own_table(incoming, depth, scheme):
     return best_w, best_edge
 
 
-class _WeightedUpState:
-    __slots__ = ("v", "d", "pe", "best_w", "best_src", "best_edge", "recv_cnt",
-                 "recv_total", "expected", "nchild", "child_of_edge", "next_j",
-                 "min_v")
+def _own_steps(incoming, depth, scheme):
+    """The breakpoints of `_own_table`'s step function: ascending depths
+    `starts` and edges `edges` such that the cheapest own edge for the
+    ancestor at depth j < depth is edges[i] for the last i with
+    starts[i] <= j, and there is none when starts[0] > j."""
+    starts, edges = [], []
+    cur_w, cur_e = INF, None
+    for e in sorted(incoming, key=lambda e: (scheme.depth(e.anc), e.weight, e.origin)):
+        a = scheme.depth(e.anc)
+        if a >= depth:
+            break
+        # edges of one depth come cheapest first, so each depth changes the
+        # step function at most once
+        if e.weight < cur_w or (e.weight == cur_w and cur_e is not None
+                                and e.origin < cur_e.origin):
+            cur_w, cur_e = e.weight, e
+            starts.append(a)
+            edges.append(e)
+    return starts, edges
 
-    def __init__(self, v, d, pe, best_w, best_edge, child_of_edge):
+
+class _WeightedUpState:
+    __slots__ = ("v", "d", "pe", "j", "min_v", "own_starts", "own_edges", "own_i",
+                 "kid", "kids", "pending", "run_pos", "run_src")
+
+    def __init__(self, v, d, pe, own_starts, own_edges, children):
         self.v = v
         self.d = d
         self.pe = pe
-        # per ancestor depth j < d: cheapest altered weight, the child it
-        # came from (-1: own edge), own edge, and pairs received so far
-        self.best_w = best_w
-        self.best_src = [-1] * d
-        self.best_edge = best_edge
-        self.recv_cnt = [0] * d
-        self.recv_total = 0
-        self.nchild = len(child_of_edge)
-        self.expected = self.nchild * d
-        self.child_of_edge = child_of_edge
-        self.next_j = d - 2  # next depth to send; the parent's is not sent
-        self.min_v = best_w[d - 1] if self.nchild == 0 and d > 0 else None
+        self.j = d - 1  # the next depth to settle
+        self.min_v = None
+        # own-edge step function, and the breakpoint in force at depth j
+        self.own_starts = own_starts
+        self.own_edges = own_edges
+        self.own_i = len(own_starts) - 1
+        # one child: its id; several: child edge -> child, and for each depth
+        # some but not all children reported, [best weight, its child,
+        # reports so far]
+        self.kid = children[0][0] if len(children) == 1 else None
+        self.kids = {eid: c for c, eid in children} if len(children) > 1 else None
+        self.pending = {} if self.kids is not None else None
+        # the winning source (-1: own edge) by runs: run i starts at depth
+        # d - 1 - run_pos[i] and holds down to the next run
+        self.run_pos = []
+        self.run_src = []
+        if not children and d > 0:
+            self.min_v = self.settle(d - 1, INF, -1)
+            self.j = d - 2
+
+    def settle(self, j, w, src):
+        """Fix the value at depth j, the next to settle, from the children's
+        best w (from child src; INF, -1 if none) and the own edge, which wins
+        only when strictly cheaper. Returns the value."""
+        if j != self.j:
+            raise sim.SimError("vertex %d settled depth %d before %d"
+                               % (self.v, j, self.j))
+        i = self.own_i
+        starts = self.own_starts
+        while i >= 0 and starts[i] > j:
+            i -= 1
+        self.own_i = i
+        if i >= 0 and self.own_edges[i].weight < w:
+            w, src = self.own_edges[i].weight, -1
+        if not self.run_src or self.run_src[-1] != src:
+            self.run_pos.append(self.d - 1 - j)
+            self.run_src.append(src)
+        self.j = j - 1
+        return w
+
+    def src_at(self, j):
+        """The source of the cheapest cover of v..u for the ancestor u at
+        depth j: a child, or -1 for an own edge."""
+        return self.run_src[bisect_right(self.run_pos, self.d - 1 - j) - 1]
+
+    def own_edge(self, j):
+        """The cheapest own incoming edge covering v..u for the ancestor u at
+        depth j, or None."""
+        i = bisect_right(self.own_starts, j) - 1
+        return self.own_edges[i] if i >= 0 else None
 
 
 class WeightedUpProgram:
     """One (ancestorDepth, alteredWeight) pair per tree edge per round, for
-    ancestors other than the parent, deepest first. A vertex outputs its
-    state, whose min_v, d, best_src and best_edge the downward phase
-    reads."""
+    ancestors other than the parent, deepest first.
+
+    Every child sends its pairs for depths d - 1, d - 2, ..., 0 of its
+    parent v (depth d), one a round, so a depth is complete once its
+    slowest child reported it, depths complete one at a time in decreasing
+    order, and v sends each depth's pair in the step it completes. A vertex
+    therefore keeps no per-depth table: it holds its own-edge step function
+    as breakpoints, with a pointer that walks them down; a pending map for
+    the depths some children have reported and others have not (none with
+    one child, whose value is final on arrival); and the winning source as
+    runs, appended as depths complete. That is O(own edges + children +
+    winner runs + pending window) per vertex instead of O(depth), O(n) in
+    all on a path. A vertex outputs its state; the downward phase reads
+    min_v, d, src_at(j) and own_edge(j)."""
 
     def __init__(self, view, incidence, all_labels, scheme):
         self.view = view
@@ -141,47 +217,51 @@ class WeightedUpProgram:
 
     def init_state(self, v):
         d = self.labels[v].depth
-        best_w, best_edge = _own_table(self.incidence[v], d, self.scheme)
-        return _WeightedUpState(v, d, self.view.parent_edge[v], best_w, best_edge,
-                                {eid: c for c, eid in self.view.children[v]})
+        starts, edges = _own_steps(self.incidence[v], d, self.scheme)
+        return _WeightedUpState(v, d, self.view.parent_edge[v], starts, edges,
+                                self.view.children[v])
 
     def step(self, st, rnd, inbox):
-        bw = st.best_w
-        cnt = st.recv_cnt
-        nchild = st.nchild
-        if inbox:
-            bs = st.best_src
-            be = st.best_edge
-            child_of_edge = st.child_of_edge
-            for eid, (j, w) in inbox:
-                c = child_of_edge[eid]
-                if w < bw[j] or (w == bw[j] and (bs[j] == -1 or c < bs[j])):
-                    bw[j] = w
-                    bs[j] = c
-                    be[j] = None
-                cnt[j] += 1
-            st.recv_total += len(inbox)
-            d = st.d
-            if st.min_v is None and d > 0 and cnt[d - 1] == nchild:
-                st.min_v = bw[d - 1]
-        min_v = st.min_v
-        j = st.next_j
+        if st.kid is None and st.kids is None:  # a leaf: every depth is ready
+            j = st.j
+            if j < 0:
+                return [], HALT
+            out = [(st.pe, (j, self._altered(st, st.settle(j, INF, -1))))]
+            return out, ACTIVE if j > 0 else HALT
         outbox = []
-        if j >= 0 and min_v is not None and cnt[j] == nchild:
-            w = bw[j]
-            if w >= INF:
-                alt = INF
-            else:
-                alt = w - min_v
-                if alt < 0:
-                    raise sim.SimError("negative altered weight at vertex %d" % st.v)
-            outbox.append((st.pe, (j, alt)))
-            j -= 1
-            st.next_j = j
-        if j < 0 and st.recv_total == st.expected:
-            return outbox, HALT
-        ready = j >= 0 and min_v is not None and cnt[j] == nchild
-        return outbox, ACTIVE if ready else IDLE
+        if inbox:
+            kid = st.kid
+            for eid, (j, w) in inbox:
+                if kid is not None:
+                    c = kid
+                else:
+                    c = st.kids[eid]
+                    p = st.pending.get(j)
+                    if p is None:
+                        p = st.pending[j] = [w, c, 0]
+                    elif w < p[0] or (w == p[0] and c < p[1]):
+                        p[0] = w
+                        p[1] = c
+                    p[2] += 1
+                    if p[2] < len(st.kids):
+                        continue
+                    del st.pending[j]
+                    w, c = p[0], p[1]
+                w = st.settle(j, w, c)
+                if st.min_v is None:
+                    st.min_v = w  # depth d - 1: v's own tree edge's charge
+                else:
+                    outbox.append((st.pe, (j, self._altered(st, w))))
+        return outbox, HALT if st.j < 0 else IDLE
+
+    @staticmethod
+    def _altered(st, w):
+        if w >= INF:
+            return INF
+        alt = w - st.min_v
+        if alt < 0:
+            raise sim.SimError("negative altered weight at vertex %d" % st.v)
+        return alt
 
     def output(self, st):
         return st
@@ -208,9 +288,9 @@ def weighted_down(view, tables):
                 m = (tab.d - 1, view.parent_vertex[v], v)
         if m is not None:
             j, u, dec = m
-            src = tab.best_src[j]
+            src = tab.src_at(j)
             if src == -1:
-                added.append((tab.best_edge[j], u, dec))
+                added.append((tab.own_edge(j), u, dec))
             else:
                 chain_child = src
         return (added, bridge), [(eid, m if c == chain_child else ("bot",))
@@ -279,6 +359,7 @@ def sequential_weighted_cover(g, tree):
                     bw[j] = alt
                     bs[j] = c
                     be[j] = None
+            best_w[c] = None  # merged; only best_src and best_edge are read later
         best_w[v], best_src[v], best_edge[v] = bw, bs, be
         if d > 0:
             min_v[v] = bw[d - 1]

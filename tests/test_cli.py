@@ -173,6 +173,30 @@ def test_tap_at_the_smallest_budget_pinned(tmp_path):
                  for p in (tr, met)) == TAP_BUDGET_1_PIN
 
 
+# wtap and ecss-w at budget 3 on a larger random instance (n = 300, h = 35),
+# whose trees have vertices with children of different subtree heights: the
+# upward phase holds up to 18 depths that some children have reported and
+# others have not, not only the one-child case where each value is final on
+# arrival. SHA-256 of the transcript and of the --metrics CSV
+UNEVEN_TREE_PINS = {
+    "wtap": ("9b5bc33c5222db8db62db828cb80b3e7d4622a4fc7a3546dc37d7baa68ef2abd",
+             "d92ef4afe3c2213375ba2bc0b9f5a4676dc4454cbb724d6ed4819c3670b46a70"),
+    "ecss-w": ("3ba195c7f3d5577b32d3c66f10c864868c33acb5024a446a27918677467491dd",
+               "4e66f12ef03cb92312c2e234dd7212e1887cd483dea944ee379ef7eb9ac18acd"),
+}
+
+
+@pytest.mark.parametrize("algo", sorted(UNEVEN_TREE_PINS))
+def test_weighted_runs_on_uneven_subtrees_pinned(tmp_path, algo):
+    inst, tr, met = (str(tmp_path / f) for f in ("r.txt", "t.log", "m.csv"))
+    assert run_cli(["gen", "random", "--n", "300", "--extra", "150", "--seed", "11",
+                    "--wmin", "1", "--wmax", "9", "-o", inst]) == 0
+    assert run_cli(["run", inst, "--algo", algo, "--budget", "3",
+                    "--transcript", tr, "--metrics", met]) == 0
+    assert tuple(hashlib.sha256(open(p, "rb").read()).hexdigest()
+                 for p in (tr, met)) == UNEVEN_TREE_PINS[algo]
+
+
 def test_bridged_input_exits_2(tmp_path):
     inst = tmp_path / "b.txt"
     inst.write_text("4 4\n0 1 1 t\n1 2 1 t\n2 3 1 t\n1 3 1\n")

@@ -514,6 +514,37 @@ def test_downcast_from_the_root_costs_h_rounds(shape, framed, budget):
     assert m.tokens == (g.n - 1) * (L + framed)
 
 
+
+@pytest.mark.parametrize("framed", (False, True), ids=("unframed", "framed"))
+def test_a_wave_vertex_builds_its_channel_on_first_use(framed):
+    # a vertex builds its Channel at its first send, or framed at its first
+    # mail: an unframed Convergecast root and a Downcast leaf never send, and
+    # unframed they never need one to receive either
+    g, tree = _star(9)
+    view = TreeView.of_tree(tree)
+    waves = (
+        sim.Convergecast(view, 1, lambda toks: toks,
+                         lambda v, frames: (v, [(v,)]), 4, framed=framed),
+        sim.Downcast(lambda v: v == tree.root,
+                     lambda v, payload: (v, [(eid, (v,)) for _, eid
+                                             in view.children[v]]),
+                     4, framed=framed),
+    )
+    for wave, sender in zip(waves, (lambda v: v != tree.root,
+                                    lambda v: v == tree.root)):
+        states = {}
+        init_state = wave.init_state
+
+        def recording(v, init_state=init_state):
+            states[v] = init_state(v)
+            return states[v]
+
+        wave.init_state = recording
+        sim.run(g, wave, budget=4)
+        for v, st in states.items():
+            assert (st.ch is not None) == (sender(v) or framed), (wave, v)
+
+
 @pytest.mark.parametrize("wave", ("convergecast", "downcast"))
 def test_unframed_message_over_budget_is_never_split(wave):
     # an unframed wave sends each message as it is: one longer than the

@@ -1,14 +1,18 @@
 import random
+from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from treeaug import generators, oracle, weighted
-from treeaug.graph import augmentation_covers
+from treeaug import generators, oracle, sim, weighted
+from treeaug.graph import Multigraph, augmentation_covers, bfs_tree, root_tree
 from treeaug.labels import TreeView, assign_labels_sequential
 from treeaug.unweighted import BridgeDetected
-from treeaug.virtual_graph import (PlainScheme, build_incidence_sequential,
+from treeaug.virtual_graph import (PlainScheme, VirtualEdge,
+                                   build_incidence_sequential,
                                    covered_tree_edges)
-from treeaug.weighted import (MIN_BUDGET, augment_weighted,
+from treeaug.weighted import (INF, MIN_BUDGET, WeightedUpProgram,
+                              _own_steps, _own_table, _WeightedUpState, augment_weighted,
                               sequential_weighted_cover,
                               weighted_cover_distributed)
 
@@ -20,15 +24,99 @@ def instance(seed, nmax=12, wmax=20):
                                      wmin=1, wmax=wmax)
 
 
+def assert_distributed_equals_sequential(g, tree, budget=4, what=None):
+    want = sequential_weighted_cover(g, tree)
+    got = weighted_cover_distributed(g, tree, budget=budget)
+    assert got["costs"] == want["costs"], what
+    assert sorted(got["bridges"]) == sorted(want["bridges"]), what
+    key = lambda r: (r[0].origin, r[1], r[2])
+    assert sorted(got["added"], key=key) == sorted(want["added"], key=key), what
+
+
 def test_distributed_equals_sequential():
     for seed in range(120):
         g, tree = instance(seed)
-        want = sequential_weighted_cover(g, tree)
-        got = weighted_cover_distributed(g, tree)
-        assert got["costs"] == want["costs"], seed
-        assert sorted(got["bridges"]) == sorted(want["bridges"])
-        key = lambda r: (r[0].origin, r[1], r[2])
-        assert sorted(got["added"], key=key) == sorted(want["added"], key=key)
+        assert_distributed_equals_sequential(g, tree, what=seed)
+
+
+def spider(legs, seed):
+    """The tree is a path of 12 edges from the root to a hub, with one
+    path (leg) per entry of `legs`, of that many vertices, hanging from the
+    hub; each leg's end is joined to the root and random weighted chords
+    are added."""
+    rng = random.Random(seed)
+    stem = 12
+    g = Multigraph(1 + stem + sum(legs))
+    tree_ids = [g.add_edge(v, v + 1, rng.randint(1, 9)) for v in range(stem)]
+    v = stem + 1
+    for length in legs:
+        prev = stem
+        for _ in range(length):
+            tree_ids.append(g.add_edge(prev, v, rng.randint(1, 9)))
+            prev, v = v, v + 1
+        g.add_edge(prev, 0, rng.randint(1, 30))
+    for _ in range(g.n // 2):
+        a, b = rng.sample(range(g.n), 2)
+        g.add_edge(a, b, rng.randint(1, 30))
+    return g, root_tree(g, tree_ids, 0)
+
+
+@pytest.mark.parametrize("budget", (3, 4, 7))
+def test_distributed_equals_sequential_on_uneven_trees(budget):
+    # children whose subtrees differ in height report a depth in different
+    # rounds, so a vertex holds it pending until the last one does; a
+    # spider's hub, at depth 12, has legs of different lengths
+    for seed in range(40):
+        g, _ = instance(seed, nmax=40)
+        assert_distributed_equals_sequential(g, bfs_tree(g, seed % g.n), budget,
+                                             ("bfs", seed))
+    for seed, legs in enumerate(([1, 5, 12], [30, 3, 3, 17], [2, 9],
+                                 [40, 1, 1, 1, 25, 7], [6, 6, 13], [1, 1, 20])):
+        g, tree = spider(legs, seed)
+        assert_distributed_equals_sequential(g, tree, budget, legs)
+
+
+def test_upward_state_is_linear_on_a_path():
+    # the upward phase keeps no per-depth table: on the 1024-cycle's path
+    # tree, all output states together hold at most 4 entries a vertex in
+    # their lists, dicts and arrays (per-depth tables would hold ~n^2/2 each)
+    g, tree = generators.gen_cycle(1024)
+    view = TreeView.of_tree(tree)
+    labels = assign_labels_sequential(view)
+    scheme = PlainScheme()
+    incidence = build_incidence_sequential(g, tree, labels, scheme)
+    states, _ = sim.run(g, WeightedUpProgram(view, incidence, labels, scheme))
+    entries = 0
+    for state in states:
+        for slot in type(state).__slots__:
+            value = getattr(state, slot)
+            if isinstance(value, (list, dict, array)):
+                entries += len(value)
+    assert entries <= 4 * g.n, entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(depth=st.integers(0, 12),
+       edges=st.lists(st.tuples(st.integers(0, 14), st.integers(1, 6),
+                                st.integers(0, 5)), max_size=10))
+def test_own_edge_breakpoints_match_the_own_table(depth, edges):
+    # a leaf's state holds only the own-edge breakpoints; both its lookup
+    # and the pointer that settles depths deepest first give _own_table's
+    # cheapest own edge, ties and all, at every depth. Edges reaching no
+    # ancestor below `depth` never count
+    incoming = [VirtualEdge(type("Label", (), {"depth": a})(), None, origin, w)
+                for a, w, origin in edges]
+    scheme = PlainScheme()
+    best_w, best_edge = _own_table(incoming, depth, scheme)
+    starts, own = _own_steps(incoming, depth, scheme)
+    leaf = _WeightedUpState(0, depth, -1, starts, own, [])
+    for j in range(depth):
+        assert leaf.own_edge(j) is best_edge[j]
+        assert leaf.src_at(j) == -1
+    if depth:
+        settled = [leaf.min_v] + [leaf.settle(j, INF, -1)
+                                  for j in range(depth - 2, -1, -1)]
+        assert settled == best_w[::-1]
 
 
 def test_cover_weight_equals_cost_sum():
