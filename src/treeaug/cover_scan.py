@@ -12,14 +12,15 @@ The scan is generic over:
   * the tree it runs on (whole tree, a fragment forest, or the contracted
     fragment tree), given as ScanNode records;
   * the label scheme (plain or fragment-split), used only for ancestor
-    depth comparisons;
+    depth comparisons, so the engine run decides on depths alone;
   * pre-covered edges (t0 flags) and extra leaf candidates, both used by
     the fast algorithm.
 
 Both a sequential executor and an engine run are provided; they must
 produce identical results. The engine run is the simulator's two tree
-waves: a sim.Convergecast for the up pass and a sim.Downcast from the
-roots for the verdicts.
+waves: a sim.Convergecast for the up pass, in which each vertex sends its
+parent one 4-token (origin, ancestor depth) header for its necessary and
+optional edges, and a sim.Downcast from the roots for the verdicts.
 """
 from __future__ import annotations
 
@@ -147,41 +148,101 @@ def sequential_cover_scan(nodes: dict, scheme):
 
 
 # ---------------------------------------------------------------------------
-# engine passes. Each vertex sends its parent two frames, the necessary
-# edge then the optional one, each (originEdgeId,) + ancestor label, or
-# empty for none.
+# engine passes. Each non-root vertex sends its parent one header
+# (necOrigin, necDepth, optOrigin, optDepth): the necessary edge and the
+# optional one it forwards, each as its origin edge id and the depth of its
+# ancestor endpoint, with -1, -1 for none. A vertex that forwards neither
+# (a bridge, or a pre-covered edge with no optional) sends just (-1,). The
+# header goes unframed when the budget holds its 4 tokens, else as one
+# frame.
 
-def _frame_tokens(ve, scheme):
-    return () if ve is None else (ve.origin,) + scheme.tokens(ve.anc)
+_HEADER_TOKENS = 4
+_NONE = (-1, -1)
+_EMPTY = (-1,)
 
 
-def _frame_edge(toks, scheme):
-    if not toks:
-        return None
-    anc, _ = scheme.parse(toks, 1)
-    return VirtualEdge(anc, None, toks[0], 0)
+class _DepthView:
+    """The label scheme as `_scan_node` sees it in the engine run, where a
+    child's candidate arrives as (origin, ancestor depth): its `anc` is that
+    depth, an int, while the vertex's own candidates keep their labels.
+
+    Deciding on depth alone is exact. Every candidate a vertex compares has
+    its ancestor endpoint on the vertex's root path. A child forwards only
+    edges whose ancestor endpoint lies above the child, hence on the
+    vertex's root path; an own candidate descends from the vertex (an
+    incident edge, or an extra injected where its descendant's chain enters
+    the fragment), and it is compared only once its ancestor endpoint lies
+    above the vertex. Two vertices of one root path at the same depth are
+    the same vertex, and of two at different depths the shallower is the
+    ancestor. So `maximal_of` needs only depths and origins, and its
+    incomparable-ancestor check cannot fire: the view answers `key` with
+    the depth and `is_ancestor` with True. The edges a vertex adds are
+    always its own, held with full labels, so the cover is the one
+    `sequential_cover_scan` finds with the full scheme.
+    """
+
+    def __init__(self, scheme):
+        self._depth = scheme.depth
+
+    def depth(self, anc) -> int:
+        return anc if type(anc) is int else self._depth(anc)
+
+    key = depth
+
+    @staticmethod
+    def is_ancestor(a, d) -> bool:
+        return True
+
+
+def _half(ve, view):
+    return _NONE if ve is None else (ve.origin, view.depth(ve.anc))
+
+
+def _header(rec, view):
+    if rec.nec is None and rec.opt is None:
+        return _EMPTY
+    return _half(rec.nec, view) + _half(rec.opt, view)
+
+
+def _parse_header(toks):
+    """(nec, opt) from a header; each a VirtualEdge(ancestor depth,
+    desc=None, origin, 0), or None."""
+    if toks == _EMPTY:
+        return None, None
+    return tuple(None if toks[i] < 0 else VirtualEdge(toks[i + 1], None, toks[i], 0)
+                 for i in (0, 2))
 
 
 def cover_up(view, resp_labels, incoming, t0, scheme, budget):
     """Upward pass of the scan over a TreeView, as a sim.Convergecast.
 
     Per-vertex inputs: responsible label, incoming candidates (incidence
-    plus any extra leaf candidates), t0 flag. A received frame reconstructs
-    a candidate as VirtualEdge(anc, desc=None, origin, 0): the descendant
-    endpoint is structurally below and never inspected on the way up.
+    plus any extra leaf candidates), t0 flag. A received header rebuilds
+    each candidate with its ancestor depth in place of its label and no
+    descendant: the descendant endpoint is structurally below and never
+    inspected on the way up, and `_DepthView` decides on depths.
+
+    Cost on a forest of height h with n vertices: from budget 4 up, one
+    message a tree edge, 4 tokens (1 for (-1,)), and at most h rounds;
+    below 4, one frame a tree edge, 5 tokens with its length (2 for
+    (-1,)), so at most ceil(5/budget) messages an edge and
+    h*ceil(5/budget) rounds. When every vertex forwards an edge, as on a
+    2-edge-connected graph without pre-covered edges, these are exact.
     """
+    dview = _DepthView(scheme)
+
     def decide(v, frames):
         kids = [c for c, _ in view.children[v]]
         node = ScanNode(v, resp_labels[v], children=kids,
                         incoming=incoming[v], t0=t0[v],
                         root=view.parent_edge[v] < 0)
         child_recs = [(c, ScanRecord(nec=nec, opt=opt))
-                      for c, (nec, opt) in zip(kids, frames.values())]
-        rec = _scan_node(node, child_recs, scheme)
-        return rec, (_frame_tokens(rec.nec, scheme), _frame_tokens(rec.opt, scheme))
+                      for c, ((nec, opt),) in zip(kids, frames.values())]
+        rec = _scan_node(node, child_recs, dview)
+        return rec, (_header(rec, dview),)
 
-    return sim.Convergecast(view, 2, lambda toks: _frame_edge(toks, scheme),
-                            decide, budget)
+    return sim.Convergecast(view, 1, _parse_header, decide, budget,
+                            framed=budget < _HEADER_TOKENS)
 
 
 def cover_down(view, records):

@@ -376,8 +376,11 @@ class Channel:
 # (child, edge id) pairs; Downcast's `act` reads the forest itself. A wave
 # vertex builds its Channel at its first send, or at its first mail when
 # framed, since only then does it hold a partial frame; until then it has
-# nothing queued, so its flush is empty. A root that receives unframed, or
-# a leaf of a Downcast, never builds one.
+# nothing queued, so its flush is empty. An unframed vertex that sends at
+# most one message on each edge needs no queue either: it returns those
+# messages as its outbox, which is what a Channel's one flush would send,
+# and builds none. So an unframed wave builds a Channel only at a
+# Convergecast vertex sending k > 1 messages up.
 
 def _channel(st, budget, framed):
     """The wave vertex's Channel, built on first use."""
@@ -411,11 +414,15 @@ class Convergecast:
     `frames` maps each child edge, in `children[v]` order, to its k parsed
     messages; `decide` returns (result, up). A non-root vertex then sends
     the k token tuples in `up` to its parent through a Channel, framed
-    unless `framed` is False. The vertex outputs `result`.
+    unless `framed` is False; unframed, a single message is its outbox as
+    it is. The vertex outputs `result`.
 
     Cost: if every `up` message has L tokens, each tree edge carries c
     messages, c = ceil(k(L+1)/budget) framed and c = k unframed, and the
-    run takes h*c rounds on a forest of height h.
+    run takes h*c rounds on a forest of height h. The covering scan's
+    4-token header (k = 1, L = 4) is unframed from budget 4 up: h rounds,
+    n-1 messages and at most 4(n-1) tokens; below budget 4 it is one
+    frame, so c = ceil(5/budget).
     """
 
     def __init__(self, view, k, parse, decide, budget, framed=True):
@@ -442,6 +449,8 @@ class Convergecast:
             st.result, up = self.decide(st.v, st.frames)
             st.frames = None  # every child has reported; free its frames
             if st.pe >= 0 and up:
+                if len(up) == 1 and not self.framed:
+                    return [(st.pe, up[0])], HALT
                 ch = _channel(st, self.budget, self.framed)
                 for toks in up:
                     ch.send(st.pe, toks)
@@ -469,7 +478,8 @@ class Downcast:
     vertex gets is its parent's. `act(v, payload)`, with payload None in
     round 0, returns (output, outbox): the vertex's output and its messages
     to its children, sent through a Channel, unframed unless `framed`, in
-    which case they stream under `budget`. A vertex that never acts outputs
+    which case they stream under `budget`. Unframed, an outbox with at most
+    one message an edge is sent as it is. A vertex that never acts outputs
     None.
 
     Cost from the roots of a forest of height h: unframed, h rounds and one
@@ -496,6 +506,8 @@ class Downcast:
                 return [], IDLE
             st.acted = True
             st.out, outbox = self.act(st.v, msgs[0][1] if msgs else None)
+            if not self.framed and len({e for e, _ in outbox}) == len(outbox):
+                return outbox, HALT
             if outbox:
                 ch = _channel(st, self.budget, self.framed)
                 for eid, toks in outbox:

@@ -108,11 +108,16 @@ def test_fast_transcript_bytes_pinned(tmp_path):
     # boundaries and rounds moved. Re-pinned again when fast dropped its
     # label-exchange phase and ran the leaf and global in-fragment scans as
     # one: 172 -> 169 rounds, 2,887 -> 2,857 messages, 9,638 -> 9,594
-    # tokens, same output (pinned above)
+    # tokens, same output (pinned above). Re-pinned again when the covering
+    # scan's up pass sent one 4-token (origin, ancestor depth) header per
+    # tree edge instead of two label frames: local_cover_up 14 -> 7 rounds,
+    # 112 -> 56 messages, 336 -> 224 tokens; in all 169 -> 162 rounds,
+    # 2,857 -> 2,801 messages, 9,594 -> 9,482 tokens, 96,292 -> 94,724
+    # bytes (was c84cdbb7...381093), same output
     data = _fast_lb_disj_transcript(tmp_path)
-    assert len(data) == 96292
+    assert len(data) == 94724
     assert hashlib.sha256(data).hexdigest() == (
-        "c84cdbb778c93aed2f4897f8a0fc35b7d376f3abf9ad2a0532e92c5333381093")
+        "e78412c07537ac22007ef5d0c7fc19bd6e60cb26d86698656a2b3b53e6f3ea73")
 
 
 def test_fast_transcript_schedule_pinned(tmp_path):
@@ -122,23 +127,32 @@ def test_fast_transcript_schedule_pinned(tmp_path):
     # rounds; fast's output is pinned above. Re-pinned again when fast
     # dropped its label-exchange phase, the directory records started at
     # the parent endpoints and one scan replaced the leaf and global
-    # in-fragment scans, which changes which phases run and who sends what
+    # in-fragment scans, which changes which phases run and who sends what.
+    # Re-pinned again (was 61a9a5a4...261cff) when local_cover_up's two
+    # label frames an edge became one 4-token header, one message an edge:
+    # that phase 14 -> 7 rounds, 112 -> 56 messages
     lines = _fast_lb_disj_transcript(tmp_path).decode().splitlines()
     schedule = "".join(",".join(line.split(",")[:5]) + "\n" for line in lines)
     assert hashlib.sha256(schedule.encode()).hexdigest() == (
-        "61a9a5a42bf66823441923a45466229521c745650b745175a5c992ee7f261cff")
+        "cc251ed98da83cee432eb1ec35222348218ecb85da084d5776237151cf8e88a2")
 
 
 # SHA-256 of the full transcript and of the --metrics CSV at budget 4 on one
 # small weighted instance; a change to how a phase is written must not move
-# a single delivered byte
+# a single delivered byte. tap and verify were re-pinned when the covering
+# scan's up pass sent one 4-token (origin, ancestor depth) header per tree
+# edge instead of two label frames, same outputs: tap's cover_up 24 -> 12
+# rounds, 78 -> 39 messages, 249 -> 156 tokens (total 61/237/631 ->
+# 49/198/538; was 4fd8a87b...c12a203, 3511c622...016863b); verify's
+# cover_up 10 -> 5 rounds, 80 -> 39 messages, 241 -> 156 tokens (total
+# 44/468/866 -> 39/427/781; was 0d4076a1...749a5b, 431bb6ed...37dee6e)
 RUN_PINS = {
-    "tap": ("4fd8a87bd0ab7e43fa05528d7151e50b6838efc51b627fdfae3d7f7a9c12a203",
-            "3511c622ad762dd449c13b5ea63da80885ecb135a5d07f30416879ed1016863b"),
+    "tap": ("35d705717da9d75ffbe59fcae2f3d33d0d38d57a5c51607704d11bcd777dc83c",
+            "8d8ebcf7bbe6c5457310aa1957dc621468a55a6bfd1ea41d81415a3cb1cd7bcc"),
     "wtap": ("ea8796c0f9b71a6ab0f18a7cfc6526d068c160f9e22c0d382fcb28c933eb0daa",
              "651802bdf9f44c190509f6e097423fa3a9331742a7c2e140b7ad6d24d5ecb0d7"),
-    "verify": ("0d4076a1d37bfb9a37df96b6248b0eadfe4d1dee539ae0446d5c13f909749a5b",
-               "431bb6edc0c73952d4fdd8f4371ac0ba2bd11b434cc5c9e4a90c8141d37dee6e"),
+    "verify": ("94d6e0e95654bf688b075405be394221af9fce1dbd4cd33a1d39b7c568fc3a32",
+               "80358b00fe0e447f79a33007659104a66154cee597d131c6793514a118f09d80"),
 }
 
 
@@ -157,10 +171,14 @@ def test_run_transcript_and_metrics_pinned(tmp_path, algo):
 
 
 # tap's transcript and --metrics CSV on the same instance at budget 1, where
-# every label frame is split across the most rounds
+# every frame is split across the most rounds. Re-pinned when the covering
+# scan's two label frames an edge became one framed 4-token header (5 tokens
+# with its length): cover_up 87 -> 60 rounds, 249 -> 195 messages; in all
+# 151 -> 124 rounds, 631 -> 577 messages and tokens, same output (was
+# af6cd25b...1821604, 4a6cea92...b962782ab)
 TAP_BUDGET_1_PIN = (
-    "af6cd25b43d976054c87a94ff9c7312f556e4a9dbe3aebd9a06ced16d1821604",
-    "4a6cea9204ca4fb1af12943e1bdfbcd2ab0f53698e6b193623b8221b962782ab")
+    "0fbbb683a469f5721dcde0bb13d1a990a6bda6a8163c2ff774b322b22ec2235d",
+    "3f4b1feeac402abe2bdc5a9941a69c856ab57845177297b2bff2fcc441f1660c")
 
 
 def test_tap_at_the_smallest_budget_pinned(tmp_path):

@@ -1,8 +1,12 @@
 import random
 
-from treeaug import cover_scan, generators, labels as lbl, sim, unweighted
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from treeaug import apps, cover_scan, generators, labels as lbl, sim, unweighted
 from treeaug import virtual_graph as vg
-from treeaug.graph import covers_ref, find_bridges
+from treeaug.fast import build_bfs_tree_distributed
+from treeaug.graph import Multigraph, covers_ref, find_bridges, root_tree
 from treeaug.labels import TreeView, assign_labels_sequential
 from treeaug.oracle import opt_virtual_cover
 from treeaug.virtual_graph import PlainScheme, covered_tree_edges
@@ -114,3 +118,96 @@ def test_round_and_budget_bounds():
         down = m.phase("cover_down").rounds
         # frames are constant size here, so both passes are O(h)
         assert up <= 4 * h + 8 and down <= h + 2, (n, up, down)
+
+
+def _key(ve, scheme):
+    return (ve.origin, scheme.key(ve.anc), scheme.key(ve.desc))
+
+
+@pytest.mark.parametrize("budget", range(1, 8))
+def test_tap_and_verify_distributed_equal_sequential_at_every_budget(budget):
+    # the up pass's header is unframed from budget 4 up and one frame below;
+    # either way the engine's depth-only decisions give the full-label cover
+    # and bridges, and verify's verdict is the sequential scan's on its tree
+    scheme = PlainScheme()
+    for seed in range(40):
+        g, tree = instance(seed, allow_bridges=True)
+        want = unweighted.sequential_virtual_optimal(g, tree)
+        got = unweighted.cover_virtual_optimal(g, tree, budget=budget)
+        assert got["metrics"].max_tokens_edge_round <= budget
+        assert sorted(got["bridges"]) == sorted(want["bridges"]), seed
+        assert (sorted(_key(ve, scheme) for ve in got["added"])
+                == sorted(_key(ve, scheme) for ve in want["added"])), seed
+        verdict, bridges, _ = apps.verify_2ec_distributed(g, budget=budget)
+        bfs, _ = build_bfs_tree_distributed(g, 0, budget=budget)
+        want_bridges = sorted(unweighted.sequential_virtual_optimal(g, bfs)["bridges"])
+        assert (verdict, bridges) == (not want_bridges, want_bridges), seed
+
+
+def _star_with_chords(n):
+    # a star tree whose leaves are joined in a cycle: every leaf's incoming
+    # edges reach the root, so every leaf forwards a necessary edge
+    g = Multigraph(n)
+    tree_ids = [g.add_edge(0, v, 1) for v in range(1, n)]
+    for v in range(1, n):
+        g.add_edge(v, v % (n - 1) + 1, 1)
+    return g, root_tree(g, tree_ids, 0)
+
+
+@pytest.mark.parametrize("budget", range(1, 8))
+@pytest.mark.parametrize("shape", ("path", "star"))
+def test_cover_up_sends_one_header_an_edge(shape, budget):
+    # one (necOrigin, necDepth, optOrigin, optDepth) header a tree edge:
+    # unframed from budget 4 up, so h rounds, n - 1 messages and 4(n - 1)
+    # tokens; below 4 one 5-token frame, ceil(5/b) messages an edge, and a
+    # vertex decides once its children's frames are whole
+    g, tree = generators.gen_cycle(65) if shape == "path" else _star_with_chords(65)
+    m = unweighted.cover_virtual_optimal(g, tree, budget=budget)["metrics"]
+    up = m.phase("cover_up")
+    c = 1 if budget >= 4 else -(-5 // budget)
+    assert (up.rounds, up.messages, up.tokens) == (
+        tree.height * c, (g.n - 1) * c, (g.n - 1) * (4 if budget >= 4 else 5))
+    assert m.max_tokens_edge_round <= budget
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10 ** 6),
+       picks=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 5),
+                                st.booleans()),
+                      min_size=1, max_size=8))
+def test_depth_only_decision_equals_full_label_maximal_of(seed, picks):
+    # candidates whose ancestor endpoints lie on one root path, as every
+    # candidate a scan vertex compares does: folding them with maximal_of
+    # picks the same candidate under the full labels as under the engine's
+    # depth-only view, whether a candidate carries its label (an own edge)
+    # or only its ancestor depth (a child's header)
+    rng = random.Random(seed)
+    g, tree = generators.gen_random_2ec(rng.randint(3, 30), rng.randint(0, 20), seed)
+    labels = assign_labels_sequential(TreeView.of_tree(tree))
+    v = rng.randrange(g.n)
+    path = [v]
+    while tree.parent[path[-1]] >= 0:
+        path.append(tree.parent[path[-1]])
+    scheme = PlainScheme()
+    dview = cover_scan._DepthView(scheme)
+    full, depth_only = [], []
+    for i, origin, as_depth in picks:
+        anc = labels[path[i % len(path)]]
+        full.append(vg.VirtualEdge(anc, labels[v], origin, 0))
+        depth_only.append(vg.VirtualEdge(anc.depth if as_depth else anc,
+                                         None, origin, 0))
+
+    def index(cands, best):
+        return next((i for i, ve in enumerate(cands) if ve is best), None)
+
+    def fold(cands, sch):
+        best = None
+        for ve in cands:
+            best = vg.maximal_of(best, ve, sch)
+        return index(cands, best)
+
+    assert fold(full, scheme) == fold(depth_only, dview)
+    # an own candidate counts only once its ancestor lies above the vertex
+    limit = labels[v].depth
+    assert (index(full, vg.maximal_covering(full, limit, scheme))
+            == index(depth_only, vg.maximal_covering(depth_only, limit, dview)))

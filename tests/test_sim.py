@@ -516,22 +516,28 @@ def test_downcast_from_the_root_costs_h_rounds(shape, framed, budget):
 
 
 @pytest.mark.parametrize("framed", (False, True), ids=("unframed", "framed"))
-def test_a_wave_vertex_builds_its_channel_on_first_use(framed):
-    # a vertex builds its Channel at its first send, or framed at its first
-    # mail: an unframed Convergecast root and a Downcast leaf never send, and
-    # unframed they never need one to receive either
+def test_a_wave_vertex_builds_a_channel_only_to_queue_or_reassemble(framed):
+    # framed, a vertex builds its Channel at its first send, or at its first
+    # mail, where it may hold a partial frame: on a star every vertex does.
+    # Unframed, a vertex that sends at most one message an edge returns them
+    # as its outbox and builds none; only a Convergecast vertex with k = 2
+    # messages to send up queues them in one
     g, tree = _star(9)
     view = TreeView.of_tree(tree)
     waves = (
-        sim.Convergecast(view, 1, lambda toks: toks,
-                         lambda v, frames: (v, [(v,)]), 4, framed=framed),
-        sim.Downcast(lambda v: v == tree.root,
-                     lambda v, payload: (v, [(eid, (v,)) for _, eid
-                                             in view.children[v]]),
-                     4, framed=framed),
+        (sim.Convergecast(view, 1, lambda toks: toks,
+                          lambda v, frames: (v, [(v,)]), 4, framed=framed),
+         lambda v: framed),
+        (sim.Downcast(lambda v: v == tree.root,
+                      lambda v, payload: (v, [(eid, (v,)) for _, eid
+                                              in view.children[v]]),
+                      4, framed=framed),
+         lambda v: framed),
+        (sim.Convergecast(view, 2, lambda toks: toks,
+                          lambda v, frames: (v, [(v,), (v,)]), 4, framed=framed),
+         lambda v: framed or v != tree.root),
     )
-    for wave, sender in zip(waves, (lambda v: v != tree.root,
-                                    lambda v: v == tree.root)):
+    for wave, builds in waves:
         states = {}
         init_state = wave.init_state
 
@@ -542,7 +548,7 @@ def test_a_wave_vertex_builds_its_channel_on_first_use(framed):
         wave.init_state = recording
         sim.run(g, wave, budget=4)
         for v, st in states.items():
-            assert (st.ch is not None) == (sender(v) or framed), (wave, v)
+            assert (st.ch is not None) == builds(v), (wave, v)
 
 
 @pytest.mark.parametrize("wave", ("convergecast", "downcast"))
