@@ -376,11 +376,11 @@ class Channel:
 # (child, edge id) pairs; Downcast's `act` reads the forest itself. A wave
 # vertex builds its Channel at its first send, or at its first mail when
 # framed, since only then does it hold a partial frame; until then it has
-# nothing queued, so its flush is empty. An unframed vertex that sends at
-# most one message on each edge needs no queue either: it returns those
-# messages as its outbox, which is what a Channel's one flush would send,
-# and builds none. So an unframed wave builds a Channel only at a
-# Convergecast vertex sending k > 1 messages up.
+# nothing queued, so its flush is empty. Unframed, a Downcast vertex
+# returns its outbox as it is, and a Convergecast vertex with one message
+# to send returns that message; `run` rejects two messages on one edge. So
+# an unframed wave builds a Channel only at a Convergecast vertex sending
+# k > 1 messages up.
 
 def _channel(st, budget, framed):
     """The wave vertex's Channel, built on first use."""
@@ -477,10 +477,9 @@ class Downcast:
     `starts(v)`; a child never sends to its parent, so the only mail a
     vertex gets is its parent's. `act(v, payload)`, with payload None in
     round 0, returns (output, outbox): the vertex's output and its messages
-    to its children, sent through a Channel, unframed unless `framed`, in
-    which case they stream under `budget`. Unframed, an outbox with at most
-    one message an edge is sent as it is. A vertex that never acts outputs
-    None.
+    to its children. Framed, they go through a Channel and stream under
+    `budget`; unframed, the outbox is sent as it is, and `run` rejects two
+    messages on one edge. A vertex that never acts outputs None.
 
     Cost from the roots of a forest of height h: unframed, h rounds and one
     message per tree edge; framed, if every message has L tokens, each tree
@@ -506,10 +505,10 @@ class Downcast:
                 return [], IDLE
             st.acted = True
             st.out, outbox = self.act(st.v, msgs[0][1] if msgs else None)
-            if not self.framed and len({e for e, _ in outbox}) == len(outbox):
+            if not self.framed:
                 return outbox, HALT
             if outbox:
-                ch = _channel(st, self.budget, self.framed)
+                ch = _channel(st, self.budget, True)
                 for eid, toks in outbox:
                     ch.send(eid, toks)
         return _flush(st)

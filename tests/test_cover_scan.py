@@ -29,19 +29,36 @@ def instance(seed, nmax=14, allow_bridges=False):
                                      rng.randint(0, nmax), seed)
 
 
+def _key(ve, scheme):
+    return (ve.origin, scheme.key(ve.anc), scheme.key(ve.desc))
+
+
 def test_distributed_equals_sequential():
+    # at every budget from 1 to 7 (the up pass's header is unframed from 4
+    # up and one frame below) the engine's depth-only decisions give the
+    # full-label cover and bridges, and verify's verdict is the sequential
+    # scan's on its BFS tree
+    scheme = PlainScheme()
     for seed in range(120):
         g, tree = instance(seed, allow_bridges=True)
         want = unweighted.sequential_virtual_optimal(g, tree)
+        want_added = sorted(_key(ve, scheme) for ve in want["added"])
         view = TreeView.of_tree(tree)
         labels = assign_labels_sequential(view)
-        scheme = PlainScheme()
         inc = vg.build_incidence_sequential(g, tree, labels, scheme)
-        got = cover_scan.distributed_cover_scan(
-            g, view, labels, inc, [False] * g.n, scheme)
-        assert sorted(got["bridges"]) == sorted(want["bridges"]), seed
-        key = lambda ve: (ve.origin, scheme.key(ve.anc), scheme.key(ve.desc))
-        assert sorted(got["added"], key=key) == sorted(want["added"], key=key)
+        for budget in range(1, 8):
+            got = cover_scan.distributed_cover_scan(
+                g, view, labels, inc, [False] * g.n, scheme, budget=budget)
+            assert got["metrics"].max_tokens_edge_round <= budget
+            assert sorted(got["bridges"]) == sorted(want["bridges"]), (seed, budget)
+            assert (sorted(_key(ve, scheme) for ve in got["added"])
+                    == want_added), (seed, budget)
+            verdict, bridges, _ = apps.verify_2ec_distributed(g, budget=budget)
+            bfs, _ = build_bfs_tree_distributed(g, 0, budget=budget)
+            want_bridges = sorted(
+                unweighted.sequential_virtual_optimal(g, bfs)["bridges"])
+            assert (verdict, bridges) == (not want_bridges, want_bridges), (
+                seed, budget)
 
 
 def test_bridges_match_reference():
@@ -118,30 +135,6 @@ def test_round_and_budget_bounds():
         down = m.phase("cover_down").rounds
         # frames are constant size here, so both passes are O(h)
         assert up <= 4 * h + 8 and down <= h + 2, (n, up, down)
-
-
-def _key(ve, scheme):
-    return (ve.origin, scheme.key(ve.anc), scheme.key(ve.desc))
-
-
-@pytest.mark.parametrize("budget", range(1, 8))
-def test_tap_and_verify_distributed_equal_sequential_at_every_budget(budget):
-    # the up pass's header is unframed from budget 4 up and one frame below;
-    # either way the engine's depth-only decisions give the full-label cover
-    # and bridges, and verify's verdict is the sequential scan's on its tree
-    scheme = PlainScheme()
-    for seed in range(40):
-        g, tree = instance(seed, allow_bridges=True)
-        want = unweighted.sequential_virtual_optimal(g, tree)
-        got = unweighted.cover_virtual_optimal(g, tree, budget=budget)
-        assert got["metrics"].max_tokens_edge_round <= budget
-        assert sorted(got["bridges"]) == sorted(want["bridges"]), seed
-        assert (sorted(_key(ve, scheme) for ve in got["added"])
-                == sorted(_key(ve, scheme) for ve in want["added"])), seed
-        verdict, bridges, _ = apps.verify_2ec_distributed(g, budget=budget)
-        bfs, _ = build_bfs_tree_distributed(g, 0, budget=budget)
-        want_bridges = sorted(unweighted.sequential_virtual_optimal(g, bfs)["bridges"])
-        assert (verdict, bridges) == (not want_bridges, want_bridges), seed
 
 
 def _star_with_chords(n):

@@ -519,9 +519,9 @@ def test_downcast_from_the_root_costs_h_rounds(shape, framed, budget):
 def test_a_wave_vertex_builds_a_channel_only_to_queue_or_reassemble(framed):
     # framed, a vertex builds its Channel at its first send, or at its first
     # mail, where it may hold a partial frame: on a star every vertex does.
-    # Unframed, a vertex that sends at most one message an edge returns them
-    # as its outbox and builds none; only a Convergecast vertex with k = 2
-    # messages to send up queues them in one
+    # Unframed, a Downcast vertex returns its outbox as it is and a
+    # Convergecast vertex returns its one message, so neither builds one;
+    # only a Convergecast vertex with k = 2 messages to send up queues them
     g, tree = _star(9)
     view = TreeView.of_tree(tree)
     waves = (
@@ -579,6 +579,18 @@ def test_unframed_message_over_budget_is_never_split(wave):
     ch.send(5, long_msg)
     assert ch.flush(True) == ([(5, long_msg)], HALT)
 
+
+
+def test_unframed_downcast_sending_twice_on_an_edge_is_rejected():
+    # an unframed Downcast hands its outbox to the engine as it is, and the
+    # engine carries one message an edge a round
+    g, tree = _star(4)
+    view = TreeView.of_tree(tree)
+    prog = sim.Downcast(lambda v: v == tree.root,
+                        lambda v, payload: (v, [(eid, (v,)) for _, eid
+                                                in view.children[v]] * 2))
+    with pytest.raises(SimError, match="sent twice on an edge"):
+        sim.run(g, prog, budget=4)
 
 def _arrivals(g, tree, msgs, budget):
     """Run broadcast_upcast with a transcript; return the round t_k in which
