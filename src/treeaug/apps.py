@@ -6,7 +6,10 @@
   the weighted augmentation;
 * bridge-free reinforcement of a given connected spanning subgraph H
   (edges of H recosted to 0 so reuse is free);
-* distributed verification that a graph is 2-edge-connected.
+* distributed verification that a graph is 2-edge-connected: after the
+  BFS tree, its labels and the label exchange, a lowpoint Convergecast
+  (verify_bridges) and a verdict Downcast (verify_verdict), h + h rounds
+  on a tree of height h.
 
 Every tree built here is rooted at vertex 0.
 """
@@ -14,11 +17,10 @@ from __future__ import annotations
 
 import math
 
-from . import sim, unweighted, weighted
+from . import labels as lbl, sim, unweighted, virtual_graph as vg, weighted
 from .fast import build_bfs_tree_distributed
 from .graph import Augmentation, GraphError, Multigraph, bfs_tree, \
     is_connected, mst_tree, root_tree
-from .sim import HALT, IDLE
 
 
 def two_ecss_unweighted(g, budget: int = sim.DEFAULT_BUDGET):
@@ -91,77 +93,62 @@ def augment_1_to_2(g, h_edge_ids, budget: int = sim.DEFAULT_BUDGET):
 # ---------------------------------------------------------------------------
 # verification
 
-class _OrState:
-    __slots__ = ("pe", "child_edges", "acc", "got_up", "verdict", "sent_up")
-
-    def __init__(self, pe, child_edges, acc):
-        self.pe = pe
-        self.child_edges = child_edges
-        self.acc = acc        # OR of the own bit and the children's reports
-        self.got_up = 0
-        self.verdict = None
-        self.sent_up = False
-
-
-class _OrUpDown:
-    """OR-convergecast of per-vertex bits over a rooted tree, then the root
-    broadcasts the verdict; every vertex outputs it."""
-
-    def __init__(self, tree, bits):
-        self.tree = tree
-        self.bits = bits
-
-    def init_state(self, v):
-        t = self.tree
-        return _OrState(t.parent_edge[v],
-                        sorted(t.parent_edge[c] for c in t.children[v]),
-                        1 if self.bits[v] else 0)
-
-    def step(self, st, rnd, inbox):
-        if inbox:
-            for eid, payload in inbox:
-                tag, bit = payload[0]
-                if tag == "up":
-                    st.got_up += 1
-                    st.acc |= bit
-                else:
-                    st.verdict = bit
-        nchild = len(st.child_edges)
-        if st.pe < 0 and st.verdict is None and st.got_up == nchild:
-            st.verdict = st.acc
-            return ([(eid, (("down", st.verdict),))
-                     for eid in st.child_edges], HALT)
-        if st.pe >= 0 and not st.sent_up and st.got_up == nchild:
-            st.sent_up = True
-            return [(st.pe, (("up", st.acc),))], IDLE
-        if st.verdict is not None:
-            return ([(eid, (("down", st.verdict),))
-                     for eid in st.child_edges], HALT)
-        return [], IDLE
-
-    def output(self, st):
-        return st.verdict
-
-
 def verify_2ec_distributed(g, budget: int = sim.DEFAULT_BUDGET):
-    """Every vertex learns whether g is 2-edge-connected: the covering scan
-    over a BFS tree flags bridges, an OR-convergecast merges the flags and
-    the root broadcasts the verdict.
+    """Every vertex learns whether g is 2-edge-connected.
 
-    Returns (verdict, bridge vertex list, Metrics)."""
+    Over a BFS tree rooted at 0, of height h, the labels and the label
+    exchange give each vertex its incoming ancestor-descendant edges. Then
+    the simulator's two tree waves run, unframed:
+
+    * verify_bridges, a Convergecast: every non-root vertex sends its
+      parent one ("vb", reach, bridgeBelow) token. reach is the least
+      ancestor depth reached by its incoming edges and its children's
+      reaches, its own depth if none is less; the edge to its parent is a
+      bridge iff reach >= its depth (Tarjan's lowpoint test), and
+      bridgeBelow ORs that flag with its children's;
+    * verify_verdict, a Downcast of one ("vd", verdict) token from the root,
+      verdict 1 iff no tree edge is a bridge.
+
+    Each wave takes h rounds, n-1 messages and n-1 tokens: h + h in all
+    after the exchange. Returns (verdict, sorted bridge vertex list, Metrics),
+    a bridge named by its lower vertex; raises SimError if a vertex's
+    verdict is not the root's."""
     if not is_connected(g):
         raise GraphError("input graph is not connected")
     tree, metrics = build_bfs_tree_distributed(g, 0, budget=budget)
-    res = unweighted.cover_virtual_optimal(g, tree, budget=budget)
-    metrics.merge(res["metrics"])
-    bits = [False] * g.n
-    for v in res["bridges"]:
-        bits[v] = True
-    prog = _OrUpDown(tree, bits)
-    verdicts, m = sim.run(g, prog, budget=budget, phase="verify_verdict")
+    view = lbl.TreeView.of_tree(tree)
+    all_labels, m = lbl.assign_labels_distributed(g, view, budget=budget)
     metrics.merge(m)
-    verdict = verdicts[tree.root] == 0
+    incidence, m = vg.build_incidence_distributed(g, tree, all_labels,
+                                                  vg.PlainScheme(), budget=budget)
+    metrics.merge(m)
+
+    def decide(v, frames):
+        depth = all_labels[v].depth
+        reach = min((ve.anc.depth for ve in incidence[v]), default=depth)
+        below = 0
+        for (_, child_reach, child_below), in frames.values():
+            reach = min(reach, child_reach)
+            below |= child_below
+        bridge = view.parent_edge[v] >= 0 and reach >= depth
+        below |= bridge
+        return (bridge, below), [(("vb", reach, below),)]
+
+    up = sim.Convergecast(view, 1, lambda toks: toks[0], decide, budget,
+                          framed=False)
+    recs, m = sim.run(g, up, budget=budget, phase="verify_bridges")
+    metrics.merge(m)
+
+    def act(v, payload):
+        verdict = 1 - recs[v][1] if payload is None else payload[0][1]
+        msg = (("vd", verdict),)
+        return verdict, [(eid, msg) for _, eid in view.children[v]]
+
+    down = sim.Downcast(lambda v: view.parent_edge[v] < 0, act)
+    verdicts, m = sim.run(g, down, budget=budget, phase="verify_verdict")
+    metrics.merge(m)
+    verdict = verdicts[tree.root] == 1
     for v in range(g.n):
-        if (verdicts[v] == 0) != verdict:
+        if verdicts[v] != verdicts[tree.root]:
             raise sim.SimError("verdict disagreement at vertex %d" % v)
-    return verdict, sorted(res["bridges"]), metrics
+    return verdict, [v for v in range(g.n) if recs[v][0]], metrics

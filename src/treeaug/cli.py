@@ -11,9 +11,10 @@ marking spanning-tree edges; the tree is rooted at vertex 0.
 
 Exit codes: 0 success, 2 the produced solution failed its validity check
 (or the input broke the 2-edge-connectivity promise), 3 a token-budget or
-round-limit violation, 1 anything else (bad usage, an instance file that
-cannot be read or parsed, a budget below the algorithm's minimum, oracle
-size guard).
+round-limit violation, 1 anything else (bad usage, a generator size the
+family does not allow, an instance file that cannot be read or parsed, a
+budget below the algorithm's minimum or a round limit below 1, oracle size
+guard).
 """
 from __future__ import annotations
 
@@ -73,21 +74,28 @@ def _add_gen(sub):
 
 
 def _gen(args) -> int:
-    if args.family == "cycle":
-        g, tree = generators.gen_cycle(args.n)
-    elif args.family == "lb-path":
-        g, tree = generators.gen_lb_path(args.k, long_edge=args.long_edge,
-                                         weighted=args.weighted, alpha=args.alpha)
-    elif args.family == "lb-disj":
-        g, tree = generators.gen_lb_disjointness(
-            args.k, args.d, args.p, args.a, args.b, alpha=args.alpha,
-            weighted=not args.unweighted, simple=args.simple)
-    else:
-        g, tree = generators.gen_random_2ec(args.n, args.extra, args.seed,
-                                            wmin=args.wmin, wmax=args.wmax)
+    try:
+        g, tree = _generate(args)
+    except ValueError as e:  # a size the family does not allow
+        print("error: %s" % e, file=sys.stderr)
+        return 1
     write_instance(args.out, g, tree)
     print("wrote %s: n=%d m=%d" % (args.out, g.n, g.m))
     return 0
+
+
+def _generate(args):
+    if args.family == "cycle":
+        return generators.gen_cycle(args.n)
+    if args.family == "lb-path":
+        return generators.gen_lb_path(args.k, long_edge=args.long_edge,
+                                      weighted=args.weighted, alpha=args.alpha)
+    if args.family == "lb-disj":
+        return generators.gen_lb_disjointness(
+            args.k, args.d, args.p, args.a, args.b, alpha=args.alpha,
+            weighted=not args.unweighted, simple=args.simple)
+    return generators.gen_random_2ec(args.n, args.extra, args.seed,
+                                     wmin=args.wmin, wmax=args.wmax)
 
 
 def _need_tree(tree):
@@ -192,6 +200,10 @@ def _run(args) -> int:
     if args.budget < need:
         print("error: --algo %s needs --budget of at least %d (got %d)"
               % (args.algo, need, args.budget), file=sys.stderr)
+        return 1
+    if args.max_rounds is not None and args.max_rounds < 1:
+        print("error: --max-rounds must be at least 1 (got %d)"
+              % args.max_rounds, file=sys.stderr)
         return 1
     g, tree = read_instance(args.instance)
     # opened before the run, so an unusable path fails before any work

@@ -172,7 +172,8 @@ class SplitScheme:
 
 
 def split_labels_sequential(tree, frag_of):
-    """Local labels, global-edge records and the scheme, all centrally."""
+    """Split labels and their scheme, computed centrally from the local
+    labels and the global-edge records."""
     view = lbl.TreeView.of_fragments(tree, frag_of)
     local = lbl.assign_labels_sequential(view)
     records = []
@@ -183,7 +184,7 @@ def split_labels_sequential(tree, frag_of):
         records.append((v, frag_of[p], local[p]))
     scheme = SplitScheme(records, frag_of[tree.root])
     split = [SplitLabel(frag_of[v], local[v]) for v in range(tree.n)]
-    return split, scheme, records
+    return split, scheme
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +493,7 @@ def sequential_fast_cover(g, tree):
     """Central shadow of fast_cover_distributed: same passes, same ties."""
     frag_of, frag_roots = fragment_decompose(tree)
     view = lbl.TreeView.of_fragments(tree, frag_of)
-    split, scheme, _ = split_labels_sequential(tree, frag_of)
+    split, scheme = split_labels_sequential(tree, frag_of)
     incidence = vg.build_incidence_sequential(g, tree, split, scheme)
 
     added_leaf = leaf_adds(tree, incidence, split, scheme)

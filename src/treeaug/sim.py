@@ -17,10 +17,10 @@ HALT (done; later mail is dropped). Vertices are stepped in ascending id
 order but may only interact through messages, so evaluation order is
 unobservable; the transcript-equality test pins that down. Programs keep
 their per-vertex state in a `__slots__` class. A per-vertex `Channel`
-sends a program's messages framed (a length token, then the message,
-streamed under the budget) or unframed (each message as it is, one per
-edge a round, never split). The algorithms' two tree waves are written
-once here, each in the format its caller picks: `Convergecast`, a
+sends a program's messages framed: a length token, then the message,
+streamed under the budget. The algorithms' two tree waves are written
+once here, framed or unframed as the caller picks (unframed, each message
+goes as it is, one per edge a round, never split): `Convergecast`, a
 leaves-to-root scan in which each vertex decides once all its children's
 messages are in and sends its own up, and `Downcast`, a root-to-leaves
 relay in which each vertex acts once on its parent's message.
@@ -283,9 +283,6 @@ class TokenStream:
     def __init__(self):
         self.buf = []
 
-    def push(self, tokens):
-        self.buf.extend(tokens)
-
     def push_frame(self, tokens):
         """Queue one frame: a length token, then `tokens`."""
         self.buf.append(len(tokens))
@@ -300,25 +297,19 @@ class TokenStream:
 
 
 class Channel:
-    """One vertex's streams over its incident edges, framed or unframed.
+    """One vertex's framed streams over its incident edges.
 
-    Framed, each message is sent as a frame: one length token followed by
-    that many tokens, streamed under the budget and handed to the receiver
-    once its last token arrives. Frames on one edge arrive whole and in the
-    order they were sent.
-
-    Unframed, each message is sent as it is, one message per edge a round,
-    and handed to the receiver as it arrives. It is never split: a message
-    longer than the budget makes `run` raise BudgetExceeded.
+    Each message is sent as a frame: one length token followed by that many
+    tokens, streamed under the budget and handed to the receiver once its
+    last token arrives. Frames on one edge arrive whole and in the order
+    they were sent.
     """
 
-    __slots__ = ("budget", "framed", "_out", "_partial")
+    __slots__ = ("budget", "_out", "_partial")
 
-    def __init__(self, budget, framed=True):
+    def __init__(self, budget):
         self.budget = budget
-        self.framed = framed
-        # edge -> its queue; unframed, each entry of `buf` is a whole message
-        self._out: dict[int, TokenStream] = {}
+        self._out: dict[int, TokenStream] = {}  # edge -> its queue
         self._partial: dict[int, tuple] = {}  # edge -> tokens of an unfinished frame
 
     def send(self, eid, tokens):
@@ -327,17 +318,12 @@ class Channel:
         s = self._out.get(eid)
         if s is None:
             s = self._out[eid] = TokenStream()
-        if self.framed:
-            s.push_frame(tokens)
-        else:
-            s.buf.append(tokens)
+        s.push_frame(tokens)
 
     def recv(self, inbox):
         """The messages this round's mail completed, as (eid, tokens)."""
         if not inbox:
             return ()
-        if not self.framed:
-            return inbox
         frames = []
         partial = self._partial
         for eid, payload in inbox:
@@ -354,15 +340,14 @@ class Channel:
         return frames
 
     def flush(self, done):
-        """This round's outbox, one message per edge, and the status: ACTIVE
-        while anything is queued, else HALT if `done`, else IDLE. A framed
-        message carries at most `budget` tokens."""
+        """This round's outbox, one message of at most `budget` tokens per
+        edge, and the status: ACTIVE while anything is queued, else HALT if
+        `done`, else IDLE."""
         outbox = []
         queued = False
         for eid, s in self._out.items():
             if s.buf:
-                outbox.append((eid, s.take(self.budget) if self.framed
-                               else s.buf.pop(0)))
+                outbox.append((eid, s.take(self.budget)))
                 if s.buf:
                     queued = True
         if queued:
@@ -373,20 +358,18 @@ class Channel:
 # ---------------------------------------------------------------------------
 # the two tree waves. Convergecast runs over a TreeView, a rooted forest
 # given by parent_edge[v] (-1 at a root) and children[v], a list of
-# (child, edge id) pairs; Downcast's `act` reads the forest itself. A wave
-# vertex builds its Channel at its first send, or at its first mail when
-# framed, since only then does it hold a partial frame; until then it has
-# nothing queued, so its flush is empty. Unframed, a Downcast vertex
-# returns its outbox as it is, and a Convergecast vertex with one message
-# to send returns that message; `run` rejects two messages on one edge. So
-# an unframed wave builds a Channel only at a Convergecast vertex sending
-# k > 1 messages up.
+# (child, edge id) pairs; Downcast's `act` reads the forest itself. A
+# framed wave vertex builds its Channel at its first send or its first
+# mail, since only then does it hold a partial frame; until then it has
+# nothing queued, so its flush is empty. An unframed wave vertex returns
+# its outbox as it is and builds no Channel; `run` rejects two messages on
+# one edge.
 
-def _channel(st, budget, framed):
-    """The wave vertex's Channel, built on first use."""
+def _channel(st, budget):
+    """The framed wave vertex's Channel, built on first use."""
     ch = st.ch
     if ch is None:
-        ch = st.ch = Channel(budget, framed)
+        ch = st.ch = Channel(budget)
     return ch
 
 
@@ -413,12 +396,12 @@ class Convergecast:
     Once it holds k from every child it calls `decide(v, frames)`, where
     `frames` maps each child edge, in `children[v]` order, to its k parsed
     messages; `decide` returns (result, up). A non-root vertex then sends
-    the k token tuples in `up` to its parent through a Channel, framed
-    unless `framed` is False; unframed, a single message is its outbox as
-    it is. The vertex outputs `result`.
+    the k token tuples in `up` to its parent: framed, through a Channel;
+    unframed, which needs k = 1 (else ValueError), as its outbox as it is.
+    The vertex outputs `result`.
 
     Cost: if every `up` message has L tokens, each tree edge carries c
-    messages, c = ceil(k(L+1)/budget) framed and c = k unframed, and the
+    messages, c = ceil(k(L+1)/budget) framed and c = 1 unframed, and the
     run takes h*c rounds on a forest of height h. The covering scan's
     4-token header (k = 1, L = 4) is unframed from budget 4 up: h rounds,
     n-1 messages and at most 4(n-1) tokens; below budget 4 it is one
@@ -426,6 +409,8 @@ class Convergecast:
     """
 
     def __init__(self, view, k, parse, decide, budget, framed=True):
+        if not framed and k != 1:
+            raise ValueError("an unframed Convergecast needs k = 1 (got %d)" % k)
         self.view = view
         self.k = k
         self.parse = parse
@@ -440,7 +425,7 @@ class Convergecast:
         if st.frames is not None:
             if inbox:
                 if self.framed:
-                    inbox = _channel(st, self.budget, True).recv(inbox)
+                    inbox = _channel(st, self.budget).recv(inbox)
                 for eid, toks in inbox:
                     st.frames[eid].append(self.parse(toks))
                     st.nframes += 1
@@ -449,9 +434,9 @@ class Convergecast:
             st.result, up = self.decide(st.v, st.frames)
             st.frames = None  # every child has reported; free its frames
             if st.pe >= 0 and up:
-                if len(up) == 1 and not self.framed:
-                    return [(st.pe, up[0])], HALT
-                ch = _channel(st, self.budget, self.framed)
+                if not self.framed:
+                    return [(st.pe, toks) for toks in up], HALT
+                ch = _channel(st, self.budget)
                 for toks in up:
                     ch.send(st.pe, toks)
         return _flush(st)
@@ -500,7 +485,7 @@ class Downcast:
         if not st.acted:
             msgs = inbox
             if inbox and self.framed:
-                msgs = _channel(st, self.budget, True).recv(inbox)
+                msgs = _channel(st, self.budget).recv(inbox)
             if not msgs and not (rnd == 0 and self.starts(st.v)):
                 return [], IDLE
             st.acted = True
@@ -508,7 +493,7 @@ class Downcast:
             if not self.framed:
                 return outbox, HALT
             if outbox:
-                ch = _channel(st, self.budget, True)
+                ch = _channel(st, self.budget)
                 for eid, toks in outbox:
                     ch.send(eid, toks)
         return _flush(st)

@@ -358,7 +358,7 @@ def test_criterion_10_lca_labels():
         g, tree = generators.gen_random_2ec(n, rng.randint(0, n // 2),
                                             700 + seed)
         frag_of, _ = fast.fragment_decompose(tree, rng.choice([None, 3, 6]))
-        split, scheme, _ = fast.split_labels_sequential(tree, frag_of)
+        split, scheme = fast.split_labels_sequential(tree, frag_of)
         for a in range(n):
             sa = split[a]
             for b in range(n):

@@ -117,3 +117,39 @@ def test_round_count_scales_with_diameter():
         edges, tree, _, m = apps.two_ecss_unweighted(g)
         d = diameter(g)
         assert m.rounds <= 8 * max(d, 1) * 16  # loose sanity ceiling here
+
+
+def _wave_instance(shape):
+    # (graph, BFS tree height): the 33-cycle; a hub joined to 32 leaves,
+    # every edge a bridge, and the same star with a rim cycle on the leaves
+    # (both h = 1); a 16-cycle and a 17-cycle joined by the bridge {0, 16}
+    if shape == "cycle":
+        return generators.gen_cycle(33)[0], 16
+    g = Multigraph(33)
+    if shape == "bridged":
+        for lo, size in ((0, 16), (16, 17)):
+            for i in range(size):
+                g.add_edge(lo + i, lo + (i + 1) % size, 1)
+        g.add_edge(0, 16, 1)
+        return g, 9
+    for v in range(1, 33):
+        g.add_edge(0, v, 1)
+        if shape == "wheel":
+            g.add_edge(v, v % 32 + 1, 1)
+    return g, 1
+
+
+@pytest.mark.parametrize("budget", range(1, 8))
+@pytest.mark.parametrize("shape", ("cycle", "star", "wheel", "bridged"))
+def test_verify_waves_cost_h_rounds_and_one_token_an_edge(shape, budget):
+    # verify_bridges and verify_verdict each send one one-token message up
+    # or down every BFS tree edge, unframed at every budget
+    g, h = _wave_instance(shape)
+    tree = bfs_tree(g, 0)
+    assert tree.height == h
+    verdict, bridges, m = apps.verify_2ec_distributed(g, budget=budget)
+    assert verdict == (shape in ("cycle", "wheel"))
+    assert {tree.parent_edge[v] for v in bridges} == find_bridges(g)
+    for phase in ("verify_bridges", "verify_verdict"):
+        p = m.phase(phase)
+        assert (p.rounds, p.messages, p.tokens) == (h, g.n - 1, g.n - 1), phase

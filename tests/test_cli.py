@@ -145,14 +145,19 @@ def test_fast_transcript_schedule_pinned(tmp_path):
 # rounds, 78 -> 39 messages, 249 -> 156 tokens (total 61/237/631 ->
 # 49/198/538; was 4fd8a87b...c12a203, 3511c622...016863b); verify's
 # cover_up 10 -> 5 rounds, 80 -> 39 messages, 241 -> 156 tokens (total
-# 44/468/866 -> 39/427/781; was 0d4076a1...749a5b, 431bb6ed...37dee6e)
+# 44/468/866 -> 39/427/781; was 0d4076a1...749a5b, 431bb6ed...37dee6e).
+# verify was re-pinned again when it dropped the covering scan and its
+# hand-written OR wave for two one-token waves, verify_bridges up and
+# verify_verdict down, same verdict and bridges: in all 39/427/781 ->
+# 29/349/586 rounds/messages/tokens (was 94d6e0e9...68fc3a32,
+# 80358b00...18f09d80)
 RUN_PINS = {
     "tap": ("35d705717da9d75ffbe59fcae2f3d33d0d38d57a5c51607704d11bcd777dc83c",
             "8d8ebcf7bbe6c5457310aa1957dc621468a55a6bfd1ea41d81415a3cb1cd7bcc"),
     "wtap": ("ea8796c0f9b71a6ab0f18a7cfc6526d068c160f9e22c0d382fcb28c933eb0daa",
              "651802bdf9f44c190509f6e097423fa3a9331742a7c2e140b7ad6d24d5ecb0d7"),
-    "verify": ("94d6e0e95654bf688b075405be394221af9fce1dbd4cd33a1d39b7c568fc3a32",
-               "80358b00fe0e447f79a33007659104a66154cee597d131c6793514a118f09d80"),
+    "verify": ("aa84322c37c954e5343d1a5d49d8cdc283b409730a4dd01d68cfa4efe43654e4",
+               "95d9e34d6fd96db060c56f5848ccedbe090920edc1b67c8376ac81f7dfa8cfc2"),
 }
 
 
@@ -268,6 +273,29 @@ def test_unusable_transcript_path_fails_before_the_run(tmp_path, capsys,
     assert calls == []
     assert err.startswith("error: ") and "missing-dir" in err, err
     assert out == ""
+
+
+@pytest.mark.parametrize("limit", ("0", "-3"))
+def test_round_limit_below_1_is_rejected_up_front(tmp_path, capsys, limit):
+    missing = str(tmp_path / "never-read.txt")
+    assert run_cli(["run", missing, "--algo", "tap", "--max-rounds", limit]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "at least 1" in err, err
+    assert "never-read" not in err and out == ""
+
+
+@pytest.mark.parametrize("args", (
+    ["cycle", "--n", "-1"],
+    ["lb-path", "--k", "0"],
+    ["random", "--n", "1", "--extra", "0"],
+    ["lb-disj", "--k", "2", "--p", "2", "--a", "101", "--b", "01"],
+), ids=("cycle", "lb-path", "random", "lb-disj"))
+def test_gen_rejects_a_size_the_family_does_not_allow(tmp_path, capsys, args):
+    out_path = tmp_path / "g.txt"
+    assert run_cli(["gen"] + args + ["-o", str(out_path)]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and out == "", err
+    assert not out_path.exists()
 
 
 def test_max_rounds_option_does_not_leak(tmp_path):

@@ -62,7 +62,7 @@ def test_split_scheme_lca_matches_truth():
         g, tree = instance(seed, nmax=40)
         rng = random.Random(seed + 7)
         frag_of, _ = fragment_decompose(tree, rng.choice([None, 2, 4]))
-        split, scheme, _ = split_labels_sequential(tree, frag_of)
+        split, scheme = split_labels_sequential(tree, frag_of)
         for _ in range(120):
             a, b = rng.randrange(g.n), rng.randrange(g.n)
             t = true_lca(tree, a, b)

@@ -253,10 +253,10 @@ def test_nominal_phases_are_flagged_and_kept_out_of_the_csv():
 
 def test_token_stream_drains_by_budget():
     s = TokenStream()
-    s.push(("a", "b", "c", "d", "e"))
-    assert s.take(4) == ("a", "b", "c", "d")
-    assert s.buf == ["e"]
-    assert s.take(4) == ("e",)
+    s.push_frame(("a", "b", "c", "d"))
+    assert s.take(4) == (4, "a", "b", "c")
+    assert s.buf == ["d"]
+    assert s.take(4) == ("d",)
     assert not s.buf and s.take(4) is None
 
 
@@ -521,23 +521,24 @@ def test_a_wave_vertex_builds_a_channel_only_to_queue_or_reassemble(framed):
     # mail, where it may hold a partial frame: on a star every vertex does.
     # Unframed, a Downcast vertex returns its outbox as it is and a
     # Convergecast vertex returns its one message, so neither builds one;
-    # only a Convergecast vertex with k = 2 messages to send up queues them
+    # an unframed Convergecast with k = 2 messages to send up is refused
     g, tree = _star(9)
     view = TreeView.of_tree(tree)
-    waves = (
-        (sim.Convergecast(view, 1, lambda toks: toks,
-                          lambda v, frames: (v, [(v,)]), 4, framed=framed),
-         lambda v: framed),
-        (sim.Downcast(lambda v: v == tree.root,
-                      lambda v, payload: (v, [(eid, (v,)) for _, eid
-                                              in view.children[v]]),
-                      4, framed=framed),
-         lambda v: framed),
-        (sim.Convergecast(view, 2, lambda toks: toks,
-                          lambda v, frames: (v, [(v,), (v,)]), 4, framed=framed),
-         lambda v: framed or v != tree.root),
-    )
-    for wave, builds in waves:
+    waves = [
+        sim.Convergecast(view, 1, lambda toks: toks,
+                         lambda v, frames: (v, [(v,)]), 4, framed=framed),
+        sim.Downcast(lambda v: v == tree.root,
+                     lambda v, payload: (v, [(eid, (v,)) for _, eid
+                                             in view.children[v]]),
+                     4, framed=framed),
+    ]
+    two_up = (view, 2, lambda toks: toks, lambda v, frames: (v, [(v,), (v,)]), 4)
+    if framed:
+        waves.append(sim.Convergecast(*two_up))
+    else:
+        with pytest.raises(ValueError, match="k = 1"):
+            sim.Convergecast(*two_up, framed=False)
+    for wave in waves:
         states = {}
         init_state = wave.init_state
 
@@ -548,7 +549,7 @@ def test_a_wave_vertex_builds_a_channel_only_to_queue_or_reassemble(framed):
         wave.init_state = recording
         sim.run(g, wave, budget=4)
         for v, st in states.items():
-            assert (st.ch is not None) == builds(v), (wave, v)
+            assert (st.ch is not None) == framed, (wave, v)
 
 
 @pytest.mark.parametrize("wave", ("convergecast", "downcast"))
@@ -573,11 +574,10 @@ def test_unframed_message_over_budget_is_never_split(wave):
         sim.run(g, prog, budget=2, transcript=lines)
     assert (ei.value.vertex, ei.value.round, ei.value.tokens) == (sender, 0, 3)
     assert lines == ["# phase main"]
-    # the same wave runs once the budget fits the message
-    sim.run(g, prog, budget=3)
-    ch = Channel(2, framed=False)
-    ch.send(5, long_msg)
-    assert ch.flush(True) == ([(5, long_msg)], HALT)
+    # the same wave runs once the budget fits the message, one whole message
+    # a tree edge
+    _, m = sim.run(g, prog, budget=3)
+    assert (m.messages, m.tokens) == (g.n - 1, 3 * (g.n - 1))
 
 
 
