@@ -7,9 +7,8 @@
 * bridge-free reinforcement of a given connected spanning subgraph H
   (edges of H recosted to 0 so reuse is free);
 * distributed verification that a graph is 2-edge-connected: after the
-  BFS tree, its labels and the label exchange, a lowpoint Convergecast
-  (verify_bridges) and a verdict Downcast (verify_verdict), h + h rounds
-  on a tree of height h.
+  BFS tree, Tarjan's bridge test on its preorder intervals in four tree
+  waves and one exchange, 4h + 1 rounds on a tree of height h.
 
 Every tree built here is rooted at vertex 0.
 """
@@ -96,43 +95,58 @@ def augment_1_to_2(g, h_edge_ids, budget: int = sim.DEFAULT_BUDGET):
 def verify_2ec_distributed(g, budget: int = sim.DEFAULT_BUDGET):
     """Every vertex learns whether g is 2-edge-connected.
 
-    Over a BFS tree rooted at 0, of height h, the labels and the label
-    exchange give each vertex its incoming ancestor-descendant edges. Then
-    the simulator's two tree waves run, unframed:
+    Over a BFS tree rooted at 0, of height h, the tree edge above v is a
+    bridge iff every non-tree neighbour of v's subtree lies in v's preorder
+    interval [pre(v), pre(v) + size(v)) (Tarjan, IPL 1974). Four unframed
+    waves, each one token a tree edge and h rounds, find them:
+    * verify_sizes sends subtree sizes up;
+    * verify_preorder sends ("vp", pre) down, child c of v getting pre(v)
+      + 1 plus its earlier siblings' sizes; the exchange then sends one
+      ("vp", pre) frame each way over every non-tree edge;
+    * verify_bridges sends ("vb", low, high, bridgeBelow) up, low and high
+      the least and greatest pre over the subtree and its non-tree
+      neighbours: the edge above v is a bridge iff pre(v) <= low and
+      high < pre(v) + size(v), and bridgeBelow ORs the subtree's flags;
+    * verify_verdict sends ("vd", verdict) down, 1 iff there is no bridge.
 
-    * verify_bridges, a Convergecast: every non-root vertex sends its
-      parent one ("vb", reach, bridgeBelow) token. reach is the least
-      ancestor depth reached by its incoming edges and its children's
-      reaches, its own depth if none is less; the edge to its parent is a
-      bridge iff reach >= its depth (Tarjan's lowpoint test), and
-      bridgeBelow ORs that flag with its children's;
-    * verify_verdict, a Downcast of one ("vd", verdict) token from the root,
-      verdict 1 iff no tree edge is a bridge.
-
-    Each wave takes h rounds, n-1 messages and n-1 tokens: h + h in all
-    after the exchange. Returns (verdict, sorted bridge vertex list, Metrics),
-    a bridge named by its lower vertex; raises SimError if a vertex's
-    verdict is not the root's."""
+    Returns (verdict, sorted bridge vertex list, Metrics), a bridge named by
+    its lower vertex; raises SimError if a vertex's verdict is not the
+    root's."""
     if not is_connected(g):
         raise GraphError("input graph is not connected")
     tree, metrics = build_bfs_tree_distributed(g, 0, budget=budget)
     view = lbl.TreeView.of_tree(tree)
-    all_labels, m = lbl.assign_labels_distributed(g, view, budget=budget)
+    child_sizes, m = lbl.sizes_distributed(g, view, budget, "verify_sizes")
     metrics.merge(m)
-    incidence, m = vg.build_incidence_distributed(g, tree, all_labels,
-                                                  vg.PlainScheme(), budget=budget)
+
+    def number(v, payload):
+        pre = 0 if payload is None else payload[0][1]
+        nxt = pre + 1
+        out = []
+        for c, eid in view.children[v]:
+            out.append((eid, (("vp", nxt),)))
+            nxt += child_sizes[v][c]
+        return (pre, nxt), out
+
+    down = sim.Downcast(lambda v: view.parent_edge[v] < 0, number)
+    interval, m = sim.run(g, down, budget=budget, phase="verify_preorder")
+    metrics.merge(m)
+    nbr_pres, m = vg.exchange_distributed(
+        g, tree, lambda v: (("vp", interval[v][0]),),
+        lambda v, peer: [toks[0][1] for toks in peer.values()], budget)
     metrics.merge(m)
 
     def decide(v, frames):
-        depth = all_labels[v].depth
-        reach = min((ve.anc.depth for ve in incidence[v]), default=depth)
+        pre, end = interval[v]
+        low, high = min([pre] + nbr_pres[v]), max([pre] + nbr_pres[v])
         below = 0
-        for (_, child_reach, child_below), in frames.values():
-            reach = min(reach, child_reach)
+        for (_, child_low, child_high, child_below), in frames.values():
+            low = min(low, child_low)
+            high = max(high, child_high)
             below |= child_below
-        bridge = view.parent_edge[v] >= 0 and reach >= depth
+        bridge = view.parent_edge[v] >= 0 and pre <= low and high < end
         below |= bridge
-        return (bridge, below), [(("vb", reach, below),)]
+        return (bridge, below), [(("vb", low, high, below),)]
 
     up = sim.Convergecast(view, 1, lambda toks: toks[0], decide, budget,
                           framed=False)

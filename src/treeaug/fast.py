@@ -9,9 +9,10 @@ Every broadcast runs over a BFS tree. The parent endpoint of each global
 edge (a tree edge between two fragments) already holds its local label, so
 it announces the edge's directory record itself. The first two passes
 share one in-fragment scan, which finds for each vertex both the maximal
-leaf-added edge and the maximal incoming edge covering its parent edge;
-their two broadcasts stay separate, so no vertex holds both message lists
-at once. The third pass is an in-fragment covering scan.
+leaf-added edge and the maximal incoming edge covering its parent edge,
+and one broadcast of both kinds of record, split by tag on delivery: a
+relay keeps the root's chunks, not copies, so holding both kinds costs
+little. The third pass is an in-fragment covering scan.
 """
 from __future__ import annotations
 
@@ -361,15 +362,13 @@ def _apply_cover(t0, added, split, scheme, tree):
             t0[v] = True
 
 
-def _dedup_cover(parts, scheme):
-    seen = set()
-    cover = []
-    for ve in parts:
-        key = (scheme.key(ve.anc), scheme.key(ve.desc), ve.origin)
-        if key not in seen:
-            seen.add(key)
-            cover.append(ve)
-    return cover
+def _dedup_cover(scheme, *parts):
+    """The passes' selections in pass order, each by origin, each once."""
+    cover = {}
+    for part in parts:
+        for ve in sorted(part, key=lambda e: e.origin):
+            cover.setdefault((scheme.key(ve.anc), scheme.key(ve.desc), ve.origin), ve)
+    return list(cover.values())
 
 
 # ---------------------------------------------------------------------------
@@ -426,32 +425,26 @@ def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
                               budget)
     res, m = sim.run(g, scan, budget=budget, phase="global_cover")
     metrics.merge(m)
-    # only fragment roots announce their maximal incoming edge; building
-    # those messages now frees the other vertices' results before the
-    # leaf broadcast
+    # one broadcast serves passes 1 and 2: each fragment root announces its
+    # maximal leaf-added edge ("lc") and its maximal incoming edge ("gc");
+    # building those records now frees the other vertices' results first
+    msgs = [(v, ((tag, v, ve.origin),) + scheme.tokens(ve.anc)
+             + scheme.tokens(ve.desc))
+            for v in frag_roots if v != tree.root
+            for tag, ve in zip(("lc", "gc"), res[v]) if ve is not None]
     leaf_max = [r[0] for r in res]
-    glob_msgs = [(v, (("gc", v, res[v][1].origin),) + scheme.tokens(res[v][1].anc)
-                  + scheme.tokens(res[v][1].desc))
-                 for v in frag_roots if v != tree.root and res[v][1] is not None]
     del res
-
-    # pass 1: each fragment announces its maximal leaf-added edge
-    msgs = [(v, _edge_frame(leaf_max[v], scheme))
-            for v in frag_roots if v != tree.root and leaf_max[v] is not None]
-    bc1, m = sim.broadcast_upcast(g, bfs, msgs, budget=budget, phase="leaf_bcast")
+    bc, m = sim.broadcast_upcast(g, bfs, msgs, budget=budget, phase="cover_bcast")
     metrics.merge(m)
-    bcast1 = [_parse_edge(msg, 1, msg[0], scheme) for msg in bc1]
+    tagged = [(msg[0], _parse_edge(msg, 1, msg[0][2], scheme)) for msg in bc]
+    bcast1 = [ve for tag, ve in tagged if tag[0] == "lc"]
+    frag_max = {tag[1]: ve for tag, ve in tagged if tag[0] == "gc"}
+
+    # pass 1: coverage by the leaf-added edges; pass 2: the contracted-tree
+    # scan over the fragments' maximal incoming edges, at every vertex
     t0 = _coverage_after_leaf_pass(tree, split, scheme, leaf_max, bcast1)
-
-    # pass 2: per-fragment maximal incoming edges, broadcast, and the
-    # contracted-tree scan replayed at every vertex
-    bc2, m = sim.broadcast_upcast(g, bfs, glob_msgs, budget=budget,
-                                  phase="global_bcast")
-    metrics.merge(m)
-    frag_max = {msg[0][1]: _parse_edge(msg, 1, msg[0][2], scheme) for msg in bc2}
-    glob_t0 = {f: t0[f] for f in frag_roots}
     tf_res = fragment_tree_scan(tree, frag_roots, frag_of, split, scheme,
-                                frag_max, glob_t0)
+                                frag_max, t0)
     added_global = tf_res["added"]
     _apply_cover(t0, added_global, split, scheme, tree)
 
@@ -475,10 +468,8 @@ def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
                                   phase="final_broadcast")
     metrics.merge(m)
 
-    cover = _dedup_cover(
-        sorted(added_leaf.values(), key=lambda e: e.origin)
-        + sorted(added_global, key=lambda e: e.origin)
-        + sorted(res3["added"], key=lambda e: e.origin), scheme)
+    cover = _dedup_cover(scheme, added_leaf.values(), added_global,
+                         res3["added"])
     bridges = sorted(set(tf_res["bridges"]) | set(res3["bridges"]))
     return {
         "cover": cover, "bridges": bridges, "frag_max": frag_max,
@@ -506,9 +497,8 @@ def sequential_fast_cover(g, tree):
                                    lambda v: incidence[v])
     frag_max = {v: res2[v] for v in frag_roots
                 if v != tree.root and res2[v] is not None}
-    glob_t0 = {f: t0[f] for f in frag_roots}
     tf_res = fragment_tree_scan(tree, frag_roots, frag_of, split, scheme,
-                                frag_max, glob_t0)
+                                frag_max, t0)
     added_global = tf_res["added"]
     _apply_cover(t0, added_global, split, scheme, tree)
 
@@ -523,10 +513,8 @@ def sequential_fast_cover(g, tree):
             root=view.parent_edge[v] < 0)
     res3 = cover_scan.sequential_cover_scan(nodes, scheme)
 
-    cover = _dedup_cover(
-        sorted(added_leaf.values(), key=lambda e: e.origin)
-        + sorted(added_global, key=lambda e: e.origin)
-        + sorted(res3["added"], key=lambda e: e.origin), scheme)
+    cover = _dedup_cover(scheme, added_leaf.values(), added_global,
+                         res3["added"])
     bridges = sorted(set(tf_res["bridges"]) | set(res3["bridges"]))
     return {"cover": cover, "bridges": bridges, "labels": split,
             "scheme": scheme, "frag_of": frag_of, "frag_roots": frag_roots}

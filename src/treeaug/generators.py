@@ -120,6 +120,8 @@ def gen_random_2ec(n: int, extra: int, seed: int, wmin: int = 1, wmax: int = 1):
     in [wmin, wmax]; spanning tree picked over a shuffled edge order."""
     if n < 3:
         raise ValueError("n >= 3 required")
+    if not 0 <= wmin <= wmax:
+        raise ValueError("need 0 <= wmin <= wmax (got %d, %d)" % (wmin, wmax))
     rng = random.Random(seed)
     perm = list(range(1, n))
     rng.shuffle(perm)

@@ -19,7 +19,8 @@ class NotConnectedError(GraphError):
 
 
 class Multigraph:
-    """Adjacency-list multigraph; self loops rejected, parallel edges allowed."""
+    """Adjacency-list multigraph; self loops and negative weights rejected,
+    parallel edges allowed."""
 
     __slots__ = ("n", "edges", "adj")
 
@@ -39,6 +40,8 @@ class Multigraph:
             raise GraphError("self loop on vertex %d" % u)
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise GraphError("edge endpoint out of range: (%d, %d)" % (u, v))
+        if w < 0:
+            raise GraphError("negative weight %d on edge (%d, %d)" % (w, u, v))
         eid = len(self.edges)
         self.edges.append((u, v, w))
         self.adj[u].append((eid, v))

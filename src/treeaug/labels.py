@@ -203,25 +203,29 @@ def parse_label(buf, i):
 # ---------------------------------------------------------------------------
 # distributed assignment: the two tree waves from the view roots.
 
-def assign_labels_distributed(g, view: TreeView, budget: int = sim.DEFAULT_BUDGET,
-                              phase_prefix: str = "label"):
-    """Run the two labeling phases on the engine; returns (labels, Metrics).
-
-    <prefix>_sizes is an unframed sim.Convergecast: every vertex sends its
-    parent one ("sz", subtreeSize) token, so it takes h rounds and one
-    message per tree edge. Each vertex keeps its children's sizes.
-    <prefix>_assign is a framed sim.Downcast from the view roots: every
-    vertex picks its heavy child and sends each child its label as one
-    frame.
-    """
+def sizes_distributed(g, view: TreeView, budget: int, phase: str):
+    """Subtree sizes up the view, an unframed sim.Convergecast of one
+    ("sz", size) token a tree edge in h rounds; returns ({child: size} per
+    vertex, Metrics)."""
     def sizes(v, frames):
         by_child = {c: frames[eid][0] for c, eid in view.children[v]}
         return by_child, [(("sz", 1 + sum(by_child.values())),)]
 
     up = sim.Convergecast(view, 1, lambda toks: toks[0][1], sizes, budget,
                           framed=False)
-    child_sizes, metrics = sim.run(g, up, budget=budget,
-                                   phase=phase_prefix + "_sizes")
+    return sim.run(g, up, budget=budget, phase=phase)
+
+
+def assign_labels_distributed(g, view: TreeView, budget: int = sim.DEFAULT_BUDGET,
+                              phase_prefix: str = "label"):
+    """Run the two labeling phases on the engine; returns (labels, Metrics).
+
+    <prefix>_sizes is `sizes_distributed`. <prefix>_assign is a framed
+    sim.Downcast from the view roots: every vertex picks its heavy child and
+    sends each child its label as one frame.
+    """
+    child_sizes, metrics = sizes_distributed(g, view, budget,
+                                             phase_prefix + "_sizes")
 
     def act(v, toks):
         label = LcaLabel(v, 0, ((v, 0),)) if toks is None else parse_label(toks, 0)[0]

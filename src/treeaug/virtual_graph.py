@@ -148,51 +148,62 @@ class _ExchangeState:
 
     def __init__(self, v, nt, ch):
         self.v = v
-        self.nt = nt      # [(non-tree edge id, neighbour)] by edge id
+        self.nt = nt      # number of incident non-tree edges
         self.ch = ch
-        self.peer = {}    # non-tree edge id -> the neighbour's label
+        self.peer = {}    # non-tree edge id -> the neighbour's message
 
 
 class _ExchangeProgram:
-    """Stream own label over every incident non-tree edge, then classify."""
+    """Every vertex sends one frame, `send(v)`, over each incident non-tree
+    edge, and once all have come in outputs `read(v, peer)`, peer mapping
+    each of those edge ids to the frame that came over it."""
 
-    def __init__(self, g, tree, all_labels, scheme, budget):
+    def __init__(self, g, tree, send, read, budget):
         self.g = g
         self.tree = tree
-        self.labels = all_labels
-        self.scheme = scheme
+        self.send = send
+        self.read = read
         self.budget = budget
 
     def init_state(self, v):
-        nt = [(eid, u) for eid, u in self.g.adj[v] if eid not in self.tree.tree_edges]
-        nt.sort()
+        nt = sorted(eid for eid, _ in self.g.adj[v]
+                    if eid not in self.tree.tree_edges)
         ch = sim.Channel(self.budget)
-        toks = self.scheme.tokens(self.labels[v])
-        for eid, _ in nt:
+        toks = self.send(v)
+        for eid in nt:
             ch.send(eid, toks)
-        return _ExchangeState(v, nt, ch)
+        return _ExchangeState(v, len(nt), ch)
 
     def step(self, st, rnd, inbox):
         for eid, toks in st.ch.recv(inbox):
-            st.peer[eid], _ = self.scheme.parse(toks, 0)
-        return st.ch.flush(len(st.peer) == len(st.nt))
+            st.peer[eid] = toks
+        return st.ch.flush(len(st.peer) == st.nt)
 
     def output(self, st):
-        v = st.v
+        return self.read(st.v, st.peer)
+
+
+def exchange_distributed(g, tree, send, read, budget: int = sim.DEFAULT_BUDGET):
+    """Run _ExchangeProgram; returns (per-vertex read results, Metrics)."""
+    prog = _ExchangeProgram(g, tree, send, read, budget)
+    return sim.run(g, prog, budget=budget, phase="exchange")
+
+
+def build_incidence_distributed(g, tree, all_labels, scheme,
+                                budget: int = sim.DEFAULT_BUDGET):
+    """build_incidence_sequential's result, by exchanging labels."""
+    def read(v, peer):
         out = []
-        for eid, _ in st.nt:
-            ve = classify_incoming(self.labels[v], st.peer[eid], eid,
-                                   self.g.weight(eid), self.scheme)
+        for eid, toks in peer.items():
+            ve = classify_incoming(all_labels[v], scheme.parse(toks, 0)[0],
+                                   eid, g.weight(eid), scheme)
             if ve is not None:
                 out.append(ve)
         out.sort(key=lambda e: e.origin)
         return out
 
-
-def build_incidence_distributed(g, tree, all_labels, scheme,
-                                budget: int = sim.DEFAULT_BUDGET):
-    prog = _ExchangeProgram(g, tree, all_labels, scheme, budget)
-    return sim.run(g, prog, budget=budget, phase="exchange")
+    return exchange_distributed(g, tree, lambda v: scheme.tokens(all_labels[v]),
+                                read, budget)
 
 
 def project_augmentation(g, tree, all_labels, virt_edges, scheme=None) -> Augmentation:

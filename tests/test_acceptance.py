@@ -414,14 +414,19 @@ def test_criterion_11_applications():
                 u, v = rng.randrange(n), rng.randrange(n)
                 if u != v:
                     g.add_edge(u, v, 1)
-        verdict, _, m = apps.verify_2ec_distributed(g)
+        verdict, bridges, m = apps.verify_2ec_distributed(g)
         _watch(m)
         if verdict != is_two_edge_connected(g):
             _report("criterion-11", False, "verify wrong at seed %d" % seed)
+        tree = bfs_tree(g, 0)
+        if {tree.parent_edge[v] for v in bridges} != find_bridges(g):
+            _report("criterion-11", False,
+                    "verify's bridges wrong at seed %d" % seed)
         agreed += 1
     _report("criterion-11", True,
             "subgraphs valid within 2(n-1) edges and 8D rounds; %d/500 "
-            "verification verdicts unanimous and correct (%.1fs)"
+            "verification verdicts unanimous and correct, bridge lists "
+            "equal to the bridge finder's (%.1fs)"
             % (agreed, time.time() - t0))
 
 

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from treeaug import apps, generators, oracle
-from treeaug.graph import (GraphError, Multigraph, bfs_tree, find_bridges,
-                           is_two_edge_connected, mst_tree,
+from treeaug.graph import (GraphError, Multigraph, bfs_tree, build_multigraph,
+                           find_bridges, is_two_edge_connected, mst_tree,
                            subgraph_two_edge_connected)
 
 
@@ -81,7 +81,12 @@ def test_reinforcement_rejects_disconnected_h():
         apps.augment_1_to_2(g, h)
 
 
-def test_verify_agrees_with_bridge_finder():
+def _bridge_finder_instances():
+    # a lone vertex, a single edge and two parallel edges, then 150 seeded
+    # graphs, half of them with bridges
+    yield "n=1", Multigraph(1)
+    yield "edge", build_multigraph(2, [(0, 1)])
+    yield "parallel", build_multigraph(2, [(0, 1), (1, 0)])
     for seed in range(150):
         rng = random.Random(seed)
         if rng.random() < 0.5:
@@ -95,11 +100,16 @@ def test_verify_agrees_with_bridge_finder():
                 u, v = rng.randrange(n), rng.randrange(n)
                 if u != v:
                     g.add_edge(u, v, 1)
+        yield seed, g
+
+
+def test_verify_agrees_with_bridge_finder():
+    for name, g in _bridge_finder_instances():
         verdict, bridge_vertices, m = apps.verify_2ec_distributed(g)
-        assert verdict == is_two_edge_connected(g), seed
+        assert verdict == is_two_edge_connected(g), name
         tree = bfs_tree(g, 0)
         want = {tree.parent_edge[v] for v in bridge_vertices}
-        assert want == find_bridges(g), seed
+        assert want == find_bridges(g), name
         assert m.max_tokens_edge_round <= 4
 
 
@@ -142,14 +152,26 @@ def _wave_instance(shape):
 @pytest.mark.parametrize("budget", range(1, 8))
 @pytest.mark.parametrize("shape", ("cycle", "star", "wheel", "bridged"))
 def test_verify_waves_cost_h_rounds_and_one_token_an_edge(shape, budget):
-    # verify_bridges and verify_verdict each send one one-token message up
-    # or down every BFS tree edge, unframed at every budget
+    # each of the four waves sends one one-token message up or down every
+    # BFS tree edge, unframed at every budget; the exchange sends one
+    # ("vp", pre) token, framed, each way over each of the k non-tree edges
     g, h = _wave_instance(shape)
     tree = bfs_tree(g, 0)
     assert tree.height == h
     verdict, bridges, m = apps.verify_2ec_distributed(g, budget=budget)
     assert verdict == (shape in ("cycle", "wheel"))
     assert {tree.parent_edge[v] for v in bridges} == find_bridges(g)
-    for phase in ("verify_bridges", "verify_verdict"):
+    assert [p.phase for p in m.phases] == [
+        "bfs", "verify_sizes", "verify_preorder", "exchange",
+        "verify_bridges", "verify_verdict"]
+    for phase in ("verify_sizes", "verify_preorder", "verify_bridges",
+                  "verify_verdict"):
         p = m.phase(phase)
         assert (p.rounds, p.messages, p.tokens) == (h, g.n - 1, g.n - 1), phase
+    k = g.m - g.n + 1
+    p = m.phase("exchange")
+    if budget >= 2:
+        want = (1 if k else 0, 2 * k, 4 * k)
+    else:
+        want = (2 if k else 0, 4 * k, 4 * k)
+    assert (p.rounds, p.messages, p.tokens) == want

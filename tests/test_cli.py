@@ -113,11 +113,17 @@ def test_fast_transcript_bytes_pinned(tmp_path):
     # tree edge instead of two label frames: local_cover_up 14 -> 7 rounds,
     # 112 -> 56 messages, 336 -> 224 tokens; in all 169 -> 162 rounds,
     # 2,857 -> 2,801 messages, 9,594 -> 9,482 tokens, 96,292 -> 94,724
-    # bytes (was c84cdbb7...381093), same output
+    # bytes (was c84cdbb7...381093), same output. Re-pinned again when
+    # leaf_bcast (28 rounds, 544 messages) and global_bcast (28 rounds, 796
+    # messages) became one cover_bcast (32 rounds, 1,340 messages), each
+    # record tagged ("lc" | "gc", fragRoot, origin) where a leaf record led
+    # with its bare origin: in all 162 -> 138 rounds, 2,801 messages and
+    # 9,482 tokens unchanged, 94,724 -> 96,232 bytes (was
+    # e78412c0...e6f3ea73), same output
     data = _fast_lb_disj_transcript(tmp_path)
-    assert len(data) == 94724
+    assert len(data) == 96232
     assert hashlib.sha256(data).hexdigest() == (
-        "e78412c07537ac22007ef5d0c7fc19bd6e60cb26d86698656a2b3b53e6f3ea73")
+        "f236309fdd68462d90b462da6de3c2e705f0a1957cb28b808aa9186ac2c02702")
 
 
 def test_fast_transcript_schedule_pinned(tmp_path):
@@ -130,11 +136,13 @@ def test_fast_transcript_schedule_pinned(tmp_path):
     # in-fragment scans, which changes which phases run and who sends what.
     # Re-pinned again (was 61a9a5a4...261cff) when local_cover_up's two
     # label frames an edge became one 4-token header, one message an edge:
-    # that phase 14 -> 7 rounds, 112 -> 56 messages
+    # that phase 14 -> 7 rounds, 112 -> 56 messages. Re-pinned again (was
+    # cc251ed9...cf8e88a2) when the leaf and global broadcasts became one
+    # cover_bcast: 28 + 28 -> 32 rounds
     lines = _fast_lb_disj_transcript(tmp_path).decode().splitlines()
     schedule = "".join(",".join(line.split(",")[:5]) + "\n" for line in lines)
     assert hashlib.sha256(schedule.encode()).hexdigest() == (
-        "cc251ed98da83cee432eb1ec35222348218ecb85da084d5776237151cf8e88a2")
+        "5eddcdf26fab837c72add1513662e4a375a48c6edcec3cec0015545e3a85afbe")
 
 
 # SHA-256 of the full transcript and of the --metrics CSV at budget 4 on one
@@ -150,14 +158,19 @@ def test_fast_transcript_schedule_pinned(tmp_path):
 # hand-written OR wave for two one-token waves, verify_bridges up and
 # verify_verdict down, same verdict and bridges: in all 39/427/781 ->
 # 29/349/586 rounds/messages/tokens (was 94d6e0e9...68fc3a32,
-# 80358b00...18f09d80)
+# 80358b00...18f09d80). verify was re-pinned again when Tarjan's preorder
+# intervals replaced the heavy-path labels and their exchange: label_sizes,
+# label_assign and a label exchange (5/39/39, 6/51/164, 2/61/185) became
+# verify_sizes, verify_preorder and a one-token exchange (5/39/39, 5/39/39,
+# 1/42/84), same verdict and bridges: in all 29/349/586 -> 27/318/360 (was
+# aa84322c...efe43654e4, 95d9e34d...f7dfa8cfc2)
 RUN_PINS = {
     "tap": ("35d705717da9d75ffbe59fcae2f3d33d0d38d57a5c51607704d11bcd777dc83c",
             "8d8ebcf7bbe6c5457310aa1957dc621468a55a6bfd1ea41d81415a3cb1cd7bcc"),
     "wtap": ("ea8796c0f9b71a6ab0f18a7cfc6526d068c160f9e22c0d382fcb28c933eb0daa",
              "651802bdf9f44c190509f6e097423fa3a9331742a7c2e140b7ad6d24d5ecb0d7"),
-    "verify": ("aa84322c37c954e5343d1a5d49d8cdc283b409730a4dd01d68cfa4efe43654e4",
-               "95d9e34d6fd96db060c56f5848ccedbe090920edc1b67c8376ac81f7dfa8cfc2"),
+    "verify": ("992b26ef3c0e824945374a40e94b3c1f66e6a8ee424fe8dba07c4255e2334bd7",
+               "2e73f394af601e3f0c652004fb36144262c3fbcd75c2fa7d7e18a89acba486d3"),
 }
 
 
@@ -296,6 +309,32 @@ def test_gen_rejects_a_size_the_family_does_not_allow(tmp_path, capsys, args):
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and out == "", err
     assert not out_path.exists()
+
+
+def test_negative_edge_weight_in_an_instance_is_an_error(tmp_path, capsys):
+    # the exact optimum assumes w >= 0: on this instance wtap reported
+    # value=-13 against optimum=-10, and ecss-w a ratio below 1
+    inst = tmp_path / "neg.txt"
+    inst.write_text("4 7\n0 1 1 t\n1 2 1 t\n2 3 1 t\n0 3 1\n0 2 -5\n"
+                    "1 3 -5\n0 1 -3\n")
+    for algo in ("wtap", "ecss-w"):
+        assert run_cli(["run", str(inst), "--algo", algo, "--oracle"]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and "negative weight" in err, err
+        assert out == ""
+
+
+@pytest.mark.parametrize("args", (
+    ["random", "--n", "10", "--extra", "3", "--wmin", "-1"],
+    ["random", "--n", "10", "--extra", "3", "--wmin", "5", "--wmax", "2"],
+    ["lb-path", "--k", "3", "--weighted", "--alpha", "-5"],
+), ids=("random", "random-empty-range", "lb-path"))
+def test_gen_rejects_negative_or_empty_weight_ranges(tmp_path, capsys, args):
+    out_path = tmp_path / "g.txt"
+    assert run_cli(["gen"] + args + ["-o", str(out_path)]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and out == "", err
+    assert "randrange" not in err and not out_path.exists()
 
 
 def test_max_rounds_option_does_not_leak(tmp_path):

@@ -112,9 +112,8 @@ def test_phases_are_exactly_the_needed_ones():
     res = fast_cover_distributed(g, tree)
     assert [p.phase for p in res["metrics"].phases] == [
         "bfs", "fragmentation", "labels_local_sizes", "labels_local_assign",
-        "labels_global_bcast", "exchange", "global_cover", "leaf_bcast",
-        "global_bcast", "local_cover_up", "local_cover_down",
-        "final_broadcast"]
+        "labels_global_bcast", "exchange", "global_cover", "cover_bcast",
+        "local_cover_up", "local_cover_down", "final_broadcast"]
     assert not hasattr(fast, "_ParentLabelProgram")
 
 
@@ -172,7 +171,6 @@ def test_rounds_beat_plain_algorithm_on_tall_trees():
     frags = len(fres["frag_roots"])
     assert frags <= 4 * math.isqrt(n) + 4
     # per-phase broadcast message volume stays near sqrt(n)
-    for name in ("labels_global_bcast", "leaf_bcast", "global_bcast",
-                 "final_broadcast"):
+    for name in ("labels_global_bcast", "cover_bcast", "final_broadcast"):
         ph = fres["metrics"].phase(name)
         assert ph.rounds <= 16 * (tree.height // 8 + math.isqrt(n) + 8)

@@ -62,6 +62,14 @@ def test_self_loops_rejected():
         g.add_edge(1, 1, 1)
 
 
+def test_negative_weights_rejected_zero_allowed():
+    g = Multigraph(2)
+    with pytest.raises(GraphError):
+        g.add_edge(0, 1, -1)
+    assert g.m == 0
+    assert g.add_edge(0, 1, 0) == 0  # recost_for_h makes reuse free this way
+
+
 def test_rooted_tree_structure():
     for seed in range(40):
         rng = random.Random(100 + seed)
