@@ -7,12 +7,15 @@ ancestor-descendant view, hence a 4-approximate augmentation.
 
 Every broadcast runs over a BFS tree. The parent endpoint of each global
 edge (a tree edge between two fragments) already holds its local label, so
-it announces the edge's directory record itself. The first two passes
-share one in-fragment scan, which finds for each vertex both the maximal
-leaf-added edge and the maximal incoming edge covering its parent edge,
-and one broadcast of both kinds of record, split by tag on delivery: a
-relay keeps the root's chunks, not copies, so holding both kinds costs
-little. The third pass is an in-fragment covering scan.
+it announces the edge's directory record itself. The records are the
+fragment tree: the second pass scans it as a contracted tree, and ancestry
+across fragments and the third pass's entry points are read by walking it
+upward. The first two passes share one in-fragment scan, which finds
+for each vertex both the maximal leaf-added edge and the maximal incoming
+edge covering its parent edge, and one broadcast of both kinds of record,
+split by tag on delivery: a relay keeps the root's chunks, not copies, so
+holding both kinds costs little. The third pass is an in-fragment covering
+scan.
 """
 from __future__ import annotations
 
@@ -70,49 +73,33 @@ class SplitScheme:
 
     records: (child fragment, parent fragment, local label of the parent
     endpoint of the child's global edge) triples; root_frag is the fragment
-    holding the tree root. The LCA of two vertices in different fragments
-    is found inside the fragment-tree LCA fragment F as the local LCA of
-    the two entry points of their root paths into F.
+    holding the tree root. The records are the fragment tree: a root path
+    leaves fragment f for tf_parent[f], entering it at entry_label[f]. The
+    LCA of two vertices in different fragments is found by walking both
+    root paths up to the fragment-tree LCA fragment F, as the local LCA of
+    their entry points into F.
     """
 
     def __init__(self, records, root_frag: int):
         self.root_frag = root_frag
         self.tf_parent = {}
         self.entry_label = {}
-        frags = {root_frag}
         for child, parent, plabel in records:
             self.tf_parent[child] = parent
             self.entry_label[child] = plabel
-            frags.add(child)
-            frags.add(parent)
-        self.frags = sorted(frags)
-        idx = {f: i for i, f in enumerate(self.frags)}
-        # heavy-path labels on the fragment tree itself
-        k = len(self.frags)
-        pv = [-1] * k
-        pe = [-1] * k
-        children: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-        for child, parent in self.tf_parent.items():
-            ci, pi = idx[child], idx[parent]
-            pv[ci] = pi
-            pe[ci] = ci  # edge ids are unused on this synthetic view
-            children[pi].append((ci, ci))
-        for c in children:
-            c.sort()
-        view = lbl.TreeView(k, pv, pe, children, [idx[root_frag]])
-        tf_labels = lbl.assign_labels_sequential(view)
-        self.tf_label = {f: tf_labels[idx[f]] for f in self.frags}
-        self._frag_by_key = {lab.seq: f for f, lab in self.tf_label.items()}
-        # depth in the full tree of each fragment root
-        self.base_depth = {}
-        for f in sorted(self.frags, key=lambda f: self.tf_label[f].depth):
-            if f == root_frag:
-                self.base_depth[f] = 0
-            else:
-                p = self.tf_parent[f]
-                self.base_depth[f] = (self.base_depth[p]
-                                      + self.entry_label[f].depth + 1)
-        self._entry_cache = {}
+        # fragment-tree depth, and full-tree depth of each fragment root
+        self.tf_depth = {root_frag: 0}
+        self.base_depth = {root_frag: 0}
+        for f in self.tf_parent:
+            path = []
+            while f not in self.tf_depth:
+                path.append(f)
+                f = self.tf_parent[f]
+            for c in reversed(path):
+                p = self.tf_parent[c]
+                self.tf_depth[c] = self.tf_depth[p] + 1
+                self.base_depth[c] = (self.base_depth[p]
+                                      + self.entry_label[c].depth + 1)
 
     def depth(self, sl: SplitLabel) -> int:
         return self.base_depth[sl.frag] + sl.local.depth
@@ -123,43 +110,26 @@ class SplitScheme:
     def key(self, sl: SplitLabel):
         return (sl.frag, sl.local.seq)
 
-    def _entry_into(self, anc_frag: int, desc_frag: int) -> lbl.LcaLabel:
-        """Local label (in anc_frag) of the parent endpoint of the global
-        edge through which desc_frag's chain enters anc_frag."""
-        key = (anc_frag, desc_frag)
-        hit = self._entry_cache.get(key)
-        if hit is not None:
-            return hit
-        f = desc_frag
-        while self.tf_parent[f] != anc_frag:
-            f = self.tf_parent[f]
-        out = self.entry_label[f]
-        self._entry_cache[key] = out
-        return out
+    def _up(self, sl: SplitLabel, tf_depth: int):
+        """(fragment, local label) where sl's root path enters its
+        fragment-tree ancestor at fragment-tree depth tf_depth."""
+        f, x = sl.frag, sl.local
+        while self.tf_depth[f] > tf_depth:
+            f, x = self.tf_parent[f], self.entry_label[f]
+        return f, x
 
     def lca(self, a: SplitLabel, b: SplitLabel) -> SplitLabel:
-        if a.frag == b.frag:
-            return SplitLabel(a.frag, lbl.lca_query(a.local, b.local))
-        gl = lbl.lca_query(self.tf_label[a.frag], self.tf_label[b.frag])
-        f = self._frag_by_key[gl.seq]
-        x = a.local if f == a.frag else self._entry_into(f, a.frag)
-        y = b.local if f == b.frag else self._entry_into(f, b.frag)
-        return SplitLabel(f, lbl.lca_query(x, y))
-
-    def entry_point(self, frag: int, desc_frag: int):
-        """Local label (in `frag`) of the deepest vertex of `frag` that is
-        an ancestor of all of desc_frag; None unless frag is a proper
-        fragment-tree ancestor of desc_frag."""
-        if frag == desc_frag:
-            return None
-        ta, td = self.tf_label[frag], self.tf_label[desc_frag]
-        if not lbl.is_ancestor(ta, td):
-            return None
-        return self._entry_into(frag, desc_frag)
+        d = min(self.tf_depth[a.frag], self.tf_depth[b.frag])
+        fa, x = self._up(a, d)
+        fb, y = self._up(b, d)
+        while fa != fb:
+            fa, x = self.tf_parent[fa], self.entry_label[fa]
+            fb, y = self.tf_parent[fb], self.entry_label[fb]
+        return SplitLabel(fa, lbl.lca_query(x, y))
 
     def is_ancestor(self, a: SplitLabel, d: SplitLabel) -> bool:
-        t = self.lca(a, d)
-        return t.frag == a.frag and t.local.seq == a.local.seq
+        f, x = self._up(d, self.tf_depth[a.frag])
+        return f == a.frag and lbl.is_ancestor(a.local, x)
 
     def tokens(self, sl: SplitLabel) -> tuple:
         return (("sf", sl.frag),) + lbl.label_tokens(sl.local)
@@ -307,49 +277,40 @@ def _coverage_after_leaf_pass(tree, split, scheme, scan_results, bcast):
     """t0[v]: v's local parent edge (or global edge for a fragment root) is
     covered by a leaf-added edge; derived from the in-fragment scan result
     plus the broadcast per-fragment maximal edges."""
-    t0 = [False] * tree.n
-    for v in range(tree.n):
-        if v == tree.root:
-            continue
-        if scan_results[v] is not None:
-            t0[v] = True
-        else:
-            lab = split[v]
-            t0[v] = any(vg.edge_covers(e, lab, scheme) for e in bcast)
+    t0 = [v != tree.root and scan_results[v] is not None for v in range(tree.n)]
+    _apply_cover(t0, bcast, split, scheme, tree)
     return t0
 
 
-def fragment_tree_scan(tree, frag_roots, frag_of, split, scheme, frag_max, t0):
+def fragment_tree_scan(scheme, split, frag_max, t0):
     """Covering scan on the contracted fragment tree: each fragment is one
     node, responsible for its global edge, with its maximal incoming edge
     as the only candidate. Pure local computation from broadcast data."""
-    tf_children: dict[int, list] = {f: [] for f in frag_roots}
-    for f in frag_roots:
-        if f != tree.root:
-            tf_children[frag_of[tree.parent[f]]].append(f)
+    tf_children = {f: [] for f in (scheme.root_frag, *scheme.tf_parent)}
+    for f, p in scheme.tf_parent.items():
+        tf_children[p].append(f)
     nodes = {}
-    for f in frag_roots:
+    for f, children in tf_children.items():
         nodes[f] = cover_scan.ScanNode(
-            f, split[f], children=sorted(tf_children[f]),
+            f, split[f], children=sorted(children),
             incoming=[frag_max[f]] if f in frag_max else [],
-            t0=t0[f], root=(f == tree.root))
+            t0=t0[f], root=(f == scheme.root_frag))
     return cover_scan.sequential_cover_scan(nodes, scheme)
 
 
-def local_incoming(view, incidence, split, scheme, extras):
+def local_incoming(incidence, scheme, extras):
     """Per-vertex candidates for the in-fragment pass: own incidence, plus
-    broadcast fragment-maximal edges, each injected at the vertex where the
-    chain from its descendant's fragment enters this fragment."""
-    out = []
-    for v in range(view.n):
-        cands = list(incidence[v])
-        lab = split[v]
-        for e in extras:
-            ep = scheme.entry_point(lab.frag, e.desc.frag)
-            if ep is not None and ep.seq == lab.local.seq:
-                cands.append(e)
+    broadcast fragment-maximal edges, each injected in every proper
+    fragment-tree ancestor of its descendant's fragment, at the vertex where
+    the chain from that fragment enters it."""
+    out = [list(cands) for cands in incidence]
+    for e in extras:
+        f = e.desc.frag
+        while f != scheme.root_frag:
+            out[scheme.entry_label[f].vertex].append(e)
+            f = scheme.tf_parent[f]
+    for cands in out:
         cands.sort(key=lambda e: e.origin)
-        out.append(cands)
     return out
 
 
@@ -443,15 +404,14 @@ def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
     # pass 1: coverage by the leaf-added edges; pass 2: the contracted-tree
     # scan over the fragments' maximal incoming edges, at every vertex
     t0 = _coverage_after_leaf_pass(tree, split, scheme, leaf_max, bcast1)
-    tf_res = fragment_tree_scan(tree, frag_roots, frag_of, split, scheme,
-                                frag_max, t0)
+    tf_res = fragment_tree_scan(scheme, split, frag_max, t0)
     added_global = tf_res["added"]
     _apply_cover(t0, added_global, split, scheme, tree)
 
     # pass 3: in-fragment covering scan with the fragment-maximal edges as
     # extra leaf candidates
     extras = sorted(frag_max.values(), key=lambda e: e.origin)
-    incoming = local_incoming(view, incidence, split, scheme, extras)
+    incoming = local_incoming(incidence, scheme, extras)
     res3 = cover_scan.distributed_cover_scan(
         g, view, split, incoming, t0, scheme,
         budget=budget, phase_prefix="local_cover")
@@ -461,8 +421,7 @@ def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
     msgs = []
     for v in range(n):
         for ve in res3["adds_by_vertex"][v]:
-            dv = scheme.vertex_of(ve.desc)
-            if dv is None or frag_of[dv] != frag_of[v]:
+            if ve.desc.frag != split[v].frag:
                 msgs.append((v, (("fs", ve.origin),)))
     fin, m = sim.broadcast_upcast(g, bfs, msgs, budget=budget,
                                   phase="final_broadcast")
@@ -497,13 +456,12 @@ def sequential_fast_cover(g, tree):
                                    lambda v: incidence[v])
     frag_max = {v: res2[v] for v in frag_roots
                 if v != tree.root and res2[v] is not None}
-    tf_res = fragment_tree_scan(tree, frag_roots, frag_of, split, scheme,
-                                frag_max, t0)
+    tf_res = fragment_tree_scan(scheme, split, frag_max, t0)
     added_global = tf_res["added"]
     _apply_cover(t0, added_global, split, scheme, tree)
 
     extras = sorted(frag_max.values(), key=lambda e: e.origin)
-    incoming = local_incoming(view, incidence, split, scheme, extras)
+    incoming = local_incoming(incidence, scheme, extras)
     nodes = {}
     for v in range(g.n):
         nodes[v] = cover_scan.ScanNode(

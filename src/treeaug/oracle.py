@@ -191,7 +191,8 @@ def min_two_ecss_size(g, max_m: int = 18) -> int:
     if g.n > MAX_N:
         raise OracleSizeError("n=%d exceeds oracle guard %d" % (g.n, MAX_N))
     all_edges = list(range(g.m))
-    for k in range(g.n, g.m + 1):
+    # n >= 2 vertices need at least n edges; a single vertex needs none
+    for k in range(g.n if g.n > 1 else 0, g.m + 1):
         for sub in combinations(all_edges, k):
             if subgraph_two_edge_connected(g, sub):
                 return k
@@ -210,7 +211,8 @@ def min_two_ecss_weight(g, max_m: int = 18) -> int:
         raise OracleSizeError("n=%d exceeds oracle guard %d" % (g.n, MAX_N))
     all_edges = list(range(g.m))
     best = None
-    for k in range(g.n, g.m + 1):
+    # n >= 2 vertices need at least n edges; a single vertex needs none
+    for k in range(g.n if g.n > 1 else 0, g.m + 1):
         for sub in combinations(all_edges, k):
             w = sum(g.weight(e) for e in sub)
             if (best is None or w < best) and subgraph_two_edge_connected(g, sub):

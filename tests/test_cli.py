@@ -376,6 +376,16 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert run_cli(["oracle", big, "--problem", "ecss"]) == 1
 
 
+@pytest.mark.parametrize("problem", ["ecss", "ecss-w"])
+def test_single_vertex_optimum_is_zero(tmp_path, capsys, problem):
+    inst = tmp_path / "one.txt"
+    inst.write_text("1 0\n")
+    assert run_cli(["run", str(inst), "--algo", problem, "--oracle"]) == 0
+    assert "optimum=0" in capsys.readouterr().out
+    assert run_cli(["oracle", str(inst), "--problem", problem]) == 0
+    assert "optimum=0" in capsys.readouterr().out
+
+
 def test_missing_tree_is_an_error(tmp_path):
     inst = tmp_path / "nt.txt"
     inst.write_text("3 3\n0 1 1\n1 2 1\n0 2 1\n")

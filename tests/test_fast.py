@@ -10,7 +10,8 @@ from treeaug.fast import (SplitScheme, augment_fast, fragment_decompose,
 from treeaug.graph import augmentation_covers, find_bridges
 from treeaug.labels import TreeView, assign_labels_sequential
 from treeaug.unweighted import BridgeDetected, augment_unweighted
-from treeaug.virtual_graph import PlainScheme, covered_tree_edges
+from treeaug.virtual_graph import (PlainScheme, build_incidence_sequential,
+                                   covered_tree_edges)
 
 
 def instance(seed, nmax=24):
@@ -58,10 +59,16 @@ def test_fragment_decomposition_invariants():
 
 
 def test_split_scheme_lca_matches_truth():
+    cases = []
     for seed in range(80):
-        g, tree = instance(seed, nmax=40)
         rng = random.Random(seed + 7)
-        frag_of, _ = fragment_decompose(tree, rng.choice([None, 2, 4]))
+        cases.append((seed, instance(seed, nmax=40), rng,
+                      rng.choice([None, 2, 4])))
+    # paths cut into 2-vertex fragments: fragment-tree chains of 32 and 100
+    for n in (64, 200):
+        cases.append((n, generators.gen_cycle(n), random.Random(n), 2))
+    for seed, (g, tree), rng, target in cases:
+        frag_of, _ = fragment_decompose(tree, target)
         split, scheme = split_labels_sequential(tree, frag_of)
         for _ in range(120):
             a, b = rng.randrange(g.n), rng.randrange(g.n)
@@ -71,6 +78,45 @@ def test_split_scheme_lca_matches_truth():
             assert scheme.key(got) == scheme.key(split[t])
             assert (scheme.is_ancestor(split[a], split[b])
                     == tree.is_ancestor(a, b))
+
+
+def test_directory_is_the_fragment_tree():
+    cases = [instance(seed, nmax=40) for seed in range(40)]
+    cases.append(generators.gen_cycle(64))
+    for g, tree in cases:
+        res = fast_cover_distributed(g, tree)
+        frag_of, scheme = res["frag_of"], res["scheme"]
+        nonroot = [f for f in res["frag_roots"] if f != tree.root]
+        assert scheme.tf_parent == {f: frag_of[tree.parent[f]] for f in nonroot}
+        for f in nonroot:
+            assert scheme.entry_label[f] == res["labels"][tree.parent[f]].local
+        for f in res["frag_roots"]:
+            assert scheme.base_depth[f] == tree.depth[f]
+
+
+def test_local_incoming_injects_where_root_paths_change_fragment():
+    # truth from tree.parent alone: an extra belongs at each vertex p whose
+    # child on its descendant's root path lies in another fragment
+    for seed in range(100):
+        g, tree = instance(seed, nmax=30)
+        for target in (None, 2, 3):
+            frag_of, _ = fragment_decompose(tree, target)
+            split, scheme = split_labels_sequential(tree, frag_of)
+            incidence = build_incidence_sequential(g, tree, split, scheme)
+            extras = sorted({ve for cands in incidence for ve in cands},
+                            key=lambda e: (e.origin, scheme.key(e.desc)))
+            want = [list(cands) for cands in incidence]
+            for e in extras:
+                x = scheme.vertex_of(e.desc)
+                while x != tree.root:
+                    p = tree.parent[x]
+                    if frag_of[p] != frag_of[x]:
+                        want[p].append(e)
+                    x = p
+            got = fast.local_incoming(incidence, scheme, extras)
+            for v in range(g.n):
+                assert got[v] == sorted(want[v], key=lambda e: e.origin), (
+                    seed, target, v)
 
 
 def test_distributed_equals_sequential():

@@ -119,6 +119,13 @@ def test_infeasible_detected():
         oracle.min_two_ecss_size(g)
 
 
+def test_single_vertex_needs_no_edges():
+    # one vertex is 2-edge-connected with no edges, as graph and verify say
+    g = Multigraph(1)
+    assert oracle.min_two_ecss_size(g) == 0
+    assert oracle.min_two_ecss_weight(g) == 0
+
+
 def test_min_two_ecss_matches_exhaustive():
     for seed in range(25):
         rng = random.Random(seed)
