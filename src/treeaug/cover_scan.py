@@ -71,7 +71,10 @@ def _scan_node(node: ScanNode, child_recs, scheme) -> ScanRecord:
     opt = None
     opt_src = None
     for ident, crec in child_recs:
-        if crec.nec is not None:
+        # a necessary edge that ends at or below this node cannot cover its
+        # edge; on the contracted fragment tree two such may end in
+        # different branches of this fragment, where they are incomparable
+        if crec.nec is not None and scheme.depth(crec.nec.anc) < mydepth:
             nec = maximal_of(nec, crec.nec, scheme)
         if crec.opt is not None and scheme.depth(crec.opt.anc) < mydepth:
             cand = maximal_of(opt, crec.opt, scheme)
@@ -83,10 +86,8 @@ def _scan_node(node: ScanNode, child_recs, scheme) -> ScanRecord:
         if cand is not opt:
             opt = cand
             opt_src = ("own", own_max)
-    covered = node.t0 or (nec is not None and scheme.depth(nec.anc) < mydepth)
-    if covered:
-        if nec is not None and scheme.depth(nec.anc) < mydepth:
-            rec.nec = nec
+    if node.t0 or nec is not None:
+        rec.nec = nec
         rec.opt = opt
         rec.opt_src = opt_src
         return rec
@@ -95,9 +96,7 @@ def _scan_node(node: ScanNode, child_recs, scheme) -> ScanRecord:
         return rec
     # the maximal optional becomes necessary and is added here (or at the
     # child that offered it, settled by the verdict pass)
-    rec.nec = maximal_of(nec, opt, scheme) if nec is not None else opt
-    if scheme.depth(rec.nec.anc) >= mydepth:
-        rec.nec = opt
+    rec.nec = opt
     kind, payload = opt_src
     if kind == "own":
         rec.added.append(opt)
@@ -154,9 +153,10 @@ def sequential_cover_scan(nodes: dict, scheme):
 # ancestor endpoint, with -1, -1 for none. A vertex that forwards neither
 # (a bridge, or a pre-covered edge with no optional) sends just (-1,). The
 # header goes unframed when the budget holds its 4 tokens, else as one
-# frame.
+# frame. fast's in-fragment scan sends the same header for its two kinds
+# of edge.
 
-_HEADER_TOKENS = 4
+HEADER_TOKENS = 4
 _NONE = (-1, -1)
 _EMPTY = (-1,)
 
@@ -177,8 +177,11 @@ class _DepthView:
     ancestor. So `maximal_of` needs only depths and origins, and its
     incomparable-ancestor check cannot fire: the view answers `key` with
     the depth and `is_ancestor` with True. The edges a vertex adds are
-    always its own, held with full labels, so the cover is the one
-    `sequential_cover_scan` finds with the full scheme.
+    always its own: held with full labels, or, for fast's extras, as the
+    broadcast record of an edge whose owner holds them. So the cover is the
+    one `sequential_cover_scan` finds with the full scheme. fast's
+    in-fragment scan and its contracted-tree scan decide through this view
+    too, for the same reason.
     """
 
     def __init__(self, scheme):
@@ -198,15 +201,16 @@ def _half(ve, view):
     return _NONE if ve is None else (ve.origin, view.depth(ve.anc))
 
 
-def _header(rec, view):
-    if rec.nec is None and rec.opt is None:
+def depth_header(a, b, view):
+    """The header of edges a and b, each a VirtualEdge or None."""
+    if a is None and b is None:
         return _EMPTY
-    return _half(rec.nec, view) + _half(rec.opt, view)
+    return _half(a, view) + _half(b, view)
 
 
-def _parse_header(toks):
-    """(nec, opt) from a header; each a VirtualEdge(ancestor depth,
-    desc=None, origin, 0), or None."""
+def parse_depth_header(toks):
+    """(a, b) from a header; each a VirtualEdge(ancestor depth, desc=None,
+    origin, 0), or None."""
     if toks == _EMPTY:
         return None, None
     return tuple(None if toks[i] < 0 else VirtualEdge(toks[i + 1], None, toks[i], 0)
@@ -239,10 +243,10 @@ def cover_up(view, resp_labels, incoming, t0, scheme, budget):
         child_recs = [(c, ScanRecord(nec=nec, opt=opt))
                       for c, ((nec, opt),) in zip(kids, frames.values())]
         rec = _scan_node(node, child_recs, dview)
-        return rec, (_header(rec, dview),)
+        return rec, (depth_header(rec.nec, rec.opt, dview),)
 
-    return sim.Convergecast(view, 1, _parse_header, decide, budget,
-                            framed=budget < _HEADER_TOKENS)
+    return sim.Convergecast(view, 1, parse_depth_header, decide, budget,
+                            framed=budget < HEADER_TOKENS)
 
 
 def cover_down(view, records):

@@ -10,12 +10,16 @@ edge (a tree edge between two fragments) already holds its local label, so
 it announces the edge's directory record itself. The records are the
 fragment tree: the second pass scans it as a contracted tree, and ancestry
 across fragments and the third pass's entry points are read by walking it
-upward. The first two passes share one in-fragment scan, which finds
-for each vertex both the maximal leaf-added edge and the maximal incoming
-edge covering its parent edge, and one broadcast of both kinds of record,
-split by tag on delivery: a relay keeps the root's chunks, not copies, so
-holding both kinds costs little. The third pass is an in-fragment covering
-scan.
+upward.
+
+The first two passes share one in-fragment scan, which finds for each
+vertex both the maximal leaf-added edge and the maximal incoming edge
+covering its parent edge, and one broadcast of both kinds of record.
+Neither carries a label: the scan sends one depth-keyed header per tree
+edge, as the covering scan does, and a record is ((tag, fragment, origin),
+ancestor depth), 3 tokens on the wire; `_record_covers` says how the
+passes read it. The cover is built from the full edges the records'
+owners hold. The third pass is an in-fragment covering scan.
 """
 from __future__ import annotations
 
@@ -64,7 +68,7 @@ def fragment_decompose(tree, target: int | None = None):
 @dataclass(frozen=True)
 class SplitLabel:
     frag: int
-    local: lbl.LcaLabel
+    local: lbl.LcaLabel | None  # None names a fragment only, as a record does
 
 
 class SplitScheme:
@@ -208,39 +212,38 @@ def build_bfs_tree_distributed(g, root: int, budget: int = sim.DEFAULT_BUDGET):
 # ---------------------------------------------------------------------------
 # in-fragment maximal-edge scan (one run serves the leaf and global passes)
 
-def _edge_frame(ve, scheme):
-    """(originEdgeId,) + ancestor label + descendant label; empty for none."""
-    if ve is None:
-        return ()
-    return (ve.origin,) + scheme.tokens(ve.anc) + scheme.tokens(ve.desc)
-
-
-def _parse_edge(toks, i, origin, scheme):
-    """The edge whose ancestor and descendant labels start at toks[i]."""
-    anc, i = scheme.parse(toks, i)
-    desc, _ = scheme.parse(toks, i)
-    return vg.VirtualEdge(anc, desc, origin, 0)
-
-
 def _fragment_max_scan(view, split_labels, scheme, own_cands, budget):
-    """Bottom-up within each fragment, as a sim.Convergecast, for several
-    kinds of candidate at once: every non-root vertex sends its local parent
-    one frame per kind, in kind order, each the maximal edge of that kind
-    covering its parent edge, or none. A fragment root's result holds, per
-    kind, the maximal edge covering its global edge. own_cands[i](v) lists
-    the vertex's own contributions of kind i."""
-    def parse(toks):
-        return _parse_edge(toks, 1, toks[0], scheme) if toks else None
+    """Bottom-up within each fragment, as a sim.Convergecast, for the two
+    kinds of candidate at once. own_cands[i](v) lists the vertex's own
+    candidates of kind i, with full labels. Every non-root vertex sends its
+    local parent one `cover_scan.depth_header` (leafOrigin, leafAncDepth,
+    inOrigin, inAncDepth): per kind, the maximal edge covering its parent
+    edge, or none. It goes unframed from budget 4 up, else as one frame.
+    A vertex outputs its two maximal edges; a fragment root's cover its
+    global edge.
+
+    Every candidate a vertex compares has its ancestor endpoint on the
+    vertex's root path: a child's edge covers the child's parent edge, and
+    an own edge descends from the vertex. So the vertex decides on depths
+    through `cover_scan._DepthView`, as `cover_scan.cover_up` does, and a
+    received edge is VirtualEdge(ancestor depth, None, origin, 0).
+
+    Cost on fragments of height h_f, with k fragments: from budget 4 up,
+    h_f rounds and n - k messages of at most 4 tokens; below 4, one frame
+    an edge of at most 5 tokens with its length.
+    """
+    dview = cover_scan._DepthView(scheme)
 
     def decide(v, frames):
         depth = scheme.depth(split_labels[v])
         best = tuple(
-            vg.maximal_covering([f[i] for f in frames.values()] + own(v),
-                                depth, scheme)
+            vg.maximal_covering([f[0][i] for f in frames.values()] + own(v),
+                                depth, dview)
             for i, own in enumerate(own_cands))
-        return best, [_edge_frame(e, scheme) for e in best]
+        return best, (cover_scan.depth_header(*best, dview),)
 
-    return sim.Convergecast(view, len(own_cands), parse, decide, budget)
+    return sim.Convergecast(view, 1, cover_scan.parse_depth_header, decide,
+                            budget, framed=budget < cover_scan.HEADER_TOKENS)
 
 
 def fragment_max_sequential(view, split_labels, scheme, own_cands):
@@ -273,19 +276,26 @@ def _leaf_cands(added_leaf):
     return lambda v: [added_leaf[v]] if v in added_leaf else []
 
 
-def _coverage_after_leaf_pass(tree, split, scheme, scan_results, bcast):
+def _coverage_after_leaf_pass(tree, leaf_max, bcast, covers):
     """t0[v]: v's local parent edge (or global edge for a fragment root) is
-    covered by a leaf-added edge; derived from the in-fragment scan result
-    plus the broadcast per-fragment maximal edges."""
-    t0 = [v != tree.root and scan_results[v] is not None for v in range(tree.n)]
-    _apply_cover(t0, bcast, split, scheme, tree)
+    covered by a leaf-added edge. leaf_max[v], v's in-fragment scan result
+    (an edge or its origin, None for none), answers for the edges that
+    descend in v's fragment; the broadcast per-fragment maximal edges
+    answer for the others, as `covers(e, v)` says."""
+    t0 = [v != tree.root and leaf_max[v] is not None for v in range(tree.n)]
+    _apply_cover(t0, bcast, covers)
     return t0
 
 
-def fragment_tree_scan(scheme, split, frag_max, t0):
+def fragment_tree_scan(scheme, split, frag_max, t0, depth_keyed=False):
     """Covering scan on the contracted fragment tree: each fragment is one
     node, responsible for its global edge, with its maximal incoming edge
-    as the only candidate. Pure local computation from broadcast data."""
+    as the only candidate. Pure local computation from broadcast data.
+
+    With depth_keyed, frag_max holds the broadcast records, and the scan
+    decides through `cover_scan._DepthView`: every candidate a node keeps
+    has its ancestor endpoint above the fragment root, so on one root
+    path."""
     tf_children = {f: [] for f in (scheme.root_frag, *scheme.tf_parent)}
     for f, p in scheme.tf_parent.items():
         tf_children[p].append(f)
@@ -295,14 +305,16 @@ def fragment_tree_scan(scheme, split, frag_max, t0):
             f, split[f], children=sorted(children),
             incoming=[frag_max[f]] if f in frag_max else [],
             t0=t0[f], root=(f == scheme.root_frag))
-    return cover_scan.sequential_cover_scan(nodes, scheme)
+    return cover_scan.sequential_cover_scan(
+        nodes, cover_scan._DepthView(scheme) if depth_keyed else scheme)
 
 
 def local_incoming(incidence, scheme, extras):
     """Per-vertex candidates for the in-fragment pass: own incidence, plus
     broadcast fragment-maximal edges, each injected in every proper
     fragment-tree ancestor of its descendant's fragment, at the vertex where
-    the chain from that fragment enters it."""
+    the chain from that fragment enters it. An extra is read only for its
+    descendant's fragment, `e.desc.frag`."""
     out = [list(cands) for cands in incidence]
     for e in extras:
         f = e.desc.frag
@@ -314,13 +326,55 @@ def local_incoming(incidence, scheme, extras):
     return out
 
 
-def _apply_cover(t0, added, split, scheme, tree):
-    for v in range(tree.n):
-        if v == tree.root or t0[v]:
-            continue
-        lab = split[v]
-        if any(vg.edge_covers(e, lab, scheme) for e in added):
+def _apply_cover(t0, added, covers):
+    """Mark t0[v] for each vertex whose parent edge an edge of `added`
+    covers, as `covers(e, v)` says. The tree root has no parent edge, and
+    no edge covers it."""
+    for v, done in enumerate(t0):
+        if not done and any(covers(e, v) for e in added):
             t0[v] = True
+
+
+def _label_covers(split, scheme):
+    """covers(e, v) for edges with full labels: `vg.edge_covers`."""
+    return lambda e, v: vg.edge_covers(e, split[v], scheme)
+
+
+def _record_covers(split, scheme, own):
+    """covers(e, v) for the broadcast records of one kind, each
+    VirtualEdge(ancestor depth, SplitLabel(descFrag, None), origin, 0) for
+    the maximal edge of that kind covering descFrag's global edge.
+
+    Outside descFrag, v's parent edge is on e's path when e's ancestor lies
+    above v and v is an ancestor of descFrag's root, which the walk up the
+    directory answers from descFrag alone. Inside descFrag, it is when v's
+    own scan result of that kind, own[v] by origin, is e: on e's path, e
+    is the maximal edge covering v's parent edge, since any higher one
+    would cover the global edge too; off it, v's result has another
+    origin, since the other half of e's non-tree edge meets e at their
+    LCA above the fragment root and so descends outside the fragment."""
+    def covers(e, v):
+        sv = split[v]
+        if sv.frag == e.desc.frag:
+            return own[v] == e.origin
+        return e.anc < scheme.depth(sv) and scheme.is_ancestor(sv, e.desc)
+
+    return covers
+
+
+def _owned_edges(incidence, split, scheme):
+    """(fragment, origin) -> the owner's full edge, for each incidence edge
+    that covers its descendant fragment's global edge: the edges a record
+    can stand for. The key is unique, since the two halves of one non-tree
+    edge meet at their LCA, and when both descend in one fragment that
+    lies inside it, so neither covers the global edge."""
+    owned = {}
+    for v, cands in enumerate(incidence):
+        f = split[v].frag
+        for ve in cands:
+            if scheme.depth(ve.anc) < scheme.base_depth[f]:
+                owned[(f, ve.origin)] = ve
+    return owned
 
 
 def _dedup_cover(scheme, *parts):
@@ -337,7 +391,9 @@ def _dedup_cover(scheme, *parts):
 
 def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
     """All passes on the engine. Returns a dict with the virtual cover,
-    bridges, labels, the broadcast fragment-maximal edges and Metrics."""
+    bridges, labels, the broadcast "gc" records by fragment ("frag_max",
+    each VirtualEdge(ancestor depth, SplitLabel(fragment, None), origin,
+    0)) and Metrics."""
     frag_of, frag_roots = fragment_decompose(tree)
     view = lbl.TreeView.of_fragments(tree, frag_of)
     metrics = sim.Metrics([])
@@ -387,26 +443,30 @@ def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
     res, m = sim.run(g, scan, budget=budget, phase="global_cover")
     metrics.merge(m)
     # one broadcast serves passes 1 and 2: each fragment root announces its
-    # maximal leaf-added edge ("lc") and its maximal incoming edge ("gc");
-    # building those records now frees the other vertices' results first
-    msgs = [(v, ((tag, v, ve.origin),) + scheme.tokens(ve.anc)
-             + scheme.tokens(ve.desc))
+    # maximal leaf-added edge ("lc") and its maximal incoming edge ("gc"),
+    # each as ((tag, fragment, origin), ancestor depth); a vertex keeps only
+    # the origins of its own two results
+    dview = cover_scan._DepthView(scheme)
+    msgs = [(v, ((tag, v, ve.origin), dview.depth(ve.anc)))
             for v in frag_roots if v != tree.root
             for tag, ve in zip(("lc", "gc"), res[v]) if ve is not None]
-    leaf_max = [r[0] for r in res]
+    leaf_own, gc_own = zip(*[[None if ve is None else ve.origin for ve in r]
+                             for r in res])
     del res
     bc, m = sim.broadcast_upcast(g, bfs, msgs, budget=budget, phase="cover_bcast")
     metrics.merge(m)
-    tagged = [(msg[0], _parse_edge(msg, 1, msg[0][2], scheme)) for msg in bc]
-    bcast1 = [ve for tag, ve in tagged if tag[0] == "lc"]
-    frag_max = {tag[1]: ve for tag, ve in tagged if tag[0] == "gc"}
+    tagged = [(tag, vg.VirtualEdge(depth, SplitLabel(f, None), origin, 0))
+              for (tag, f, origin), depth in bc]
+    bcast1 = [ve for tag, ve in tagged if tag == "lc"]
+    frag_max = {ve.desc.frag: ve for tag, ve in tagged if tag == "gc"}
 
     # pass 1: coverage by the leaf-added edges; pass 2: the contracted-tree
     # scan over the fragments' maximal incoming edges, at every vertex
-    t0 = _coverage_after_leaf_pass(tree, split, scheme, leaf_max, bcast1)
-    tf_res = fragment_tree_scan(scheme, split, frag_max, t0)
+    t0 = _coverage_after_leaf_pass(tree, leaf_own, bcast1,
+                                   _record_covers(split, scheme, leaf_own))
+    tf_res = fragment_tree_scan(scheme, split, frag_max, t0, depth_keyed=True)
     added_global = tf_res["added"]
-    _apply_cover(t0, added_global, split, scheme, tree)
+    _apply_cover(t0, added_global, _record_covers(split, scheme, gc_own))
 
     # pass 3: in-fragment covering scan with the fragment-maximal edges as
     # extra leaf candidates
@@ -427,13 +487,19 @@ def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
                                   phase="final_broadcast")
     metrics.merge(m)
 
-    cover = _dedup_cover(scheme, added_leaf.values(), added_global,
-                         res3["added"])
+    # a selected record stands for its owner's full edge
+    owned = _owned_edges(incidence, split, scheme)
+
+    def full(ve):
+        return ve if ve.desc.local is not None else owned[(ve.desc.frag, ve.origin)]
+
+    cover = _dedup_cover(scheme, added_leaf.values(), map(full, added_global),
+                         map(full, res3["added"]))
     bridges = sorted(set(tf_res["bridges"]) | set(res3["bridges"]))
     return {
         "cover": cover, "bridges": bridges, "frag_max": frag_max,
         "frag_of": frag_of, "frag_roots": frag_roots,
-        "labels": split, "scheme": scheme,
+        "labels": split, "scheme": scheme, "t0": t0,
         "final_announced": sorted(t[0][1] for t in fin),
         "metrics": metrics,
     }
@@ -450,7 +516,8 @@ def sequential_fast_cover(g, tree):
     res1 = fragment_max_sequential(view, split, scheme, _leaf_cands(added_leaf))
     bcast1 = [res1[v] for v in frag_roots
               if v != tree.root and res1[v] is not None]
-    t0 = _coverage_after_leaf_pass(tree, split, scheme, res1, bcast1)
+    covers = _label_covers(split, scheme)
+    t0 = _coverage_after_leaf_pass(tree, res1, bcast1, covers)
 
     res2 = fragment_max_sequential(view, split, scheme,
                                    lambda v: incidence[v])
@@ -458,7 +525,7 @@ def sequential_fast_cover(g, tree):
                 if v != tree.root and res2[v] is not None}
     tf_res = fragment_tree_scan(scheme, split, frag_max, t0)
     added_global = tf_res["added"]
-    _apply_cover(t0, added_global, split, scheme, tree)
+    _apply_cover(t0, added_global, covers)
 
     extras = sorted(frag_max.values(), key=lambda e: e.origin)
     incoming = local_incoming(incidence, scheme, extras)
@@ -475,7 +542,8 @@ def sequential_fast_cover(g, tree):
                          res3["added"])
     bridges = sorted(set(tf_res["bridges"]) | set(res3["bridges"]))
     return {"cover": cover, "bridges": bridges, "labels": split,
-            "scheme": scheme, "frag_of": frag_of, "frag_roots": frag_roots}
+            "scheme": scheme, "t0": t0, "frag_of": frag_of,
+            "frag_roots": frag_roots}
 
 
 def augment_fast(g, tree, budget: int = sim.DEFAULT_BUDGET):

@@ -336,7 +336,8 @@ def subgraph_two_edge_connected(g: Multigraph, edge_ids) -> bool:
 # trailing t marks a tree edge; '#' starts a comment; edge id = line order.
 
 def parse_instance(text: str):
-    """Returns (Multigraph, RootedTree or None); tree rooted at vertex 0."""
+    """Returns (Multigraph, RootedTree or None); tree rooted at vertex 0,
+    None when no edge is marked on more than one vertex."""
     lines = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -363,7 +364,8 @@ def parse_instance(text: str):
                 raise GraphError("bad edge marker %r" % parts[3])
             tree_ids.append(eid)
     tree = None
-    if tree_ids:
+    if tree_ids or n == 1:
+        # a single vertex is spanned by the empty tree, which marks no edge
         tree = root_tree(g, tree_ids, 0)
     return g, tree
 

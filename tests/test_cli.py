@@ -119,11 +119,17 @@ def test_fast_transcript_bytes_pinned(tmp_path):
     # record tagged ("lc" | "gc", fragRoot, origin) where a leaf record led
     # with its bare origin: in all 162 -> 138 rounds, 2,801 messages and
     # 9,482 tokens unchanged, 94,724 -> 96,232 bytes (was
-    # e78412c0...e6f3ea73), same output
+    # e78412c0...e6f3ea73), same output. Re-pinned again when global_cover
+    # sent one depth-keyed header a tree edge (28 -> 7 rounds, 228 -> 56
+    # messages, 841 -> 224 tokens) and cover_bcast carried 3-token records
+    # ((tag, fragment, origin), ancestor depth) (32 -> 21 rounds, 1,340 ->
+    # 545 messages, 5,360 -> 2,010 tokens): in all 138 -> 106 rounds, 2,801
+    # -> 1,834 messages, 9,482 -> 5,515 tokens, 96,232 -> 53,318 bytes (was
+    # f236309f...ac2c02702), same output
     data = _fast_lb_disj_transcript(tmp_path)
-    assert len(data) == 96232
+    assert len(data) == 53318
     assert hashlib.sha256(data).hexdigest() == (
-        "f236309fdd68462d90b462da6de3c2e705f0a1957cb28b808aa9186ac2c02702")
+        "969abfac8001f37c0f8512d4fdc7d41d53d06ea4d63a311a927d97664be52bf9")
 
 
 def test_fast_transcript_schedule_pinned(tmp_path):
@@ -138,11 +144,14 @@ def test_fast_transcript_schedule_pinned(tmp_path):
     # label frames an edge became one 4-token header, one message an edge:
     # that phase 14 -> 7 rounds, 112 -> 56 messages. Re-pinned again (was
     # cc251ed9...cf8e88a2) when the leaf and global broadcasts became one
-    # cover_bcast: 28 + 28 -> 32 rounds
+    # cover_bcast: 28 + 28 -> 32 rounds. Re-pinned again (was
+    # 5eddcdf2...3e85afbe) when global_cover's edge frames became one
+    # depth-keyed header an edge and cover_bcast's records 3 tokens:
+    # global_cover 28 -> 7 rounds, cover_bcast 32 -> 21
     lines = _fast_lb_disj_transcript(tmp_path).decode().splitlines()
     schedule = "".join(",".join(line.split(",")[:5]) + "\n" for line in lines)
     assert hashlib.sha256(schedule.encode()).hexdigest() == (
-        "5eddcdf26fab837c72add1513662e4a375a48c6edcec3cec0015545e3a85afbe")
+        "1b38c05a8061c6965272e9d4c66a7070d709ba9f5f72ef160526f791121fd5ce")
 
 
 # SHA-256 of the full transcript and of the --metrics CSV at budget 4 on one
@@ -374,6 +383,19 @@ def test_oracle_subcommand(tmp_path, capsys):
     big = str(tmp_path / "big.txt")
     run_cli(["gen", "cycle", "--n", "50", "-o", big])
     assert run_cli(["oracle", big, "--problem", "ecss"]) == 1
+
+
+@pytest.mark.parametrize("algo", ["tap", "wtap", "fast", "aug12"])
+def test_single_vertex_is_its_own_spanning_tree(tmp_path, capsys, algo):
+    # "1 0" marks no tree edge, yet the one vertex is spanned: the tree
+    # problems have nothing to cover
+    inst = tmp_path / "one.txt"
+    inst.write_text("1 0\n")
+    assert run_cli(["run", str(inst), "--algo", algo]) == 0
+    assert " value=0 valid=True" in capsys.readouterr().out
+    if algo != "fast":
+        assert run_cli(["oracle", str(inst), "--problem", algo]) == 0
+        assert "optimum=0" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("problem", ["ecss", "ecss-w"])

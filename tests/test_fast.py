@@ -2,12 +2,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from treeaug import fast, generators, oracle
+from treeaug import cover_scan, fast, generators, oracle
+from treeaug import virtual_graph as vg
 from treeaug.fast import (SplitScheme, augment_fast, fragment_decompose,
                           fast_cover_distributed, sequential_fast_cover,
                           split_labels_sequential)
-from treeaug.graph import augmentation_covers, find_bridges
+from treeaug.graph import Multigraph, augmentation_covers, find_bridges, root_tree
 from treeaug.labels import TreeView, assign_labels_sequential
 from treeaug.unweighted import BridgeDetected, augment_unweighted
 from treeaug.virtual_graph import (PlainScheme, build_incidence_sequential,
@@ -220,3 +222,152 @@ def test_rounds_beat_plain_algorithm_on_tall_trees():
     for name in ("labels_global_bcast", "cover_bcast", "final_broadcast"):
         ph = fres["metrics"].phase(name)
         assert ph.rounds <= 16 * (tree.height // 8 + math.isqrt(n) + 8)
+
+
+def _scan_inputs(g, tree, target):
+    frag_of, _ = fragment_decompose(tree, target)
+    view = TreeView.of_fragments(tree, frag_of)
+    split, scheme = split_labels_sequential(tree, frag_of)
+    incidence = build_incidence_sequential(g, tree, split, scheme)
+    added_leaf = fast.leaf_adds(tree, incidence, split, scheme)
+    own = (fast._leaf_cands(added_leaf), lambda v: incidence[v])
+    return view, split, scheme, own
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), target=st.sampled_from([None, 2, 3]),
+       pick=st.integers(0, 10 ** 6),
+       as_label=st.lists(st.booleans(), min_size=8, max_size=8))
+def test_depth_keyed_decide_equals_full_label_maximal_covering(
+        seed, target, pick, as_label):
+    # a vertex of the in-fragment scan decides both kinds on the depth-keyed
+    # headers its children send, or on full-label edges: either way it
+    # picks, per kind, the edge full-label maximal_covering picks, and sends
+    # its header
+    g, tree = instance(seed, nmax=40)
+    view, split, scheme, own = _scan_inputs(g, tree, target)
+    full = [fast.fragment_max_sequential(view, split, scheme, o) for o in own]
+    dview = cover_scan._DepthView(scheme)
+    inner = [v for v in range(g.n) if view.children[v]] or list(range(g.n))
+    v = inner[pick % len(inner)]
+    frames = {}
+    for i, (c, eid) in enumerate(view.children[v]):
+        sent = (full[0][c], full[1][c])
+        if not as_label[i % len(as_label)]:
+            sent = cover_scan.parse_depth_header(
+                cover_scan.depth_header(*sent, dview))
+        frames[eid] = [sent]
+    scan = fast._fragment_max_scan(view, split, scheme, own, budget=4)
+    best, up = scan.decide(v, frames)
+    for kind in (0, 1):
+        want = vg.maximal_covering(
+            [full[kind][c] for c, _ in view.children[v]] + own[kind](v),
+            scheme.depth(split[v]), scheme)
+        got = best[kind]
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert ((got.origin, dview.depth(got.anc))
+                    == (want.origin, scheme.depth(want.anc)))
+    assert up == (cover_scan.depth_header(full[0][v], full[1][v], dview),)
+
+
+def test_scan_result_marks_each_record_path():
+    # inside the fragment of an "lc" or "gc" record, a vertex's own scan
+    # result of that kind has the record's origin exactly when the vertex is
+    # an ancestor-or-self of the record's descendant; this is all pass 1 and
+    # pass 2 read there
+    cases = ([instance(seed, 30) for seed in range(150)]
+             + [instance(seed, 40) for seed in range(80)])
+    for i, (g, tree) in enumerate(cases):
+        for target in (None, 2, 3):
+            view, split, scheme, own = _scan_inputs(g, tree, target)
+            members = {}
+            for v in range(g.n):
+                members.setdefault(split[v].frag, []).append(v)
+            for kind in (0, 1):
+                res = fast.fragment_max_sequential(view, split, scheme, own[kind])
+                for f, verts in members.items():
+                    e = res[f]
+                    if f == tree.root or e is None:
+                        continue
+                    d = scheme.vertex_of(e.desc)
+                    assert split[d].frag == f
+                    for v in verts:
+                        marked = res[v] is not None and res[v].origin == e.origin
+                        assert marked == tree.is_ancestor(v, d), (i, target, kind, v)
+
+
+def test_third_pass_starts_from_the_shadows_flags():
+    # the engine marks the edges passes 1 and 2 cover from 3-token records
+    # and the vertices' own scan results; the shadow tests full-label edges
+    # against every vertex. The cover alone would not show a difference:
+    # the third pass picks a record's edge again where its path went
+    # unmarked
+    cases = ([instance(seed, 30) for seed in range(150)]
+             + [instance(seed, 120) for seed in range(100)])
+    for seed, (g, tree) in enumerate(cases):
+        assert (fast_cover_distributed(g, tree)["t0"]
+                == sequential_fast_cover(g, tree)["t0"]), seed
+
+
+# (rounds, messages, tokens) of global_cover and cover_bcast on
+# gen_lb_disjointness(2, 2, 4, [1, 0], [0, 1], weighted=False) by budget.
+# With full-label edge frames they were (28, 228, 841) and (32, 1340, 5360)
+# at budget 4, and (112, 841, 841) and (104, 5360, 5360) at budget 1
+FAST_WAVE_PINS = {
+    1: ((35, 280, 280), (44, 2010, 2010)),
+    2: ((21, 168, 280), (30, 1006, 2010)),
+    3: ((14, 112, 280), (20, 670, 2010)),
+    4: ((7, 56, 224), (21, 545, 2010)),
+    5: ((7, 56, 224), (20, 420, 2010)),
+    6: ((7, 56, 224), (18, 336, 2010)),
+    7: ((7, 56, 224), (19, 336, 2010)),
+}
+
+
+@pytest.mark.parametrize("budget", range(1, 8))
+def test_fast_waves_pinned(budget):
+    # global_cover sends one depth-keyed header a tree edge of the fragment
+    # forest, and cover_bcast carries 3-token records; from budget 4 up the
+    # header goes unframed, so the scan costs what local_cover_up does: the
+    # forest's height in rounds and one message a non-root vertex
+    g, tree = generators.gen_lb_disjointness(2, 2, 4, [1, 0], [0, 1],
+                                             weighted=False)
+    res = fast_cover_distributed(g, tree, budget=budget)
+    m = res["metrics"]
+    got = tuple((p.rounds, p.messages, p.tokens)
+                for p in (m.phase("global_cover"), m.phase("cover_bcast")))
+    assert got == FAST_WAVE_PINS[budget]
+    assert m.max_tokens_edge_round <= budget
+    if budget >= 4:
+        view = TreeView.of_fragments(tree, res["frag_of"])
+        height = max(tree.depth[v] - tree.depth[res["frag_of"][v]]
+                     for v in range(g.n))
+        up = m.phase("local_cover_up")
+        assert (got[0][0], got[0][1]) == (up.rounds, up.messages) == (
+            height, g.n - len(view.roots))
+
+
+def test_contracted_scan_ignores_necessaries_ending_in_the_fragment():
+    # fragments {0}, {1..5}, {6..9} and {10..13} (target ceil(sqrt 14)):
+    # fragments 6 and 10 each add their maximal incoming edge, (7, 3) and
+    # (11, 5), which end in fragment 1's two branches at equal depth; the
+    # contracted scan used to compare them and raise "incomparable"
+    g = Multigraph(14)
+    tree_ids = [g.add_edge(u, v, 1) for u, v in (
+        (0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (3, 6), (6, 7), (7, 8),
+        (8, 9), (5, 10), (10, 11), (11, 12), (12, 13))]
+    for u, v in ((9, 6), (7, 3), (13, 10), (11, 5), (3, 5), (0, 2)):
+        g.add_edge(u, v, 1)
+    tree = root_tree(g, tree_ids, 0)
+    assert fragment_decompose(tree)[1] == [0, 1, 6, 10]
+    want = sequential_fast_cover(g, tree)
+    for budget in range(1, 8):
+        got = fast_cover_distributed(g, tree, budget=budget)
+        scheme = got["scheme"]
+        key = lambda ve: (ve.origin, scheme.key(ve.anc), scheme.key(ve.desc))
+        assert sorted(map(key, got["cover"])) == sorted(map(key, want["cover"]))
+        assert got["bridges"] == want["bridges"] == []
+    aug, _, _ = augment_fast(g, tree)
+    assert augmentation_covers(g, tree, aug.edge_ids)
+    assert len(aug.edge_ids) <= 4 * oracle.opt_augmentation(g, tree, weighted=False).weight

@@ -187,6 +187,17 @@ def test_instance_comments_and_missing_tree():
     assert tree is None
 
 
+def test_single_vertex_keeps_its_empty_tree():
+    g = Multigraph(1)
+    text = format_instance(g, root_tree(g, [], 0))
+    assert text == "1 0\n"
+    g2, tree = parse_instance(text)
+    assert g2.n == 1 and g2.m == 0
+    assert tree is not None
+    assert (tree.root, tree.height, tree.parent, sorted(tree.tree_edges)) == (
+        0, 0, [-1], [])
+
+
 def test_non_integer_field_names_its_line():
     for text, bad in (("2 1\n1 x 1 t\n", "'1 x 1 t'"), ("2 y\n0 1 1 t\n", "'2 y'"),
                       ("2 1\n0 1 1.5\n", "'0 1 1.5'")):
