@@ -27,15 +27,17 @@ relay in which each vertex acts once on its parent's message.
 `broadcast_upcast` gathers k messages at a tree root, store-and-forward,
 and streams them down cut-through: the root sends each message as it
 collects it, and every vertex relays each chunk to its children in the
-round it arrives. A relay keeps the root's chunks and only counts the
-frames they complete; the stream is parsed once, after the run, when every
-vertex is shown to hold the same chunks.
+round it arrives. A relay keeps the root's chunks without reading them
+and never halts; the run ends when the tree falls quiet. The stream is
+parsed once, after the run, when every vertex is shown to hold the same
+chunks.
 
 A transcript is one "round,src,dst,edge,tokens,payload" line per delivered
 message, written to a sink: any object with `append(line)` and
 `extend(lines)`, such as a list or the command line tool's file writer.
-Each round's lines go to the sink in one `extend`, and each distinct
-payload object is formatted once per round, however many edges carry it.
+Each round's lines are built after the round from the mail it delivers,
+and go to the sink in one `extend`; each distinct payload object is
+formatted once per round, however many edges carry it.
 
 A run allocates millions of short-lived message tuples and frees them all
 again, so CPython's cyclic garbage collector finds nothing to free but
@@ -146,14 +148,19 @@ def run(g, program, budget: int = DEFAULT_BUDGET, max_rounds: int | None = None,
     `transcript`, if given (else `TRANSCRIPT_SINK`), is a sink with `append`
     and `extend`: it gets a "# phase <phase>" line, then one
     "round,src,dst,edge,tokens,payload" line per delivered message, each
-    round's lines in one `extend`. Each distinct payload object is formatted
-    once per round. `eval_order` overrides the per-round vertex evaluation
-    order (testing hook; results must not depend on it).
+    round's lines in one `extend`, built after the round from the mail it
+    delivers (mail to a halted vertex, dropped, included). Each distinct
+    payload object is formatted once per round.
+    `eval_order`, a permutation of range(g.n), overrides the per-round
+    vertex evaluation order (testing hook; results must not depend on it);
+    anything else raises ValueError.
 
     The cyclic garbage collector is paused for the whole run, from the first
     `init_state` to the last `output`; the caller's setting is restored on
     return and on every exception.
     """
+    if eval_order is not None and sorted(eval_order) != list(range(g.n)):
+        raise ValueError("eval_order must be a permutation of range(%d)" % g.n)
     if max_rounds is None:
         max_rounds = DEFAULT_MAX_ROUNDS
     if transcript is None:
@@ -175,99 +182,102 @@ def _run_rounds(g, program, budget, max_rounds, phase, transcript, eval_order):
     edges = g.edges
     states = [program.init_state(v) for v in range(n)]
     halted = [False] * n
-    awake = set(range(n))
+    # the vertices that returned ACTIVE last round, in the order stepped
+    awake = range(n) if eval_order is None else eval_order
     inbox_map: dict[int, list] = {}
-    pm = PhaseMetrics(phase)
-    metrics = Metrics([pm])
-    last_comm_round = -1
     step = program.step
+    n_msgs = n_toks = max_tok = 0
+    last_comm_round = -1
 
     rnd = 0
-    while True:
-        if not awake and not inbox_map:
-            break
+    while awake or inbox_map:
         if rnd >= max_rounds:
-            pm.rounds = rnd
-            raise RoundLimitExceeded(max_rounds, metrics)
-        if eval_order is None:
-            actives = sorted(awake | set(inbox_map))
+            raise RoundLimitExceeded(max_rounds, Metrics(
+                [PhaseMetrics(phase, rnd, n_msgs, n_toks, max_tok)]))
+        if not inbox_map:
+            actives = awake
+        elif eval_order is None:
+            actives = sorted(inbox_map.keys() | awake)
         else:
-            pend = awake | set(inbox_map)
+            pend = inbox_map.keys() | awake
             actives = [v for v in eval_order if v in pend]
+        next_awake = []
         next_inbox: dict[int, list] = {}
-        round_msgs: list | None = [] if transcript is not None else None
-        sent_any = False
-        n_msgs = 0
-        n_toks = 0
-        max_tok = pm.max_tokens_edge_round
         for v in actives:
             inbox = inbox_map.get(v)
             if inbox is not None:
-                inbox.sort()
-            if halted[v]:
-                continue  # late mail to a halted vertex is dropped
+                if halted[v]:
+                    continue  # late mail to a halted vertex is dropped
+                if len(inbox) > 1:
+                    inbox.sort()
             outbox, status = step(states[v], rnd, inbox)
             if outbox:
-                sent_any = True
-                if len(outbox) > 1 and len({e for e, _ in outbox}) != len(outbox):
+                k = len(outbox)
+                if k > 1 and len(dict(outbox)) != k:
                     raise SimError("vertex %d sent twice on an edge in round %d"
                                    % (v, rnd))
-                for eid, payload in outbox:
+                n_msgs += k
+                for msg in outbox:
+                    eid, payload = msg
                     ntok = len(payload)
-                    if ntok > budget:
-                        raise BudgetExceeded(v, eid, rnd, ntok, budget)
-                    if ntok == 0:
+                    if not 0 < ntok <= budget:
+                        if ntok:
+                            raise BudgetExceeded(v, eid, rnd, ntok, budget)
                         raise SimError("empty message on edge %d" % eid)
-                    eu, ev, _ = edges[eid]
-                    dst = eu + ev - v
-                    if dst != eu and dst != ev:
-                        raise SimError("vertex %d not incident to edge %d" % (v, eid))
-                    n_msgs += 1
                     n_toks += ntok
                     if ntok > max_tok:
                         max_tok = ntok
-                    if round_msgs is not None:
-                        round_msgs.append((v, dst, eid, payload))
+                    eu, ev, _ = edges[eid]
+                    if v == eu:
+                        dst = ev
+                    elif v == ev:
+                        dst = eu
+                    else:
+                        raise SimError("vertex %d not incident to edge %d" % (v, eid))
                     bucket = next_inbox.get(dst)
                     if bucket is None:
-                        next_inbox[dst] = [(eid, payload)]
+                        next_inbox[dst] = [msg]
                     else:
-                        bucket.append((eid, payload))
+                        bucket.append(msg)
             if status == ACTIVE:
-                awake.add(v)
-            elif status == IDLE:
-                awake.discard(v)
-            else:
+                next_awake.append(v)
+            elif status != IDLE:
                 halted[v] = True
-                awake.discard(v)
-        pm.messages += n_msgs
-        pm.tokens += n_toks
-        pm.max_tokens_edge_round = max_tok
-        if round_msgs:
-            # canonical order, independent of the vertex evaluation order;
-            # (src, dst, edge) is unique within a round, so payloads are
-            # never compared
-            round_msgs.sort()
-            # a payload sent on several edges (a broadcast chunk) is formatted
-            # once: round_msgs holds every payload until the round's lines
-            # are written, so no id is reused for another object meanwhile
-            text: dict[int, str] = {}
-            lines = []
-            for src, dst, eid, payload in round_msgs:
-                t = text.get(id(payload))
-                if t is None:
-                    t = text[id(payload)] = "%d,%s" % (len(payload),
-                                                       _fmt_payload(payload))
-                lines.append("%d,%d,%d,%d,%s" % (rnd, src, dst, eid, t))
-            transcript.extend(lines)
-        if sent_any:
+        if next_inbox:
             last_comm_round = rnd
+            if transcript is not None:
+                transcript.extend(_round_lines(rnd, edges, next_inbox))
+        awake = next_awake
         inbox_map = next_inbox
         rnd += 1
 
-    pm.rounds = last_comm_round + 1
+    pm = PhaseMetrics(phase, last_comm_round + 1, n_msgs, n_toks, max_tok)
     outputs = [program.output(s) for s in states]
-    return outputs, metrics
+    return outputs, Metrics([pm])
+
+
+def _round_lines(rnd, edges, mail):
+    """The transcript lines of the round `rnd`, which left `mail`."""
+    # canonical order, independent of the vertex evaluation order;
+    # (src, dst, edge) is unique within a round, so payloads are never
+    # compared
+    msgs = []
+    for dst, bucket in mail.items():
+        for eid, payload in bucket:
+            eu, ev, _ = edges[eid]
+            msgs.append((eu + ev - dst, dst, eid, payload))
+    msgs.sort()
+    # a payload sent on several edges (a broadcast chunk) is formatted
+    # once: `mail` holds every payload until the round's lines are
+    # written, so no id is reused for another object meanwhile
+    text: dict[int, str] = {}
+    lines = []
+    for src, dst, eid, payload in msgs:
+        t = text.get(id(payload))
+        if t is None:
+            t = text[id(payload)] = "%d,%s" % (len(payload), _fmt_payload(payload))
+        lines.append("%d,%d,%d,%d,%s" % (rnd, src, dst, eid, t))
+    return lines
 
 
 def _fmt_payload(payload) -> str:
@@ -517,11 +527,13 @@ def broadcast_upcast(g, tree, sources, budget: int = DEFAULT_BUDGET,
     collected them.
 
     Every vertex keeps the chunks of the root's down stream as they reach
-    it, without parsing them. The run is accepted only if every vertex holds
-    exactly the chunks the root sent and one parse of that stream gives
-    exactly the messages the root collected; else SimError is raised. That
-    parse is `delivered`: a local function of a stream shown to be the same
-    at every vertex, so computing it once moves no information.
+    it, without parsing or counting them, so no relay knows when it has
+    all k messages; the run ends at quiescence. The run is accepted only if
+    every vertex holds exactly the chunks the root sent and one parse of
+    that stream gives exactly the messages the root collected; else
+    SimError is raised. That parse is `delivered`: a local function of a
+    stream shown to be the same at every vertex, so computing it once moves
+    no information.
 
     Round bound: let T = sum(len(msg) + 1) be the length of the root's down
     stream in tokens, h the tree's height, and t_k the round in which the
@@ -552,8 +564,7 @@ def broadcast_upcast(g, tree, sources, budget: int = DEFAULT_BUDGET,
 
 
 class _UpDownState:
-    __slots__ = ("ch", "pe", "child_edges", "up_queued", "chunks", "nframes",
-                 "left", "got", "down")
+    __slots__ = ("ch", "pe", "child_edges", "up_queued", "chunks", "got", "down")
 
     def __init__(self, ch, pe, child_edges):
         self.ch = ch
@@ -561,8 +572,6 @@ class _UpDownState:
         self.child_edges = child_edges
         self.up_queued = True  # whether `ch` may hold tokens to send up
         self.chunks = []   # the down stream's chunks, as sent or received
-        self.nframes = 0   # frames begun in `chunks`
-        self.left = 0      # tokens of the last begun frame not yet received
         root = pe < 0
         self.got = [] if root else None  # the root's collected messages
         self.down = TokenStream() if root else None  # the root's down stream
@@ -581,11 +590,13 @@ class _UpDownProgram:
     tuple on every child edge: exactly `budget` tokens, or, once the k-th
     message is in, the rest of the stream. A non-root vertex relays each
     chunk from its parent to all its children in the step it arrives,
-    unchanged, and keeps it. It does not parse the chunks: it steps from
-    length token to length token to count the frames they complete, and it
-    is done once it has all k. So every vertex gets the root's stream, in
-    collection order, and every downward tree edge carries exactly
-    ceil(T/budget) messages, T = sum(len(m) + 1).
+    unchanged, and keeps it; a leaf only keeps it. It neither parses nor
+    counts the chunks, so it cannot tell when it has all k messages: it
+    never halts, and stays IDLE until the tree falls quiet. Only the
+    root halts, once it has collected and sent everything. So every vertex
+    gets the root's stream, in collection order, and every downward tree
+    edge carries exactly ceil(T/budget) messages, T = sum(len(m) + 1);
+    `broadcast_upcast` checks the chunks after the run.
 
     A vertex outputs (chunks, got): the chunks it sent or received, and at
     the root the messages in collection order (None elsewhere).
@@ -629,21 +640,16 @@ class _UpDownProgram:
         for i, (eid, chunk) in enumerate(inbox or ()):
             if eid == pe:
                 st.chunks.append(chunk)
-                j, n = st.left, len(chunk)
-                while j < n:          # chunk[j] is a frame's length token
-                    j += chunk[j] + 1
-                    st.nframes += 1
-                st.left = j - n
-                relay = [(c, chunk) for c in st.child_edges]
+                if st.child_edges:
+                    relay = [(c, chunk) for c in st.child_edges]
                 up = inbox[:i] + inbox[i + 1:]
                 break
-        done = st.nframes == self.k and not st.left
         if not (up or st.up_queued):
-            return relay, HALT if done else IDLE  # what flush would return
+            return relay, IDLE  # what flush would return
         ch = st.ch
         for _, msg in ch.recv(up):
             ch.send(pe, msg)
-        outbox, status = ch.flush(done)
+        outbox, status = ch.flush(False)
         st.up_queued = status == ACTIVE
         outbox.extend(relay)
         return outbox, status

@@ -229,25 +229,33 @@ class WeightedUpProgram:
             out = [(st.pe, (j, self._altered(st, st.settle(j, INF, -1))))]
             return out, ACTIVE if j > 0 else HALT
         outbox = []
-        if inbox:
-            kid = st.kid
-            for eid, (j, w) in inbox:
-                if kid is not None:
-                    c = kid
+        if st.kid is not None:  # one child: its pair is final on arrival
+            if inbox:
+                j, w = inbox[0][1]
+                w = st.settle(j, w, st.kid)
+                if st.min_v is None:
+                    st.min_v = w  # depth d - 1: v's own tree edge's charge
+                elif w >= INF:
+                    outbox = [(st.pe, (j, INF))]
+                elif w < st.min_v:
+                    raise sim.SimError("negative altered weight at vertex %d" % st.v)
                 else:
-                    c = st.kids[eid]
-                    p = st.pending.get(j)
-                    if p is None:
-                        p = st.pending[j] = [w, c, 0]
-                    elif w < p[0] or (w == p[0] and c < p[1]):
-                        p[0] = w
-                        p[1] = c
-                    p[2] += 1
-                    if p[2] < len(st.kids):
-                        continue
-                    del st.pending[j]
-                    w, c = p[0], p[1]
-                w = st.settle(j, w, c)
+                    outbox = [(st.pe, (j, w - st.min_v))]
+            return outbox, HALT if st.j < 0 else IDLE
+        if inbox:
+            for eid, (j, w) in inbox:
+                c = st.kids[eid]
+                p = st.pending.get(j)
+                if p is None:
+                    p = st.pending[j] = [w, c, 0]
+                elif w < p[0] or (w == p[0] and c < p[1]):
+                    p[0] = w
+                    p[1] = c
+                p[2] += 1
+                if p[2] < len(st.kids):
+                    continue
+                del st.pending[j]
+                w = st.settle(j, p[0], p[1])
                 if st.min_v is None:
                     st.min_v = w  # depth d - 1: v's own tree edge's charge
                 else:

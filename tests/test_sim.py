@@ -99,8 +99,87 @@ class Chatter:
 
 def test_round_limit():
     g = path_graph(2)
-    with pytest.raises(RoundLimitExceeded):
+    with pytest.raises(RoundLimitExceeded) as ei:
         sim.run(g, Chatter(g), max_rounds=10)
+    # vertex 0 sent one 1-token message in each of rounds 0..9
+    (pm,) = ei.value.metrics.phases
+    assert (pm.phase, pm.rounds, pm.messages, pm.tokens,
+            pm.max_tokens_edge_round) == ("main", 10, 10, 10, 1)
+
+
+class _SendOnce:
+    """Vertex 0 returns `outbox` in round 0; every vertex then halts."""
+
+    def __init__(self, outbox):
+        self.outbox = outbox
+
+    def init_state(self, v):
+        return v
+
+    def step(self, v, rnd, inbox):
+        return (self.outbox if v == 0 else []), HALT
+
+    def output(self, v):
+        return None
+
+
+@pytest.mark.parametrize("outbox, error", [
+    ([(1, ("a",))], "vertex 0 not incident to edge 1"),
+    ([(0, ())], "empty message on edge 0"),
+    ([(0, ("a",)), (1, ("b",)), (0, ("c",))], "sent twice on an edge"),
+], ids=["not-incident", "empty", "twice-not-adjacent"])
+def test_engine_rejects_a_bad_outbox(outbox, error):
+    # on the star, edge e joins the centre 0 to leaf e + 1; on the path,
+    # edge 1 joins 1 and 2, so vertex 0 is not on it
+    g = path_graph(3) if error.startswith("vertex 0 not") else _star(4)[0]
+    lines = []
+    with pytest.raises(SimError, match=error):
+        sim.run(g, _SendOnce(outbox), transcript=lines)
+    assert lines == ["# phase main"]
+
+
+class _Scheduled:
+    """Records the rounds each vertex is stepped in. Vertex 0 is ACTIVE in
+    rounds 0-2, mails vertex 1 in round 2 and halts in round 3; vertex 1 is
+    IDLE and answers mail on both its edges; vertex 2 halts in round 0, so
+    the answers to 0 and 2 reach halted vertices."""
+
+    def __init__(self, n):
+        self.steps = [[] for _ in range(n)]
+
+    def init_state(self, v):
+        return v
+
+    def step(self, v, rnd, inbox):
+        self.steps[v].append(rnd)
+        if v == 0:
+            return ([(0, ("p",))] if rnd == 2 else []), HALT if rnd == 3 else ACTIVE
+        if v == 1:
+            return ([(0, ("q",)), (1, ("r",))] if inbox else []), IDLE
+        return [], HALT
+
+    def output(self, v):
+        return None
+
+
+def test_scheduler_steps_active_every_round_idle_on_mail_halted_never():
+    g = path_graph(3)
+    prog = _Scheduled(g.n)
+    lines = []
+    _, m = sim.run(g, prog, transcript=lines)
+    assert prog.steps == [[0, 1, 2, 3], [0, 3], [0]]
+    assert (m.rounds, m.messages, m.tokens) == (4, 3, 3)
+    assert lines == ["# phase main", "2,0,1,0,1,p", "3,1,0,0,1,q", "3,1,2,1,1,r"]
+
+
+@pytest.mark.parametrize("order", ([0, 1], [0, 1, 1], [0, 1, 3], [2, 1, 0, 3]))
+def test_eval_order_must_be_a_permutation(order):
+    # an order that leaves a vertex out would never step it and lose its mail
+    g = path_graph(3)
+    with pytest.raises(ValueError, match="permutation"):
+        sim.run(g, Flood(g), eval_order=order)
+    out, _ = sim.run(g, Flood(g), eval_order=[2, 0, 1])
+    assert out == [None, 1, 2]
 
 
 class LateMail:
@@ -127,9 +206,11 @@ class LateMail:
 
 def test_mail_to_halted_vertex_is_dropped_but_counted():
     g = path_graph(2)
-    out, m = sim.run(g, LateMail(g))
+    lines = []
+    out, m = sim.run(g, LateMail(g), transcript=lines)
     assert out[1] == 0          # never delivered
     assert m.messages == 1      # still paid for
+    assert lines == ["# phase main", "1,0,1,0,1,x"]  # and still logged
 
 
 def _wave_transcript(g, tree, order):

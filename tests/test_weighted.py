@@ -252,6 +252,19 @@ def test_bridge_detected():
         augment_weighted(g, tree)
 
 
+def test_bridge_on_a_path_is_reported_through_one_child_vertices():
+    # the tree is the path 0-1-2-3-4 and the chord {4, 2} covers only the
+    # two deepest tree edges, so nothing covers depths 0 and 1: vertices 3
+    # and 2, one child each, pass INF up, and the tree edges above
+    # vertices 1 and 2 are bridges
+    g = Multigraph(5)
+    tree_ids = [g.add_edge(v, v + 1, 1) for v in range(4)]
+    g.add_edge(4, 2, 3)
+    tree = root_tree(g, tree_ids, 0)
+    assert_distributed_equals_sequential(g, tree)
+    assert sorted(weighted_cover_distributed(g, tree)["bridges"]) == [1, 2]
+
+
 def test_budget_below_the_record_size_is_rejected():
     g, tree = instance(4)
     assert MIN_BUDGET == 3
