@@ -136,19 +136,19 @@ def verify_2ec_distributed(g, budget: int = sim.DEFAULT_BUDGET):
         lambda v, peer: [toks[0][1] for toks in peer.values()], budget)
     metrics.merge(m)
 
-    def decide(v, frames):
+    def decide(v, msgs):
         pre, end = interval[v]
         low, high = min([pre] + nbr_pres[v]), max([pre] + nbr_pres[v])
         below = 0
-        for (_, child_low, child_high, child_below), in frames.values():
+        for _, child_low, child_high, child_below in msgs.values():
             low = min(low, child_low)
             high = max(high, child_high)
             below |= child_below
         bridge = view.parent_edge[v] >= 0 and pre <= low and high < end
         below |= bridge
-        return (bridge, below), [(("vb", low, high, below),)]
+        return (bridge, below), (("vb", low, high, below),)
 
-    up = sim.Convergecast(view, 1, lambda toks: toks[0], decide, budget,
+    up = sim.Convergecast(view, lambda toks: toks[0], decide, budget,
                           framed=False)
     recs, m = sim.run(g, up, budget=budget, phase="verify_bridges")
     metrics.merge(m)

@@ -235,17 +235,17 @@ def cover_up(view, resp_labels, incoming, t0, scheme, budget):
     """
     dview = _DepthView(scheme)
 
-    def decide(v, frames):
+    def decide(v, msgs):
         kids = [c for c, _ in view.children[v]]
         node = ScanNode(v, resp_labels[v], children=kids,
                         incoming=incoming[v], t0=t0[v],
                         root=view.parent_edge[v] < 0)
         child_recs = [(c, ScanRecord(nec=nec, opt=opt))
-                      for c, ((nec, opt),) in zip(kids, frames.values())]
+                      for c, (nec, opt) in zip(kids, msgs.values())]
         rec = _scan_node(node, child_recs, dview)
-        return rec, (depth_header(rec.nec, rec.opt, dview),)
+        return rec, depth_header(rec.nec, rec.opt, dview)
 
-    return sim.Convergecast(view, 1, parse_depth_header, decide, budget,
+    return sim.Convergecast(view, parse_depth_header, decide, budget,
                             framed=budget < HEADER_TOKENS)
 
 

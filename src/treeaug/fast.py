@@ -5,21 +5,27 @@ cover is built in three passes (tree-leaf edges, cross-fragment edges,
 in-fragment edges). The result is an optimal-within-factor-2 cover of the
 ancestor-descendant view, hence a 4-approximate augmentation.
 
-Every broadcast runs over a BFS tree. The parent endpoint of each global
-edge (a tree edge between two fragments) already holds its local label, so
-it announces the edge's directory record itself. The records are the
-fragment tree: the second pass scans it as a contracted tree, and ancestry
-across fragments and the third pass's entry points are read by walking it
-upward.
+Every broadcast runs over a BFS tree. The parent endpoint p of each
+global edge (a tree edge between two fragments) already holds its local
+label, so it announces the edge's directory record itself: ("gr",
+childFrag, p) and the label's ("lp", head, pos) hops. The first hop's head
+is p's fragment root, the parent fragment's id, and `labels.seq_depth`
+reads p's depth from the hops, so the record needs no label header. The
+records are the fragment tree: the second pass scans it as a contracted
+tree, and ancestry across fragments and the third pass's entry points are
+read by walking it upward.
 
 The first two passes share one in-fragment scan, which finds for each
 vertex both the maximal leaf-added edge and the maximal incoming edge
 covering its parent edge, and one broadcast of both kinds of record.
 Neither carries a label: the scan sends one depth-keyed header per tree
 edge, as the covering scan does, and a record is ((tag, fragment, origin),
-ancestor depth), 3 tokens on the wire; `_record_covers` says how the
-passes read it. The cover is built from the full edges the records'
-owners hold. The third pass is an in-fragment covering scan.
+ancestor depth), 3 tokens on the wire. The tag is "lc" for a leaf-added
+edge and "gc" for an incoming one; a fragment whose two maxima are one
+edge sends it once, tagged "lg", and receivers file it as both.
+`_record_covers` says how the passes read a record. The cover is built
+from the full edges the records' owners hold. The third pass is an
+in-fragment covering scan.
 """
 from __future__ import annotations
 
@@ -234,15 +240,15 @@ def _fragment_max_scan(view, split_labels, scheme, own_cands, budget):
     """
     dview = cover_scan._DepthView(scheme)
 
-    def decide(v, frames):
+    def decide(v, msgs):
         depth = scheme.depth(split_labels[v])
         best = tuple(
-            vg.maximal_covering([f[0][i] for f in frames.values()] + own(v),
+            vg.maximal_covering([m[i] for m in msgs.values()] + own(v),
                                 depth, dview)
             for i, own in enumerate(own_cands))
-        return best, (cover_scan.depth_header(*best, dview),)
+        return best, cover_scan.depth_header(*best, dview)
 
-    return sim.Convergecast(view, 1, cover_scan.parse_depth_header, decide,
+    return sim.Convergecast(view, cover_scan.parse_depth_header, decide,
                             budget, framed=budget < cover_scan.HEADER_TOKENS)
 
 
@@ -343,7 +349,9 @@ def _label_covers(split, scheme):
 def _record_covers(split, scheme, own):
     """covers(e, v) for the broadcast records of one kind, each
     VirtualEdge(ancestor depth, SplitLabel(descFrag, None), origin, 0) for
-    the maximal edge of that kind covering descFrag's global edge.
+    the maximal edge of that kind covering descFrag's global edge: "lc" and
+    "lg" records for the leaf-added kind, "gc" and "lg" records for the
+    incoming kind, with own the vertices' scan results of that kind.
 
     Outside descFrag, v's parent edge is on e's path when e's ancestor lies
     above v and v is an ancestor of descFrag's root, which the walk up the
@@ -391,9 +399,9 @@ def _dedup_cover(scheme, *parts):
 
 def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
     """All passes on the engine. Returns a dict with the virtual cover,
-    bridges, labels, the broadcast "gc" records by fragment ("frag_max",
-    each VirtualEdge(ancestor depth, SplitLabel(fragment, None), origin,
-    0)) and Metrics."""
+    bridges, labels, the broadcast records by fragment, "lc" and "lg" in
+    "leaf_max" and "gc" and "lg" in "frag_max" (each VirtualEdge(ancestor
+    depth, SplitLabel(fragment, None), origin, 0)), and Metrics."""
     frag_of, frag_roots = fragment_decompose(tree)
     view = lbl.TreeView.of_fragments(tree, frag_of)
     metrics = sim.Metrics([])
@@ -411,22 +419,25 @@ def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
         g, view, budget=budget, phase_prefix="labels_local")
     metrics.merge(m)
 
-    # the parent endpoint of each global edge announces it with its own
-    # local label
+    # the parent endpoint p of each global edge announces it as ("gr",
+    # childFrag, p) and the hops of p's local label. The first hop's head is
+    # p's fragment root, which is the parent fragment's id, and the hops
+    # give p's depth, so the record needs no label header
     msgs = []
     for v in frag_roots:
         if v == tree.root:
             continue
         p = tree.parent[v]
-        msgs.append((p, (("gr", v, frag_of[p]),)
-                     + lbl.label_tokens(local_labels[p])))
+        msgs.append((p, (("gr", v, p),) + lbl.hop_tokens(local_labels[p].seq)))
     delivered, m = sim.broadcast_upcast(g, bfs, msgs, budget=budget,
                                         phase="labels_global_bcast")
     metrics.merge(m)
     records = []
     for msg in delivered:
-        plabel, _ = lbl.parse_label(msg, 1)
-        records.append((msg[0][1], msg[0][2], plabel))
+        _, child, p = msg[0]
+        seq, _ = lbl.parse_hops(msg, 1)
+        records.append((child, seq[0][0],
+                        lbl.LcaLabel(p, lbl.seq_depth(seq), seq)))
     scheme = SplitScheme(records, frag_of[tree.root])
     split = [SplitLabel(frag_of[v], local_labels[v]) for v in range(n)]
 
@@ -444,25 +455,37 @@ def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
     metrics.merge(m)
     # one broadcast serves passes 1 and 2: each fragment root announces its
     # maximal leaf-added edge ("lc") and its maximal incoming edge ("gc"),
-    # each as ((tag, fragment, origin), ancestor depth); a vertex keeps only
-    # the origins of its own two results
+    # each as ((tag, fragment, origin), ancestor depth), or one "lg" record
+    # when the two are one edge; a vertex keeps only the origins of its own
+    # two results
     dview = cover_scan._DepthView(scheme)
-    msgs = [(v, ((tag, v, ve.origin), dview.depth(ve.anc)))
-            for v in frag_roots if v != tree.root
-            for tag, ve in zip(("lc", "gc"), res[v]) if ve is not None]
+    msgs = []
+    for v in frag_roots:
+        if v == tree.root:
+            continue
+        leaf, inc = res[v]
+        if leaf is not None and inc is not None and leaf.origin == inc.origin:
+            recs = (("lg", leaf),)  # one virtual edge, see _owned_edges
+        else:
+            recs = (("lc", leaf), ("gc", inc))
+        msgs += [(v, ((tag, v, ve.origin), dview.depth(ve.anc)))
+                 for tag, ve in recs if ve is not None]
     leaf_own, gc_own = zip(*[[None if ve is None else ve.origin for ve in r]
                              for r in res])
     del res
     bc, m = sim.broadcast_upcast(g, bfs, msgs, budget=budget, phase="cover_bcast")
     metrics.merge(m)
-    tagged = [(tag, vg.VirtualEdge(depth, SplitLabel(f, None), origin, 0))
-              for (tag, f, origin), depth in bc]
-    bcast1 = [ve for tag, ve in tagged if tag == "lc"]
-    frag_max = {ve.desc.frag: ve for tag, ve in tagged if tag == "gc"}
+    leaf_max, frag_max = {}, {}
+    for (tag, f, origin), depth in bc:
+        ve = vg.VirtualEdge(depth, SplitLabel(f, None), origin, 0)
+        if tag != "gc":
+            leaf_max[f] = ve
+        if tag != "lc":
+            frag_max[f] = ve
 
     # pass 1: coverage by the leaf-added edges; pass 2: the contracted-tree
     # scan over the fragments' maximal incoming edges, at every vertex
-    t0 = _coverage_after_leaf_pass(tree, leaf_own, bcast1,
+    t0 = _coverage_after_leaf_pass(tree, leaf_own, leaf_max.values(),
                                    _record_covers(split, scheme, leaf_own))
     tf_res = fragment_tree_scan(scheme, split, frag_max, t0, depth_keyed=True)
     added_global = tf_res["added"]
@@ -497,7 +520,8 @@ def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
                          map(full, res3["added"]))
     bridges = sorted(set(tf_res["bridges"]) | set(res3["bridges"]))
     return {
-        "cover": cover, "bridges": bridges, "frag_max": frag_max,
+        "cover": cover, "bridges": bridges,
+        "leaf_max": leaf_max, "frag_max": frag_max,
         "frag_of": frag_of, "frag_roots": frag_roots,
         "labels": split, "scheme": scheme, "t0": t0,
         "final_announced": sorted(t[0][1] for t in fin),

@@ -180,9 +180,23 @@ def is_ancestor(a: LcaLabel, d: LcaLabel) -> bool:
 # wire format: header ('lh', vertexId|-1, depth), one ('lp', head, pos) per
 # hop. A label sent on its own is one frame of exactly these tokens.
 
+def hop_tokens(seq) -> tuple:
+    return tuple(("lp", h, p) for h, p in seq)
+
+
 def label_tokens(label: LcaLabel) -> tuple:
     vid = -1 if label.vertex is None else label.vertex
-    return (("lh", vid, label.depth),) + tuple(("lp", h, p) for h, p in label.seq)
+    return (("lh", vid, label.depth),) + hop_tokens(label.seq)
+
+
+def parse_hops(buf, i):
+    """The ('lp', head, pos) hops from buf[i] up to the first token that is
+    not one, or the end of buf. Returns (seq, next_index)."""
+    seq = []
+    while i < len(buf) and isinstance(buf[i], tuple) and buf[i][0] == "lp":
+        seq.append((buf[i][1], buf[i][2]))
+        i += 1
+    return tuple(seq), i
 
 
 def parse_label(buf, i):
@@ -192,12 +206,8 @@ def parse_label(buf, i):
     if tag[0] != "lh":
         raise LabelError("expected label header, got %r" % (tag,))
     _, vid, depth = tag
-    i += 1
-    seq = []
-    while i < len(buf) and isinstance(buf[i], tuple) and buf[i][0] == "lp":
-        seq.append((buf[i][1], buf[i][2]))
-        i += 1
-    return LcaLabel(None if vid < 0 else vid, depth, tuple(seq)), i
+    seq, i = parse_hops(buf, i + 1)
+    return LcaLabel(None if vid < 0 else vid, depth, seq), i
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +217,11 @@ def sizes_distributed(g, view: TreeView, budget: int, phase: str):
     """Subtree sizes up the view, an unframed sim.Convergecast of one
     ("sz", size) token a tree edge in h rounds; returns ({child: size} per
     vertex, Metrics)."""
-    def sizes(v, frames):
-        by_child = {c: frames[eid][0] for c, eid in view.children[v]}
-        return by_child, [(("sz", 1 + sum(by_child.values())),)]
+    def sizes(v, msgs):
+        by_child = {c: msgs[eid] for c, eid in view.children[v]}
+        return by_child, (("sz", 1 + sum(by_child.values())),)
 
-    up = sim.Convergecast(view, 1, lambda toks: toks[0][1], sizes, budget,
+    up = sim.Convergecast(view, lambda toks: toks[0][1], sizes, budget,
                           framed=False)
     return sim.run(g, up, budget=budget, phase=phase)
 

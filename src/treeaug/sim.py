@@ -16,14 +16,16 @@ ACTIVE (step me next round even without mail), IDLE (wake me on mail), or
 HALT (done; later mail is dropped). Vertices are stepped in ascending id
 order but may only interact through messages, so evaluation order is
 unobservable; the transcript-equality test pins that down. Programs keep
-their per-vertex state in a `__slots__` class. A per-vertex `Channel`
-sends a program's messages framed: a length token, then the message,
-streamed under the budget. The algorithms' two tree waves are written
-once here, framed or unframed as the caller picks (unframed, each message
-goes as it is, one per edge a round, never split): `Convergecast`, a
-leaves-to-root scan in which each vertex decides once all its children's
-messages are in and sends its own up, and `Downcast`, a root-to-leaves
-relay in which each vertex acts once on its parent's message.
+their per-vertex state in a `__slots__` class. A vertex sends only on its
+own edges: any other edge id, negative or past the last edge included,
+raises SimError. A per-vertex `Channel` sends a program's messages
+framed: a length token, then the message, streamed under the budget. The
+algorithms' two tree waves are written once here, framed or unframed as
+the caller picks (unframed, each message goes as it is, one per edge a
+round, never split): `Convergecast`, a leaves-to-root scan in which each
+vertex decides once its children's messages, one each, are in and sends
+its own one up, and `Downcast`, a root-to-leaves relay in which each
+vertex acts once on its parent's message.
 `broadcast_upcast` gathers k messages at a tree root, store-and-forward,
 and streams them down cut-through: the root sends each message as it
 collects it, and every vertex relays each chunk to its children in the
@@ -36,8 +38,9 @@ A transcript is one "round,src,dst,edge,tokens,payload" line per delivered
 message, written to a sink: any object with `append(line)` and
 `extend(lines)`, such as a list or the command line tool's file writer.
 Each round's lines are built after the round from the mail it delivers,
-and go to the sink in one `extend`; each distinct payload object is
-formatted once per round, however many edges carry it.
+in (src, dst, edge) order, and go to the sink in one `extend`; each
+distinct payload object is formatted once per round, however many edges
+carry it, and each directed edge's "src,dst,edge," text once per run.
 
 A run allocates millions of short-lived message tuples and frees them all
 again, so CPython's cyclic garbage collector finds nothing to free but
@@ -180,6 +183,8 @@ def run(g, program, budget: int = DEFAULT_BUDGET, max_rounds: int | None = None,
 def _run_rounds(g, program, budget, max_rounds, phase, transcript, eval_order):
     n = g.n
     edges = g.edges
+    m_edges = len(edges)
+    prefixes = {}  # a directed edge's transcript line prefix, by _round_lines key
     states = [program.init_state(v) for v in range(n)]
     halted = [False] * n
     # the vertices that returned ACTIVE last round, in the order stepped
@@ -227,6 +232,8 @@ def _run_rounds(g, program, budget, max_rounds, phase, transcript, eval_order):
                     n_toks += ntok
                     if ntok > max_tok:
                         max_tok = ntok
+                    if not 0 <= eid < m_edges:
+                        raise SimError("vertex %d not incident to edge %d" % (v, eid))
                     eu, ev, _ = edges[eid]
                     if v == eu:
                         dst = ev
@@ -246,7 +253,8 @@ def _run_rounds(g, program, budget, max_rounds, phase, transcript, eval_order):
         if next_inbox:
             last_comm_round = rnd
             if transcript is not None:
-                transcript.extend(_round_lines(rnd, edges, next_inbox))
+                transcript.extend(_round_lines(rnd, next_inbox, edges, n,
+                                              prefixes))
         awake = next_awake
         inbox_map = next_inbox
         rnd += 1
@@ -256,27 +264,37 @@ def _run_rounds(g, program, budget, max_rounds, phase, transcript, eval_order):
     return outputs, Metrics([pm])
 
 
-def _round_lines(rnd, edges, mail):
-    """The transcript lines of the round `rnd`, which left `mail`."""
-    # canonical order, independent of the vertex evaluation order;
-    # (src, dst, edge) is unique within a round, so payloads are never
-    # compared
-    msgs = []
+def _round_lines(rnd, mail, edges, n, prefixes):
+    """The transcript lines of the round `rnd`, which left `mail`, on a
+    graph of n vertices and `edges`.
+
+    Lines go in (src, dst, edge) order, independent of the vertex
+    evaluation order, sorted by the one int key (src*n + dst)*m + edge;
+    the triple is unique within a round, so payloads are never compared.
+    `prefixes` caches each directed edge's "src,dst,edge," text by key
+    across the rounds of one run."""
+    m = len(edges)
+    keyed = []
     for dst, bucket in mail.items():
         for eid, payload in bucket:
             eu, ev, _ = edges[eid]
-            msgs.append((eu + ev - dst, dst, eid, payload))
-    msgs.sort()
+            keyed.append((((eu + ev - dst) * n + dst) * m + eid, payload))
+    keyed.sort()
     # a payload sent on several edges (a broadcast chunk) is formatted
     # once: `mail` holds every payload until the round's lines are
     # written, so no id is reused for another object meanwhile
     text: dict[int, str] = {}
+    head = "%d," % rnd
     lines = []
-    for src, dst, eid, payload in msgs:
+    for key, payload in keyed:
+        pre = prefixes.get(key)
+        if pre is None:
+            rest, eid = divmod(key, m)
+            pre = prefixes[key] = "%d,%d,%d," % (*divmod(rest, n), eid)
         t = text.get(id(payload))
         if t is None:
             t = text[id(payload)] = "%d,%s" % (len(payload), _fmt_payload(payload))
-        lines.append("%d,%d,%d,%d,%s" % (rnd, src, dst, eid, t))
+        lines.append(head + pre + t)
     return lines
 
 
@@ -388,41 +406,38 @@ def _flush(st):
 
 
 class _ConvergeState:
-    __slots__ = ("v", "pe", "frames", "nframes", "ch", "result")
+    __slots__ = ("v", "pe", "msgs", "missing", "ch", "result")
 
     def __init__(self, v, pe, children):
         self.v = v
         self.pe = pe
-        self.frames = {eid: [] for _, eid in children}  # child edge -> parsed frames
-        self.nframes = 0
+        self.msgs = {eid: None for _, eid in children}  # child edge -> parsed message
+        self.missing = len(children)
         self.ch = None
         self.result = None
 
 
 class Convergecast:
-    """Leaves-to-root wave: every non-root vertex sends its parent k messages.
+    """Leaves-to-root wave: every non-root vertex sends its parent one
+    message.
 
-    A vertex parses each message from a child edge with `parse(tokens)`.
-    Once it holds k from every child it calls `decide(v, frames)`, where
-    `frames` maps each child edge, in `children[v]` order, to its k parsed
-    messages; `decide` returns (result, up). A non-root vertex then sends
-    the k token tuples in `up` to its parent: framed, through a Channel;
-    unframed, which needs k = 1 (else ValueError), as its outbox as it is.
-    The vertex outputs `result`.
+    A vertex parses the message from each child edge with `parse(tokens)`.
+    Once it holds one from every child it calls `decide(v, msgs)`, where
+    `msgs` maps each child edge, in `children[v]` order, to its parsed
+    message; `decide` returns (result, up). A non-root vertex then sends
+    the token tuple `up` to its parent: framed, through a Channel;
+    unframed, as its outbox as it is. The vertex outputs `result`.
 
     Cost: if every `up` message has L tokens, each tree edge carries c
-    messages, c = ceil(k(L+1)/budget) framed and c = 1 unframed, and the
+    messages, c = ceil((L+1)/budget) framed and c = 1 unframed, and the
     run takes h*c rounds on a forest of height h. The covering scan's
-    4-token header (k = 1, L = 4) is unframed from budget 4 up: h rounds,
-    n-1 messages and at most 4(n-1) tokens; below budget 4 it is one
-    frame, so c = ceil(5/budget).
+    4-token header (L = 4) is unframed from budget 4 up: h rounds, n-1
+    messages and at most 4(n-1) tokens; below budget 4 it is one frame, so
+    c = ceil(5/budget).
     """
 
-    def __init__(self, view, k, parse, decide, budget, framed=True):
-        if not framed and k != 1:
-            raise ValueError("an unframed Convergecast needs k = 1 (got %d)" % k)
+    def __init__(self, view, parse, decide, budget, framed=True):
         self.view = view
-        self.k = k
         self.parse = parse
         self.decide = decide
         self.budget = budget
@@ -432,23 +447,21 @@ class Convergecast:
         return _ConvergeState(v, self.view.parent_edge[v], self.view.children[v])
 
     def step(self, st, rnd, inbox):
-        if st.frames is not None:
+        if st.msgs is not None:
             if inbox:
                 if self.framed:
                     inbox = _channel(st, self.budget).recv(inbox)
                 for eid, toks in inbox:
-                    st.frames[eid].append(self.parse(toks))
-                    st.nframes += 1
-            if st.nframes < self.k * len(st.frames):
+                    st.msgs[eid] = self.parse(toks)
+                st.missing -= len(inbox)
+            if st.missing:
                 return [], IDLE  # a vertex sends nothing before it decides
-            st.result, up = self.decide(st.v, st.frames)
-            st.frames = None  # every child has reported; free its frames
-            if st.pe >= 0 and up:
+            st.result, up = self.decide(st.v, st.msgs)
+            st.msgs = None  # every child has reported; free its messages
+            if st.pe >= 0:
                 if not self.framed:
-                    return [(st.pe, toks) for toks in up], HALT
-                ch = _channel(st, self.budget)
-                for toks in up:
-                    ch.send(st.pe, toks)
+                    return [(st.pe, up)], HALT
+                _channel(st, self.budget).send(st.pe, up)
         return _flush(st)
 
     def output(self, st):
@@ -636,14 +649,14 @@ class _UpDownProgram:
         if pe < 0:
             return self._root_step(st, inbox)
         relay = ()
-        up = inbox
-        for i, (eid, chunk) in enumerate(inbox or ()):
-            if eid == pe:
+        up = []
+        for mail in inbox or ():
+            if mail[0] == pe:
+                chunk = mail[1]
                 st.chunks.append(chunk)
-                if st.child_edges:
-                    relay = [(c, chunk) for c in st.child_edges]
-                up = inbox[:i] + inbox[i + 1:]
-                break
+                relay = [(c, chunk) for c in st.child_edges]
+            else:
+                up.append(mail)
         if not (up or st.up_queued):
             return relay, IDLE  # what flush would return
         ch = st.ch

@@ -125,11 +125,19 @@ def test_fast_transcript_bytes_pinned(tmp_path):
     # ((tag, fragment, origin), ancestor depth) (32 -> 21 rounds, 1,340 ->
     # 545 messages, 5,360 -> 2,010 tokens): in all 138 -> 106 rounds, 2,801
     # -> 1,834 messages, 9,482 -> 5,515 tokens, 96,232 -> 53,318 bytes (was
-    # f236309f...ac2c02702), same output
+    # f236309f...ac2c02702), same output. Re-pinned again when a directory
+    # record became ("gr", childFrag, p) and p's label hops, without the
+    # label header (labels_global_bcast 20 -> 17 rounds, 458 -> 330
+    # messages, 1,634 -> 1,242 tokens), and a fragment whose two maxima
+    # are one edge sent one (("lg", fragment, origin), ancestor depth)
+    # record instead of an "lc" and a "gc" record (cover_bcast 21 -> 20
+    # rounds, 545 -> 413 messages, 2,010 -> 1,614 tokens): in all 106 ->
+    # 102 rounds, 1,834 -> 1,574 messages, 5,515 -> 4,727 tokens, 53,318 ->
+    # 45,230 bytes (was 969abfac...be52bf9), same output
     data = _fast_lb_disj_transcript(tmp_path)
-    assert len(data) == 53318
+    assert len(data) == 45230
     assert hashlib.sha256(data).hexdigest() == (
-        "969abfac8001f37c0f8512d4fdc7d41d53d06ea4d63a311a927d97664be52bf9")
+        "84e456fa03c59be4f32f4e5a236b1c1a26289225ac22445f7003e1832dd839ba")
 
 
 def test_fast_transcript_schedule_pinned(tmp_path):
@@ -147,11 +155,14 @@ def test_fast_transcript_schedule_pinned(tmp_path):
     # cover_bcast: 28 + 28 -> 32 rounds. Re-pinned again (was
     # 5eddcdf2...3e85afbe) when global_cover's edge frames became one
     # depth-keyed header an edge and cover_bcast's records 3 tokens:
-    # global_cover 28 -> 7 rounds, cover_bcast 32 -> 21
+    # global_cover 28 -> 7 rounds, cover_bcast 32 -> 21. Re-pinned again
+    # (was 1b38c05a...1fd5ce) when directory records lost their label
+    # header and coinciding "lc" and "gc" records became one "lg" record:
+    # labels_global_bcast 20 -> 17 rounds, cover_bcast 21 -> 20
     lines = _fast_lb_disj_transcript(tmp_path).decode().splitlines()
     schedule = "".join(",".join(line.split(",")[:5]) + "\n" for line in lines)
     assert hashlib.sha256(schedule.encode()).hexdigest() == (
-        "1b38c05a8061c6965272e9d4c66a7070d709ba9f5f72ef160526f791121fd5ce")
+        "e9de3032bc6dda55f1dcfb280cd572e42b90e41c4c6475826ca50a1b60c31a76")
 
 
 # SHA-256 of the full transcript and of the --metrics CSV at budget 4 on one

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treeaug import cover_scan, fast, generators, oracle
+from treeaug import cover_scan, fast, generators, oracle, sim
 from treeaug import virtual_graph as vg
 from treeaug.fast import (SplitScheme, augment_fast, fragment_decompose,
                           fast_cover_distributed, sequential_fast_cover,
@@ -250,15 +250,15 @@ def test_depth_keyed_decide_equals_full_label_maximal_covering(
     dview = cover_scan._DepthView(scheme)
     inner = [v for v in range(g.n) if view.children[v]] or list(range(g.n))
     v = inner[pick % len(inner)]
-    frames = {}
+    msgs = {}
     for i, (c, eid) in enumerate(view.children[v]):
         sent = (full[0][c], full[1][c])
         if not as_label[i % len(as_label)]:
             sent = cover_scan.parse_depth_header(
                 cover_scan.depth_header(*sent, dview))
-        frames[eid] = [sent]
+        msgs[eid] = sent
     scan = fast._fragment_max_scan(view, split, scheme, own, budget=4)
-    best, up = scan.decide(v, frames)
+    best, up = scan.decide(v, msgs)
     for kind in (0, 1):
         want = vg.maximal_covering(
             [full[kind][c] for c, _ in view.children[v]] + own[kind](v),
@@ -268,14 +268,14 @@ def test_depth_keyed_decide_equals_full_label_maximal_covering(
         if want is not None:
             assert ((got.origin, dview.depth(got.anc))
                     == (want.origin, scheme.depth(want.anc)))
-    assert up == (cover_scan.depth_header(full[0][v], full[1][v], dview),)
+    assert up == cover_scan.depth_header(full[0][v], full[1][v], dview)
 
 
 def test_scan_result_marks_each_record_path():
-    # inside the fragment of an "lc" or "gc" record, a vertex's own scan
-    # result of that kind has the record's origin exactly when the vertex is
-    # an ancestor-or-self of the record's descendant; this is all pass 1 and
-    # pass 2 read there
+    # inside the fragment of an "lc" or "gc" record (an "lg" record is
+    # both), a vertex's own scan result of that kind has the record's origin
+    # exactly when the vertex is an ancestor-or-self of the record's
+    # descendant; this is all pass 1 and pass 2 read there
     cases = ([instance(seed, 30) for seed in range(150)]
              + [instance(seed, 40) for seed in range(80)])
     for i, (g, tree) in enumerate(cases):
@@ -297,6 +297,51 @@ def test_scan_result_marks_each_record_path():
                         assert marked == tree.is_ancestor(v, d), (i, target, kind, v)
 
 
+def test_one_lg_record_where_a_fragments_two_maxima_coincide(monkeypatch):
+    # a fragment whose maximal leaf-added edge is also its maximal incoming
+    # edge sends one "lg" record, not an "lc" and a "gc" record; the
+    # receivers still get both per-fragment lists, the shadow's maxima
+    g, tree = generators.gen_lb_disjointness(2, 2, 4, [1, 0], [0, 1],
+                                             weighted=False)
+    sent = {}
+    real = sim.broadcast_upcast
+
+    def recording(g, tree, sources, budget, phase):
+        sent[phase] = list(sources)
+        return real(g, tree, sources, budget=budget, phase=phase)
+
+    monkeypatch.setattr(sim, "broadcast_upcast", recording)
+    res = fast_cover_distributed(g, tree)
+    view, split, scheme, own = _scan_inputs(g, tree, None)
+    leaf, inc = (fast.fragment_max_sequential(view, split, scheme, o) for o in own)
+    want_tags = {}
+    for f in res["frag_roots"]:
+        if f == tree.root:
+            continue
+        if leaf[f] is not None and inc[f] is not None and leaf[f].origin == inc[f].origin:
+            want_tags[f] = ["lg"]
+        else:
+            want_tags[f] = [tag for tag, ve in (("lc", leaf[f]), ("gc", inc[f]))
+                            if ve is not None]
+    got_tags = {f: [] for f in want_tags}
+    for v, ((tag, f, _), _) in sent["cover_bcast"]:
+        assert v == f
+        got_tags[f].append(tag)
+    assert got_tags == want_tags
+    assert sorted(t for tags in got_tags.values() for t in tags) == (
+        ["gc"] * 4 + ["lc"] * 2 + ["lg"] * 2)
+
+    def by_frag(best):
+        return {f: (best[f].origin, scheme.depth(best[f].anc))
+                for f in want_tags if best[f] is not None}
+
+    def got(records):
+        return {f: (ve.origin, ve.anc) for f, ve in records.items()}
+
+    assert got(res["leaf_max"]) == by_frag(leaf)
+    assert got(res["frag_max"]) == by_frag(inc)
+
+
 def test_third_pass_starts_from_the_shadows_flags():
     # the engine marks the edges passes 1 and 2 cover from 3-token records
     # and the vertices' own scan results; the shadow tests full-label edges
@@ -313,15 +358,21 @@ def test_third_pass_starts_from_the_shadows_flags():
 # (rounds, messages, tokens) of global_cover and cover_bcast on
 # gen_lb_disjointness(2, 2, 4, [1, 0], [0, 1], weighted=False) by budget.
 # With full-label edge frames they were (28, 228, 841) and (32, 1340, 5360)
-# at budget 4, and (112, 841, 841) and (104, 5360, 5360) at budget 1
+# at budget 4, and (112, 841, 841) and (104, 5360, 5360) at budget 1.
+# cover_bcast moved again when a fragment whose two maxima are one edge
+# sent one "lg" record instead of an "lc" and a "gc" record: 2,010 -> 1,614
+# tokens at every budget; (44, 2010), (30, 1006), (20, 670), (21, 545),
+# (20, 420), (18, 336) and (19, 336) rounds and messages at budgets 1-7
+# became (44, 1614), (30, 812), (20, 538), (20, 413), (20, 350), (18, 274)
+# and (19, 274)
 FAST_WAVE_PINS = {
-    1: ((35, 280, 280), (44, 2010, 2010)),
-    2: ((21, 168, 280), (30, 1006, 2010)),
-    3: ((14, 112, 280), (20, 670, 2010)),
-    4: ((7, 56, 224), (21, 545, 2010)),
-    5: ((7, 56, 224), (20, 420, 2010)),
-    6: ((7, 56, 224), (18, 336, 2010)),
-    7: ((7, 56, 224), (19, 336, 2010)),
+    1: ((35, 280, 280), (44, 1614, 1614)),
+    2: ((21, 168, 280), (30, 812, 1614)),
+    3: ((14, 112, 280), (20, 538, 1614)),
+    4: ((7, 56, 224), (20, 413, 1614)),
+    5: ((7, 56, 224), (20, 350, 1614)),
+    6: ((7, 56, 224), (18, 274, 1614)),
+    7: ((7, 56, 224), (19, 274, 1614)),
 }
 
 

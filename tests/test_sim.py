@@ -108,34 +108,66 @@ def test_round_limit():
 
 
 class _SendOnce:
-    """Vertex 0 returns `outbox` in round 0; every vertex then halts."""
+    """Vertex `sender` returns `outbox` in round 0; every vertex then halts."""
 
-    def __init__(self, outbox):
+    def __init__(self, outbox, sender=0):
         self.outbox = outbox
+        self.sender = sender
 
     def init_state(self, v):
         return v
 
     def step(self, v, rnd, inbox):
-        return (self.outbox if v == 0 else []), HALT
+        return (self.outbox if v == self.sender else []), HALT
 
     def output(self, v):
         return None
 
 
-@pytest.mark.parametrize("outbox, error", [
-    ([(1, ("a",))], "vertex 0 not incident to edge 1"),
-    ([(0, ())], "empty message on edge 0"),
-    ([(0, ("a",)), (1, ("b",)), (0, ("c",))], "sent twice on an edge"),
-], ids=["not-incident", "empty", "twice-not-adjacent"])
-def test_engine_rejects_a_bad_outbox(outbox, error):
-    # on the star, edge e joins the centre 0 to leaf e + 1; on the path,
-    # edge 1 joins 1 and 2, so vertex 0 is not on it
-    g = path_graph(3) if error.startswith("vertex 0 not") else _star(4)[0]
+@pytest.mark.parametrize("sender, outbox, error", [
+    (0, [(1, ("a",))], "vertex 0 not incident to edge 1"),
+    (1, [(-1, ("a",))], "vertex 1 not incident to edge -1"),
+    (1, [(2, ("a",))], "vertex 1 not incident to edge 2"),
+    (0, [(0, ())], "empty message on edge 0"),
+    (0, [(0, ("a",)), (1, ("b",)), (0, ("c",))], "sent twice on an edge"),
+], ids=["not-incident", "edge-minus-one", "edge-m", "empty", "twice-not-adjacent"])
+def test_engine_rejects_a_bad_outbox(sender, outbox, error):
+    # on the 3-vertex path, edge 0 joins 0 and 1 and edge 1 joins 1 and 2:
+    # vertex 0 is not on edge 1, and vertex 1, on both, is on no edge -1
+    # (which Python's negative index would read as edge 1) or 2 = m. On the
+    # star, edge e joins the centre 0 to leaf e + 1
+    g = path_graph(3) if "not incident" in error else _star(4)[0]
     lines = []
     with pytest.raises(SimError, match=error):
-        sim.run(g, _SendOnce(outbox), transcript=lines)
+        sim.run(g, _SendOnce(outbox, sender), transcript=lines)
     assert lines == ["# phase main"]
+
+
+def test_transcript_on_parallel_edges_is_sorted_by_src_dst_edge():
+    # edge ids run against the source order, and the parallel edges between
+    # 0 and 1 against each other; every vertex sends on every edge in round 0
+    g = Multigraph(3)
+    for u, v in ((2, 1), (1, 0), (2, 0), (0, 1), (1, 2), (1, 0)):
+        g.add_edge(u, v, 1)
+    sends = [[(eid, (v,)) for eid, _ in g.adj[v]] for v in range(g.n)]
+
+    class EveryEdge:
+        def init_state(self, v):
+            return v
+
+        def step(self, v, rnd, inbox):
+            return (sends[v] if rnd == 0 else []), IDLE
+
+        def output(self, v):
+            return None
+
+    lines = []
+    sim.run(g, EveryEdge(), transcript=lines)
+    assert lines == ["# phase main",
+                     "0,0,1,1,1,0", "0,0,1,3,1,0", "0,0,1,5,1,0", "0,0,2,2,1,0",
+                     "0,1,0,1,1,1", "0,1,0,3,1,1", "0,1,0,5,1,1",
+                     "0,1,2,0,1,1", "0,1,2,4,1,1",
+                     "0,2,0,2,1,2", "0,2,1,0,1,2", "0,2,1,4,1,2"]
 
 
 class _Scheduled:
@@ -545,26 +577,26 @@ def test_broadcast_rejects_a_tampered_output(monkeypatch, tamper, error):
     ("path", True), ("star", True), ("path", False), ("star", False),
 ], ids=["path", "star", "path-unframed", "star-unframed"])
 def test_convergecast_costs_exactly_h_times_c(shape, framed, budget):
-    # framed, k frames of L tokens up every tree edge: c = ceil(k(L+1)/b)
+    # framed, one frame of L tokens up every tree edge: c = ceil((L+1)/b)
     # messages an edge, and a vertex decides only once all its children's
     # frames are in, so each level adds c rounds. Unframed, one message of
     # one token an edge: h rounds and n - 1 messages at every budget
     g, tree = generators.gen_cycle(65) if shape == "path" else _star(65)
     view = TreeView.of_tree(tree)
-    k, L = (2, 3) if framed else (1, 1)
+    L = 7 if framed else 1
 
-    def decide(v, frames):
-        size = 1 + sum(f[0][0] for f in frames.values())
-        return size, [(size, v, i)[:L] for i in range(k)]
+    def decide(v, msgs):
+        size = 1 + sum(msg[0] for msg in msgs.values())
+        return size, (size,) + (v,) * (L - 1)
 
-    prog = sim.Convergecast(view, k, lambda toks: toks, decide, budget,
+    prog = sim.Convergecast(view, lambda toks: toks, decide, budget,
                             framed=framed)
     sizes, m = sim.run(g, prog, budget=budget)
     assert sizes[tree.root] == g.n
-    c = -(-k * (L + 1) // budget) if framed else 1
+    c = -(-(L + 1) // budget) if framed else 1
     assert m.rounds == tree.height * c
     assert m.messages == (g.n - 1) * c
-    assert m.tokens == (g.n - 1) * k * (L + framed)
+    assert m.tokens == (g.n - 1) * (L + framed)
     if shape == "path" and budget == 4:
         assert (m.rounds, m.messages) == ((128, 128) if framed else (64, 64))
 
@@ -599,26 +631,23 @@ def test_downcast_from_the_root_costs_h_rounds(shape, framed, budget):
 @pytest.mark.parametrize("framed", (False, True), ids=("unframed", "framed"))
 def test_a_wave_vertex_builds_a_channel_only_to_queue_or_reassemble(framed):
     # framed, a vertex builds its Channel at its first send, or at its first
-    # mail, where it may hold a partial frame: on a star every vertex does.
-    # Unframed, a Downcast vertex returns its outbox as it is and a
-    # Convergecast vertex returns its one message, so neither builds one;
-    # an unframed Convergecast with k = 2 messages to send up is refused
+    # mail, where it may hold a partial frame: on a star every vertex does,
+    # also when its message streams over several rounds. Unframed, a
+    # Downcast vertex returns its outbox as it is and a Convergecast vertex
+    # returns its one message, so neither builds one
     g, tree = _star(9)
     view = TreeView.of_tree(tree)
     waves = [
-        sim.Convergecast(view, 1, lambda toks: toks,
-                         lambda v, frames: (v, [(v,)]), 4, framed=framed),
+        sim.Convergecast(view, lambda toks: toks,
+                         lambda v, msgs: (v, (v,)), 4, framed=framed),
         sim.Downcast(lambda v: v == tree.root,
                      lambda v, payload: (v, [(eid, (v,)) for _, eid
                                              in view.children[v]]),
                      4, framed=framed),
     ]
-    two_up = (view, 2, lambda toks: toks, lambda v, frames: (v, [(v,), (v,)]), 4)
     if framed:
-        waves.append(sim.Convergecast(*two_up))
-    else:
-        with pytest.raises(ValueError, match="k = 1"):
-            sim.Convergecast(*two_up, framed=False)
+        waves.append(sim.Convergecast(view, lambda toks: toks,
+                                      lambda v, msgs: (v, (v,) * 6), 4))
     for wave in waves:
         states = {}
         init_state = wave.init_state
@@ -641,8 +670,8 @@ def test_unframed_message_over_budget_is_never_split(wave):
     view = TreeView.of_tree(tree)
     long_msg = ("x",) * 3
     if wave == "convergecast":
-        prog = sim.Convergecast(view, 1, lambda toks: toks,
-                                lambda v, frames: (v, [long_msg]), 2,
+        prog = sim.Convergecast(view, lambda toks: toks,
+                                lambda v, msgs: (v, long_msg), 2,
                                 framed=False)
         sender = tree.order[-1]  # the deepest vertex is a leaf
     else:
