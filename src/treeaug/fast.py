@@ -20,7 +20,9 @@ vertex both the maximal leaf-added edge and the maximal incoming edge
 covering its parent edge, and one broadcast of both kinds of record.
 Neither carries a label: the scan sends one depth-keyed header per tree
 edge, as the covering scan does, and a record is ((tag, fragment, origin),
-ancestor depth), 3 tokens on the wire. The tag is "lc" for a leaf-added
+ancestor depth): 3 tokens up, framed, and 2 down, where every record
+starts with a tuple token that is not an ("lp", head, pos) hop and so
+needs no length token (`split_records`). The tag is "lc" for a leaf-added
 edge and "gc" for an incoming one; a fragment whose two maxima are one
 edge sends it once, tagged "lg", and receivers file it as both.
 `_record_covers` says how the passes read a record. The cover is built
@@ -397,6 +399,18 @@ def _dedup_cover(scheme, *parts):
 # ---------------------------------------------------------------------------
 # engine driver
 
+def split_records(stream):
+    """Cut a broadcast down stream into fast's records, which travel down
+    back to back without length tokens: a record starts at each tuple
+    token that is not an ("lp", head, pos) hop. The records are a
+    directory record, ("gr", childFrag, p) and p's hops; a cover record,
+    ((tag, fragment, origin), ancestor depth); and an announcement,
+    (("fs", origin),)."""
+    starts = [i for i, tok in enumerate(stream)
+              if type(tok) is tuple and tok[0] != "lp"]
+    return [stream[i:j] for i, j in zip(starts, starts[1:] + [len(stream)])]
+
+
 def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
     """All passes on the engine. Returns a dict with the virtual cover,
     bridges, labels, the broadcast records by fragment, "lc" and "lg" in
@@ -429,7 +443,8 @@ def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
             continue
         p = tree.parent[v]
         msgs.append((p, (("gr", v, p),) + lbl.hop_tokens(local_labels[p].seq)))
-    delivered, m = sim.broadcast_upcast(g, bfs, msgs, budget=budget,
+    delivered, m = sim.broadcast_upcast(g, bfs, msgs, split_records,
+                                        budget=budget,
                                         phase="labels_global_bcast")
     metrics.merge(m)
     records = []
@@ -473,7 +488,8 @@ def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
     leaf_own, gc_own = zip(*[[None if ve is None else ve.origin for ve in r]
                              for r in res])
     del res
-    bc, m = sim.broadcast_upcast(g, bfs, msgs, budget=budget, phase="cover_bcast")
+    bc, m = sim.broadcast_upcast(g, bfs, msgs, split_records, budget=budget,
+                                 phase="cover_bcast")
     metrics.merge(m)
     leaf_max, frag_max = {}, {}
     for (tag, f, origin), depth in bc:
@@ -506,7 +522,7 @@ def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
         for ve in res3["adds_by_vertex"][v]:
             if ve.desc.frag != split[v].frag:
                 msgs.append((v, (("fs", ve.origin),)))
-    fin, m = sim.broadcast_upcast(g, bfs, msgs, budget=budget,
+    fin, m = sim.broadcast_upcast(g, bfs, msgs, split_records, budget=budget,
                                   phase="final_broadcast")
     metrics.merge(m)
 

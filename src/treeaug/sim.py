@@ -26,12 +26,14 @@ round, never split): `Convergecast`, a leaves-to-root scan in which each
 vertex decides once its children's messages, one each, are in and sends
 its own one up, and `Downcast`, a root-to-leaves relay in which each
 vertex acts once on its parent's message.
-`broadcast_upcast` gathers k messages at a tree root, store-and-forward,
-and streams them down cut-through: the root sends each message as it
-collects it, and every vertex relays each chunk to its children in the
-round it arrives. A relay keeps the root's chunks without reading them
-and never halts; the run ends when the tree falls quiet. The stream is
-parsed once, after the run, when every vertex is shown to hold the same
+`broadcast_upcast` gathers k messages at a tree root, store-and-forward
+and framed, and streams them down cut-through and unframed: the root
+appends each message to its down stream as it collects it, with no length
+token, and every vertex relays each chunk to its children in the round it
+arrives. A relay keeps the root's chunks without reading them and never
+halts; the run ends when the tree falls quiet. The caller's messages
+delimit themselves: the stream is cut back into them once, after the run,
+by the caller's `split`, when every vertex is shown to hold the same
 chunks.
 
 A transcript is one "round,src,dst,edge,tokens,payload" line per delivered
@@ -527,28 +529,34 @@ class Downcast:
 
 # ---------------------------------------------------------------------------
 # broadcast/upcast utility: deliver k source messages to every vertex over a
-# rooted (BFS) tree. Each message travels up as one frame; the root's frames
-# travel down as one stream of chunks, relayed as they arrive and parsed once.
+# rooted (BFS) tree. Each message travels up as one frame; the root's
+# messages travel down back to back, unframed, as one stream of chunks,
+# relayed as they arrive and cut into messages once.
 
-def broadcast_upcast(g, tree, sources, budget: int = DEFAULT_BUDGET,
+def broadcast_upcast(g, tree, sources, split, budget: int = DEFAULT_BUDGET,
                      phase: str = "broadcast"):
-    """Deliver k messages (each a token tuple) from their source vertices to
-    every vertex, by upcast to the tree root then broadcast down.
+    """Deliver k messages (each a non-empty token tuple) from their source
+    vertices to every vertex, by upcast to the tree root then broadcast
+    down.
 
-    `sources` is a list of (vertex, message) pairs. Returns (delivered,
-    Metrics) where delivered is the list of k messages in the order the root
-    collected them.
+    `sources` is a list of (vertex, message) pairs; an empty message raises
+    SimError naming its source vertex, since the unframed down stream could
+    not carry it. `split(stream)` returns the list of messages whose
+    concatenation is the token tuple `stream`: the messages must delimit
+    themselves, as a tag token at the head of each does. Returns
+    (delivered, Metrics) where delivered is the list of k messages in the
+    order the root collected them.
 
     Every vertex keeps the chunks of the root's down stream as they reach
-    it, without parsing or counting them, so no relay knows when it has
+    it, without reading or counting them, so no relay knows when it has
     all k messages; the run ends at quiescence. The run is accepted only if
-    every vertex holds exactly the chunks the root sent and one parse of
-    that stream gives exactly the messages the root collected; else
-    SimError is raised. That parse is `delivered`: a local function of a
-    stream shown to be the same at every vertex, so computing it once moves
-    no information.
+    every vertex holds exactly the chunks the root sent and `split` of that
+    stream gives exactly the messages the root collected; else SimError is
+    raised. That split is `delivered`: a local function of a stream shown
+    to be the same at every vertex, so computing it once moves no
+    information.
 
-    Round bound: let T = sum(len(msg) + 1) be the length of the root's down
+    Round bound: let T = sum(len(msg)) be the length of the root's down
     stream in tokens, h the tree's height, and t_k the round in which the
     root collects the k-th message (0 when every source is the root). Each
     downward tree edge carries exactly ceil(T/budget) messages, every vertex
@@ -559,6 +567,8 @@ def broadcast_upcast(g, tree, sources, budget: int = DEFAULT_BUDGET,
     for v, msg in sources:
         if not (0 <= v < g.n):
             raise SimError("source vertex %d not in graph" % v)
+        if not msg:
+            raise SimError("empty broadcast message from vertex %d" % v)
         by_vertex.setdefault(v, []).append(tuple(msg))
     k = sum(len(v) for v in by_vertex.values())
     if k == 0:
@@ -569,8 +579,7 @@ def broadcast_upcast(g, tree, sources, budget: int = DEFAULT_BUDGET,
     for v in range(g.n):
         if outputs[v][0] != chunks:
             raise SimError("broadcast streams disagree at vertex %d" % v)
-    stream = tuple(chain.from_iterable(chunks))
-    delivered = [msg for _, msg in Channel(budget).recv([(0, stream)])]
+    delivered = split(tuple(chain.from_iterable(chunks)))
     if delivered != collected:
         raise SimError("the broadcast stream does not parse to the root's messages")
     return delivered, metrics
@@ -595,21 +604,22 @@ class _UpDownProgram:
 
     Up: a source frames its messages to its parent, and a non-root vertex
     forwards each frame that arrives whole from a child to its parent, so
-    frames from different children never interleave on an edge. The root
+    frames from different children never interleave on an edge; the
+    length token is how a relay knows that a frame is whole. The root
     collects them.
 
-    Down: the root frames each message into its down stream as soon as it
-    collects it, and each round sends one chunk of that stream, the same
-    tuple on every child edge: exactly `budget` tokens, or, once the k-th
-    message is in, the rest of the stream. A non-root vertex relays each
-    chunk from its parent to all its children in the step it arrives,
-    unchanged, and keeps it; a leaf only keeps it. It neither parses nor
-    counts the chunks, so it cannot tell when it has all k messages: it
-    never halts, and stays IDLE until the tree falls quiet. Only the
-    root halts, once it has collected and sent everything. So every vertex
-    gets the root's stream, in collection order, and every downward tree
-    edge carries exactly ceil(T/budget) messages, T = sum(len(m) + 1);
-    `broadcast_upcast` checks the chunks after the run.
+    Down: the root appends each message to its down stream as soon as it
+    collects it, unframed, and each round sends one chunk of that stream,
+    the same tuple on every child edge: exactly `budget` tokens, or, once
+    the k-th message is in, the rest of the stream. A non-root vertex
+    relays each chunk from its parent to all its children in the step it
+    arrives, unchanged, and keeps it; a leaf only keeps it. It neither
+    parses nor counts the chunks, so it cannot tell when it has all k
+    messages: it never halts, and stays IDLE until the tree falls quiet.
+    Only the root halts, once it has collected and sent everything. So
+    every vertex gets the root's stream, in collection order, and every
+    downward tree edge carries exactly ceil(T/budget) messages,
+    T = sum(len(m)); `broadcast_upcast` checks the chunks after the run.
 
     A vertex outputs (chunks, got): the chunks it sent or received, and at
     the root the messages in collection order (None elsewhere).
@@ -642,7 +652,7 @@ class _UpDownProgram:
     @staticmethod
     def _collect(st, msg):
         st.got.append(msg)
-        st.down.push_frame(msg)
+        st.down.buf.extend(msg)
 
     def step(self, st, rnd, inbox):
         pe = st.pe

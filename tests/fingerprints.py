@@ -11,14 +11,19 @@ rewrites the file with
 
     PYTHONPATH=src python tests/fingerprints.py
 
-and says which phases moved.
+and says which phases moved. With `--diff` the script rewrites nothing and
+prints how the recomputed corpus differs from the file: per (phase, count)
+how many entries rose and fell and the largest rise, and every moved output
+or digest.
 """
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import pathlib
 import random
+from collections import Counter
 
 from treeaug import apps, fast, generators, unweighted, virtual_graph as vg
 from treeaug import weighted
@@ -167,7 +172,54 @@ def load() -> dict:
     return json.loads(PATH.read_text())
 
 
+COUNTS = ("rounds", "messages", "tokens")
+
+
+def diff(old, new) -> list[str]:
+    """Report lines on how corpus `new` differs from corpus `old`: the
+    entries added, removed or moved; for each (phase, count) that moved, how
+    many entries rose and fell and the largest rise; and each moved output
+    or digest, or a phase present on one side only."""
+    shared = [k for k in old if k in new]
+    lines = ["entries: %d -> %d, %d added, %d removed, %d moved" % (
+        len(old), len(new), len(new.keys() - old.keys()),
+        len(old.keys() - new.keys()), sum(old[k] != new[k] for k in shared))]
+    rose, fell, top = Counter(), Counter(), {}
+    moved = []
+    for k in shared:
+        a, b = old[k], new[k]
+        for field in ("out", "digest"):
+            if a[field] != b[field]:
+                moved.append("%s %s: %r -> %r" % (k, field, a[field], b[field]))
+        for phase in sorted(a["phases"].keys() ^ b["phases"].keys()):
+            moved.append("%s phase %s: only %s" % (
+                k, phase, "before" if phase in a["phases"] else "after"))
+        for phase in a["phases"].keys() & b["phases"].keys():
+            for name, x, y in zip(COUNTS, a["phases"][phase], b["phases"][phase]):
+                key = (phase, name)
+                if y > x:
+                    rose[key] += 1
+                    if key not in top or y - x > top[key][0]:
+                        top[key] = (y - x, k, x, y)
+                elif y < x:
+                    fell[key] += 1
+    for key in sorted(rose.keys() | fell.keys()):
+        line = "%s %s: %d rose, %d fell" % (*key, rose[key], fell[key])
+        if key in top:
+            line += "; largest rise +%d (%s: %d -> %d)" % top[key]
+        lines.append(line)
+    return lines + (moved or ["no output, digest or phase moved"])
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--diff", action="store_true",
+                        help="print how the recomputed corpus differs from "
+                             "the file, and rewrite nothing")
+    args = parser.parse_args()
     corpus = compute()
-    PATH.write_text(dumps(corpus))
-    print("wrote %s: %d entries" % (PATH, len(corpus)))
+    if args.diff:
+        print("\n".join(diff(load(), corpus)))
+    else:
+        PATH.write_text(dumps(corpus))
+        print("wrote %s: %d entries" % (PATH, len(corpus)))

@@ -101,8 +101,9 @@ def test_fast_output_pinned(tmp_path, capsys):
 
 def test_fast_transcript_bytes_pinned(tmp_path):
     # SHA-256 of the whole transcript, payload text included, with every
-    # multi-token message sent as a length-prefixed frame; the schedule
-    # itself is pinned separately below. Re-pinned when the broadcast
+    # multi-token message sent as a length-prefixed frame, except on the
+    # broadcasts' down streams; the schedule itself is pinned separately
+    # below. Re-pinned when the broadcast
     # became cut-through: the root streams each message as it collects it
     # and every vertex relays its parent's chunks unchanged, so chunk
     # boundaries and rounds moved. Re-pinned again when fast dropped its
@@ -133,11 +134,17 @@ def test_fast_transcript_bytes_pinned(tmp_path):
     # record instead of an "lc" and a "gc" record (cover_bcast 21 -> 20
     # rounds, 545 -> 413 messages, 2,010 -> 1,614 tokens): in all 106 ->
     # 102 rounds, 1,834 -> 1,574 messages, 5,515 -> 4,727 tokens, 53,318 ->
-    # 45,230 bytes (was 969abfac...be52bf9), same output
+    # 45,230 bytes (was 969abfac...be52bf9), same output. Re-pinned again
+    # when the broadcasts' down streams dropped each record's length token
+    # (labels_global_bcast 17 -> 18 rounds, 330 -> 268 messages, 1,242 ->
+    # 870 tokens; cover_bcast 20 rounds, 413 -> 289 messages, 1,614 ->
+    # 1,118 tokens): in all 102 -> 103 rounds, 1,574 -> 1,388 messages,
+    # 4,727 -> 3,859 tokens, 45,230 -> 41,023 bytes (was
+    # 84e456fa...2dd839ba), same output
     data = _fast_lb_disj_transcript(tmp_path)
-    assert len(data) == 45230
+    assert len(data) == 41023
     assert hashlib.sha256(data).hexdigest() == (
-        "84e456fa03c59be4f32f4e5a236b1c1a26289225ac22445f7003e1832dd839ba")
+        "cba17b98e550160062e0db7b81ffee03f3cdf42e3ee9f75e7bd890779b21f471")
 
 
 def test_fast_transcript_schedule_pinned(tmp_path):
@@ -158,11 +165,14 @@ def test_fast_transcript_schedule_pinned(tmp_path):
     # global_cover 28 -> 7 rounds, cover_bcast 32 -> 21. Re-pinned again
     # (was 1b38c05a...1fd5ce) when directory records lost their label
     # header and coinciding "lc" and "gc" records became one "lg" record:
-    # labels_global_bcast 20 -> 17 rounds, cover_bcast 21 -> 20
+    # labels_global_bcast 20 -> 17 rounds, cover_bcast 21 -> 20. Re-pinned
+    # again (was e9de3032...1a76) when the broadcasts' down streams dropped
+    # each record's length token: fewer chunks an edge, and
+    # labels_global_bcast 17 -> 18 rounds
     lines = _fast_lb_disj_transcript(tmp_path).decode().splitlines()
     schedule = "".join(",".join(line.split(",")[:5]) + "\n" for line in lines)
     assert hashlib.sha256(schedule.encode()).hexdigest() == (
-        "e9de3032bc6dda55f1dcfb280cd572e42b90e41c4c6475826ca50a1b60c31a76")
+        "905936e95828b36d4834b33269421953156e2071c540e211214d6c140061db61")
 
 
 # SHA-256 of the full transcript and of the --metrics CSV at budget 4 on one

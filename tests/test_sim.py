@@ -328,16 +328,17 @@ def test_a_broadcast_chunk_is_formatted_once_a_round(monkeypatch):
     lines = []
     monkeypatch.setattr(sim, "TRANSCRIPT_SINK", lines)
     g, tree = _star(9)
-    _, m = broadcast_upcast(g, tree, [(0, tuple(range(10)))], budget=4)
+    _, m = broadcast_upcast(g, tree, [(0, tuple(range(10)))], _at_zero,
+                            budget=4)
     assert (m.rounds, m.messages) == (3, 3 * 8)
-    assert calls == [(10, 0, 1, 2), (3, 4, 5, 6), (7, 8, 9)]
+    assert calls == [(0, 1, 2, 3), (4, 5, 6, 7), (8, 9)]
     assert len(lines) == 1 + 3 * 8
 
 
 def test_no_transcript_formats_nothing(monkeypatch):
     calls = _count_formats(monkeypatch)
     g, tree = _star(9)
-    broadcast_upcast(g, tree, [(0, tuple(range(10)))], budget=4)
+    broadcast_upcast(g, tree, [(0, tuple(range(10)))], _at_zero, budget=4)
     sim.run(g, _Echo())
     assert calls == []
 
@@ -410,7 +411,7 @@ def test_broadcast_upcast_delivers_identically():
         k = rng.randint(0, 5)
         msgs = [(rng.randrange(g.n), (("m", i, rng.randrange(99)),))
                 for i in range(k)]
-        delivered, m = broadcast_upcast(g, tree, msgs)
+        delivered, m = broadcast_upcast(g, tree, msgs, _tokens)
         assert sorted(delivered) == sorted(tuple(t) for _, t in msgs)
         assert m.max_tokens_edge_round <= 4
 
@@ -421,7 +422,7 @@ def test_broadcast_upcast_round_bound():
         g, _ = generators.gen_cycle(n)
         tree = bfs_tree(g, 0)
         msgs = [(n - 1 - i, (("m", i),)) for i in range(k)]
-        delivered, m = broadcast_upcast(g, tree, msgs)
+        delivered, m = broadcast_upcast(g, tree, msgs, _tokens)
         assert len(delivered) == k
         assert m.rounds <= 4 * (tree.height + k) + 8, (n, k, m.rounds)
 
@@ -433,7 +434,21 @@ def _star(n):
 
 def _chunks(msgs, budget):
     # ceil(T / budget), T the broadcast stream's length in tokens
-    return -(-sum(len(m) + 1 for _, m in msgs) // budget)
+    return -(-sum(len(m) for _, m in msgs) // budget)
+
+
+def _cut_before(is_head):
+    """A broadcast `split` for test messages that each start with a head
+    token: a message starts at every token `is_head` accepts."""
+    def split(stream):
+        starts = [i for i, tok in enumerate(stream) if is_head(tok)]
+        return [stream[i:j] for i, j in zip(starts, starts[1:] + [len(stream)])]
+    return split
+
+
+_at_zero = _cut_before(lambda tok: tok == 0)
+_tokens = _cut_before(lambda tok: True)  # one-token messages
+_at_m_zero = _cut_before(lambda tok: tok[2] == 0)  # ("m", i, 0) heads
 
 
 @pytest.mark.parametrize("budget", (1, 4, 7))
@@ -445,39 +460,45 @@ def test_broadcast_from_the_root_is_cut_through(shape, budget):
     # checks that every vertex delivers the root's list
     g, tree = generators.gen_cycle(65) if shape == "path" else _star(65)
     msgs = [(0, tuple(("m", i, j) for j in range(6))) for i in range(5)]
-    delivered, m = broadcast_upcast(g, tree, msgs, budget=budget)
+    delivered, m = broadcast_upcast(g, tree, msgs, _at_m_zero, budget=budget)
     assert delivered == [msg for _, msg in msgs]
     c = _chunks(msgs, budget)
     assert m.rounds == c + tree.height - 1
     assert m.messages == (g.n - 1) * c
     if shape == "path" and budget == 4:
-        assert (m.rounds, m.messages) == (72, 576)
+        # 8 chunks of the 30-token stream; framed, 9 of 35 gave (72, 576)
+        assert (m.rounds, m.messages) == (71, 512)
 
 
 @pytest.mark.parametrize("budget", (1, 4, 7))
 @pytest.mark.parametrize("shape", ("path", "star"))
 def test_broadcast_from_the_deepest_vertex(shape, budget):
-    # one frame climbs store-and-forward, ceil(L/b) rounds a hop, and then
-    # comes down cut-through
+    # one frame climbs store-and-forward, ceil((L+1)/b) rounds a hop, and
+    # then comes down cut-through and unframed, ceil(L/b) chunks
     g, tree = generators.gen_cycle(65) if shape == "path" else _star(65)
     deepest = max(range(g.n), key=lambda v: (tree.depth[v], v))
     msgs = [(deepest, tuple(range(7)))]
-    delivered, m = broadcast_upcast(g, tree, msgs, budget=budget)
+    delivered, m = broadcast_upcast(g, tree, msgs, _at_zero, budget=budget)
     assert delivered == [tuple(range(7))]
-    c = _chunks(msgs, budget)
-    assert m.rounds == tree.depth[deepest] * c + c + tree.height - 1
+    up, c = -(-8 // budget), _chunks(msgs, budget)
+    assert m.rounds == tree.depth[deepest] * up + c + tree.height - 1
     if shape == "path" and budget == 4:
         assert m.rounds == 193
 
 
 def test_root_streams_its_messages_before_the_last_arrives():
-    # the root's own message is down the path before the deep one reaches
-    # the root, so the two take as long as the deep one alone
+    # the root sends the one full chunk of its own message down the path in
+    # round 0, long before the deep one reaches it in round 128, and holds
+    # the other 3 tokens; the remaining 10 tokens go in 3 chunks, so the
+    # run takes 128 + 3 + 63 = 194 rounds, where a root that waited for
+    # the deep one would take 128 + 4 + 63 = 195, and the deep one alone
+    # 128 + 2 + 63 = 193
     g, tree = generators.gen_cycle(65)
     mine, deep = tuple("r" * 7), tuple(range(7))
-    delivered, m = broadcast_upcast(g, tree, [(64, deep), (0, mine)], budget=4)
+    delivered, m = broadcast_upcast(g, tree, [(64, deep), (0, mine)],
+                                    lambda s: [s[:7], s[7:]], budget=4)
     assert delivered == [mine, deep]
-    assert m.rounds == 193
+    assert m.rounds == 194
     assert m.messages == 64 * 2 + 64 * 4   # 2 chunks a hop up, 4 down each edge
 
 
@@ -498,13 +519,13 @@ def test_relays_keep_the_roots_chunks(shape, budget):
     assert len({id(c) for chunks, _ in outputs for c in chunks}) == _chunks(msgs, budget)
 
 
-def _root_stream(g, tree, msgs, budget):
+def _root_stream(g, tree, msgs, split, budget):
     """Run broadcast_upcast with a transcript; return what it delivered, its
     Metrics, and the token stream the root sent down one child edge."""
     lines = []
     sim.TRANSCRIPT_SINK = lines
     try:
-        delivered, m = broadcast_upcast(g, tree, msgs, budget=budget)
+        delivered, m = broadcast_upcast(g, tree, msgs, split, budget=budget)
     finally:
         sim.TRANSCRIPT_SINK = None
     first_child = tree.children[tree.root][0]
@@ -518,29 +539,30 @@ def _root_stream(g, tree, msgs, budget):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=7),
-       st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=8))
+       st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=8))
 def test_property_broadcast_parses_the_stream_once(seed, budget, lengths):
-    # empty messages, and frames that cross chunk boundaries whenever a
-    # length + 1 is not a multiple of the budget: what is delivered is a
-    # plain Channel parse of the root's stream as it went over the wire
+    # messages that cross chunk boundaries whenever a length is not a
+    # multiple of the budget: the root's stream as it went over the wire is
+    # the messages back to back, with no length token, and what is
+    # delivered is the caller's split of it
     rng = random.Random(seed)
     g, _ = generators.gen_random_2ec(rng.randint(3, 30), rng.randint(0, 15), seed)
     tree = bfs_tree(g, rng.randrange(g.n))
     msgs = [(tree.root, tuple(range(100 * i, 100 * i + n)))
             for i, n in enumerate(lengths)]
+    split = _cut_before(lambda tok: tok % 100 == 0)
     c = _chunks(msgs, budget)
 
     # from the root alone, the schedule is exact: ceil(T/b) + h - 1 rounds
-    delivered, m, stream = _root_stream(g, tree, msgs, budget)
-    assert stream == tuple(tok for _, msg in msgs for tok in (len(msg),) + msg)
-    assert delivered == [msg for _, msg in Channel(budget).recv([(0, stream)])]
-    assert delivered == [msg for _, msg in msgs]
+    delivered, m, stream = _root_stream(g, tree, msgs, split, budget)
+    assert stream == tuple(tok for _, msg in msgs for tok in msg)
+    assert delivered == split(stream) == [msg for _, msg in msgs]
     assert (m.rounds, m.messages) == (c + tree.height - 1, (g.n - 1) * c)
 
     # from anywhere, in the order the root collected them
     msgs = [(rng.randrange(g.n), msg) for _, msg in msgs]
-    delivered, m, stream = _root_stream(g, tree, msgs, budget)
-    assert delivered == [msg for _, msg in Channel(budget).recv([(0, stream)])]
+    delivered, m, stream = _root_stream(g, tree, msgs, split, budget)
+    assert delivered == split(stream)
     assert sorted(delivered) == sorted(msg for _, msg in msgs)
 
 
@@ -560,16 +582,35 @@ def test_broadcast_rejects_a_tampered_output(monkeypatch, tamper, error):
     # both checks are live: every vertex must hold the root's chunks, and
     # they must parse to exactly the messages the root collected
     g, tree = generators.gen_cycle(9)
-    msgs = [(0, tuple(range(7))), (4, ())]
+    msgs = [(0, tuple(range(7))), (4, (0,))]
     real_output = sim._UpDownProgram.output
 
     def tampered_output(self, st):
         return tamper(tree, *real_output(self, st), st)
 
-    assert broadcast_upcast(g, tree, msgs)[0] == [msgs[0][1], ()]
+    assert broadcast_upcast(g, tree, msgs, _at_zero)[0] == [msgs[0][1], (0,)]
     monkeypatch.setattr(sim._UpDownProgram, "output", tampered_output)
     with pytest.raises(SimError, match=error):
-        broadcast_upcast(g, tree, msgs)
+        broadcast_upcast(g, tree, msgs, _at_zero)
+
+
+def test_broadcast_rejects_a_split_that_cuts_wrongly():
+    # the stream every vertex holds must split into exactly the messages
+    # the root collected; a split that cuts at the wrong tokens is caught
+    g, tree = generators.gen_cycle(9)
+    msgs = [(0, tuple(range(7))), (4, (0, 1))]
+    assert broadcast_upcast(g, tree, msgs, _at_zero)[0] == [m for _, m in msgs]
+    for split in (_tokens, _cut_before(lambda tok: tok == 1),
+                  lambda s: [s]):
+        with pytest.raises(SimError, match="does not parse"):
+            broadcast_upcast(g, tree, msgs, split)
+
+
+def test_broadcast_rejects_an_empty_message():
+    # the unframed down stream has nothing to carry an empty message with
+    g, tree = generators.gen_cycle(9)
+    with pytest.raises(SimError, match="empty broadcast message from vertex 4"):
+        broadcast_upcast(g, tree, [(0, (0, 1)), (4, ())], _at_zero)
 
 
 @pytest.mark.parametrize("budget", (1, 4, 7))
@@ -709,7 +750,7 @@ def _arrivals(g, tree, msgs, budget):
     lines = []
     sim.TRANSCRIPT_SINK = lines
     try:
-        _, m = broadcast_upcast(g, tree, msgs, budget=budget)
+        _, m = broadcast_upcast(g, tree, msgs, _at_zero, budget=budget)
     finally:
         sim.TRANSCRIPT_SINK = None
     last = [-1] * g.n                    # last round v was sent mail from its parent
@@ -733,7 +774,7 @@ def test_property_broadcast_round_bound(seed, budget):
     rng = random.Random(seed)
     g, _ = generators.gen_random_2ec(rng.randint(3, 40), rng.randint(0, 20), seed)
     tree = bfs_tree(g, rng.randrange(g.n))
-    msgs = [(rng.randrange(g.n), tuple(range(rng.randrange(9))))
+    msgs = [(rng.randrange(g.n), tuple(range(rng.randrange(1, 9))))
             for _ in range(rng.randint(1, 8))]
     t_k, has_all, down, m = _arrivals(g, tree, msgs, budget)
     c = _chunks(msgs, budget)
