@@ -413,9 +413,10 @@ def split_records(stream):
 
 def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
     """All passes on the engine. Returns a dict with the virtual cover,
-    bridges, labels, the broadcast records by fragment, "lc" and "lg" in
-    "leaf_max" and "gc" and "lg" in "frag_max" (each VirtualEdge(ancestor
-    depth, SplitLabel(fragment, None), origin, 0)), and Metrics."""
+    bridges, labels, the incidence lists, the broadcast records by
+    fragment, "lc" and "lg" in "leaf_max" and "gc" and "lg" in "frag_max"
+    (each VirtualEdge(ancestor depth, SplitLabel(fragment, None), origin,
+    0)), and Metrics."""
     frag_of, frag_roots = fragment_decompose(tree)
     view = lbl.TreeView.of_fragments(tree, frag_of)
     metrics = sim.Metrics([])
@@ -539,7 +540,7 @@ def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
         "cover": cover, "bridges": bridges,
         "leaf_max": leaf_max, "frag_max": frag_max,
         "frag_of": frag_of, "frag_roots": frag_roots,
-        "labels": split, "scheme": scheme, "t0": t0,
+        "labels": split, "scheme": scheme, "incidence": incidence, "t0": t0,
         "final_announced": sorted(t[0][1] for t in fin),
         "metrics": metrics,
     }
@@ -593,8 +594,7 @@ def augment_fast(g, tree, budget: int = sim.DEFAULT_BUDGET):
     res = fast_cover_distributed(g, tree, budget=budget)
     if res["bridges"]:
         raise BridgeDetected(res["bridges"])
-    aug = vg.project_augmentation(g, tree, res["labels"], res["cover"],
-                                  res["scheme"])
+    aug = vg.project_cover(res["incidence"], res["cover"], res["scheme"])
     aug.meta["virtual_cover_size"] = len(res["cover"])
     aug.meta["fragments"] = len(res["frag_roots"])
     return aug, res["cover"], res["metrics"]

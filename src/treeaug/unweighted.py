@@ -58,6 +58,6 @@ def augment_unweighted(g, tree, budget: int = sim.DEFAULT_BUDGET):
     res = cover_virtual_optimal(g, tree, budget=budget)
     if res["bridges"]:
         raise BridgeDetected(res["bridges"])
-    aug = vg.project_augmentation(g, tree, res["labels"], res["added"])
+    aug = vg.project_cover(res["incidence"], res["added"])
     aug.meta["virtual_cover_size"] = len(res["added"])
     return aug, res["added"], res["metrics"]

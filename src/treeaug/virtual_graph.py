@@ -206,28 +206,38 @@ def build_incidence_distributed(g, tree, all_labels, scheme,
                                 read, budget)
 
 
-def project_augmentation(g, tree, all_labels, virt_edges, scheme=None) -> Augmentation:
-    """Map a cover in the virtual view back to G edges: for each virtual
-    edge take the minimum-weight origin among parallel edges inducing the
-    same endpoints, ties by lowest edge id."""
+def project_cover(incidence, virt_edges, scheme=None) -> Augmentation:
+    """Map a cover in the virtual view back to G edges from the incidence
+    lists: each virtual edge's descendant endpoint v takes the
+    minimum-weight origin among its own incoming edges incidence[v] with
+    the same ancestor endpoint, ties by lowest edge id."""
     scheme = scheme or PlainScheme()
-    groups: dict = {}
-    for eid in range(g.m):
-        if eid in tree.tree_edges:
-            continue
-        for ve in virtual_edges_of(g, tree, all_labels, eid, scheme):
-            key = (scheme.key(ve.anc), scheme.key(ve.desc))
-            cand = (ve.weight, ve.origin)
-            if key not in groups or cand < groups[key]:
-                groups[key] = cand
+    cheapest: dict = {}  # v -> {ancestor key: (weight, origin)}, on first use
     chosen = set()
     weight = 0
     for ve in virt_edges:
-        key = (scheme.key(ve.anc), scheme.key(ve.desc))
-        if key not in groups:
+        v = scheme.vertex_of(ve.desc)
+        groups = cheapest.get(v)
+        if groups is None:
+            groups = cheapest[v] = {}
+            for e in incidence[v]:
+                key = scheme.key(e.anc)
+                cand = (e.weight, e.origin)
+                if key not in groups or cand < groups[key]:
+                    groups[key] = cand
+        best = groups.get(scheme.key(ve.anc))
+        if best is None:
             raise VirtualGraphError("virtual edge %r has no origin" % (ve,))
-        w, eid = groups[key]
+        w, eid = best
         if eid not in chosen:
             chosen.add(eid)
             weight += w
     return Augmentation(frozenset(chosen), weight)
+
+
+def project_augmentation(g, tree, all_labels, virt_edges, scheme=None) -> Augmentation:
+    """project_cover over incidence lists built from G and the labels, for
+    callers that do not hold the exchange's."""
+    scheme = scheme or PlainScheme()
+    incidence = build_incidence_sequential(g, tree, all_labels, scheme)
+    return project_cover(incidence, virt_edges, scheme)

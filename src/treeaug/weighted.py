@@ -3,16 +3,18 @@
 Upward phase: every vertex v keeps, for each ancestor u, the cheapest way
 w_v(u) to cover the path v..u using edges incoming to its subtree, after
 subtracting min_v = w_v(parent(v)) (the cost charged to v's own tree
-edge). Values flow to the parent as (ancestorDepth, alteredWeight) pairs,
-exactly one pair per tree edge per round, deepest ancestor first, so the
-whole phase is pipelined. An ancestor is named by its depth, which every
-label carries and which is unique on a root path, so no vertex needs an
-ancestor directory. Nor does a vertex keep a table by depth: it forwards
-each depth's value in the step its last child reports it, and keeps only
-its own edges' breakpoints, one pending entry per depth some children have
-reported and others have not, and the runs of the winning source, so its
-memory is O(own edges + children + winner runs + pending window) rather
-than O(depth). Downward phase: each vertex either starts a cover for
+edge). Values flow to the parent as 1-token alteredWeight messages,
+exactly one per tree edge per round, deepest ancestor first and every
+depth in turn, so the whole phase is pipelined and no message names its
+depth: the receiver counts each child's weights down from its own depth.
+An ancestor is named by its depth, which every label carries and which is
+unique on a root path, so no vertex needs an ancestor directory. Nor does
+a vertex keep a table by depth: it forwards each depth's value in the step
+its last child reports it, and keeps only its own edges' breakpoints, a
+next-depth counter per child, one pending entry per depth some children
+have reported and others have not, and the runs of the winning source, so
+its memory is O(own edges + children + winner runs + pending window)
+rather than O(depth). Downward phase: each vertex either starts a cover for
 its own tree edge, naming its parent as the top ancestor, or relays the
 ancestor's (topDepth, topId, deciderId) choice to the recorded cheapest
 sender; the vertex at the end of a chain adds its own incoming edge.
@@ -29,8 +31,8 @@ from .sim import ACTIVE, HALT, IDLE
 from .unweighted import BridgeDetected
 
 INF = 1 << 62
-# the fewest tokens per edge and round that carry the upward (depth, weight)
-# pairs and the downward (topDepth, topId, deciderId) relays unframed
+# the fewest tokens per edge and round that carry the downward (topDepth,
+# topId, deciderId) relays unframed; the upward weights take one token
 MIN_BUDGET = 3
 
 
@@ -133,6 +135,11 @@ def _own_steps(incoming, depth, scheme):
 
 
 class _WeightedUpState:
+    """One vertex's upward state. Weights arrive in the order each child
+    sends them, depths d - 1, d - 2, ..., 0, so no weight names its depth:
+    a one-child vertex takes it from j, the next depth it settles, and a
+    vertex with several children from that child's own next-depth
+    counter."""
     __slots__ = ("v", "d", "pe", "j", "min_v", "own_starts", "own_edges", "own_i",
                  "kid", "kids", "pending", "run_pos", "run_src")
 
@@ -146,11 +153,12 @@ class _WeightedUpState:
         self.own_starts = own_starts
         self.own_edges = own_edges
         self.own_i = len(own_starts) - 1
-        # one child: its id; several: child edge -> child, and for each depth
-        # some but not all children reported, [best weight, its child,
-        # reports so far]
+        # one child: its id; several: child edge -> [child, the depth its
+        # next weight is for], and for each depth some but not all children
+        # reported, [best weight, its child, reports so far]
         self.kid = children[0][0] if len(children) == 1 else None
-        self.kids = {eid: c for c, eid in children} if len(children) > 1 else None
+        self.kids = ({eid: [c, d - 1] for c, eid in children}
+                     if len(children) > 1 else None)
         self.pending = {} if self.kids is not None else None
         # the winning source (-1: own edge) by runs: run i starts at depth
         # d - 1 - run_pos[i] and holds down to the next run
@@ -193,21 +201,26 @@ class _WeightedUpState:
 
 
 class WeightedUpProgram:
-    """One (ancestorDepth, alteredWeight) pair per tree edge per round, for
+    """One 1-token (alteredWeight,) message per tree edge per round, for
     ancestors other than the parent, deepest first.
 
-    Every child sends its pairs for depths d - 1, d - 2, ..., 0 of its
-    parent v (depth d), one a round, so a depth is complete once its
-    slowest child reported it, depths complete one at a time in decreasing
-    order, and v sends each depth's pair in the step it completes. A vertex
+    Every child sends its weights for depths d - 1, d - 2, ..., 0 of its
+    parent v (depth d), one a round, in that order and with none left out,
+    INF included, so the depth of a weight is implied: v counts each
+    child's weights. A depth is complete once its slowest child reported
+    it, depths complete one at a time in decreasing order, and v sends
+    each depth's weight in the step it completes. A weight past a child's
+    depth 0 raises SimError in `step`, and a child whose weights stop short
+    leaves v unsettled, which raises SimError in `output`. A vertex
     therefore keeps no per-depth table: it holds its own-edge step function
-    as breakpoints, with a pointer that walks them down; a pending map for
-    the depths some children have reported and others have not (none with
-    one child, whose value is final on arrival); and the winning source as
-    runs, appended as depths complete. That is O(own edges + children +
-    winner runs + pending window) per vertex instead of O(depth), O(n) in
-    all on a path. A vertex outputs its state; the downward phase reads
-    min_v, d, src_at(j) and own_edge(j)."""
+    as breakpoints, with a pointer that walks them down; a next-depth
+    counter per child and a pending map for the depths some children have
+    reported and others have not (neither with one child, whose weight is
+    final on arrival and for depth j); and the winning source as runs,
+    appended as depths complete. That is O(own edges + children + winner
+    runs + pending window) per vertex instead of O(depth), O(n) in all on
+    a path. A vertex outputs its state; the downward phase reads min_v, d,
+    src_at(j) and own_edge(j)."""
 
     def __init__(self, view, incidence, all_labels, scheme):
         self.view = view
@@ -226,25 +239,33 @@ class WeightedUpProgram:
             j = st.j
             if j < 0:
                 return [], HALT
-            out = [(st.pe, (j, self._altered(st, st.settle(j, INF, -1))))]
+            out = [(st.pe, (self._altered(st, st.settle(j, INF, -1)),))]
             return out, ACTIVE if j > 0 else HALT
         outbox = []
-        if st.kid is not None:  # one child: its pair is final on arrival
+        if st.kid is not None:  # one child: its weight is for depth j, final
             if inbox:
-                j, w = inbox[0][1]
-                w = st.settle(j, w, st.kid)
+                j = st.j
+                if j < 0:
+                    raise sim.SimError("vertex %d got a weight past depth 0 "
+                                       "from child %d" % (st.v, st.kid))
+                w = st.settle(j, inbox[0][1][0], st.kid)
                 if st.min_v is None:
                     st.min_v = w  # depth d - 1: v's own tree edge's charge
                 elif w >= INF:
-                    outbox = [(st.pe, (j, INF))]
+                    outbox = [(st.pe, (INF,))]
                 elif w < st.min_v:
                     raise sim.SimError("negative altered weight at vertex %d" % st.v)
                 else:
-                    outbox = [(st.pe, (j, w - st.min_v))]
+                    outbox = [(st.pe, (w - st.min_v,))]
             return outbox, HALT if st.j < 0 else IDLE
         if inbox:
-            for eid, (j, w) in inbox:
-                c = st.kids[eid]
+            for eid, (w,) in inbox:
+                kid = st.kids[eid]
+                c, j = kid
+                if j < 0:
+                    raise sim.SimError("vertex %d got a weight past depth 0 "
+                                       "from child %d" % (st.v, c))
+                kid[1] = j - 1
                 p = st.pending.get(j)
                 if p is None:
                     p = st.pending[j] = [w, c, 0]
@@ -259,7 +280,7 @@ class WeightedUpProgram:
                 if st.min_v is None:
                     st.min_v = w  # depth d - 1: v's own tree edge's charge
                 else:
-                    outbox.append((st.pe, (j, self._altered(st, w))))
+                    outbox.append((st.pe, (self._altered(st, w),)))
         return outbox, HALT if st.j < 0 else IDLE
 
     @staticmethod
@@ -272,6 +293,9 @@ class WeightedUpProgram:
         return alt
 
     def output(self, st):
+        if st.j >= 0:
+            raise sim.SimError("vertex %d got no weight for depth %d: a child's "
+                               "weights stopped short" % (st.v, st.j))
         return st
 
 
@@ -309,7 +333,8 @@ def weighted_down(view, tables):
 
 def weighted_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
     """Full distributed run. Returns dict with "added" [(ve, top, decider)],
-    "costs" {tree edge id: charge}, "bridges", "labels", "metrics".
+    "costs" {tree edge id: charge}, "bridges", "labels", "incidence",
+    "metrics".
 
     Raises ValueError when budget is below MIN_BUDGET."""
     if budget < MIN_BUDGET:
@@ -339,7 +364,7 @@ def weighted_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
         if bridge:
             bridges.append(v)
     return {"added": added, "costs": costs, "bridges": bridges,
-            "labels": all_labels, "metrics": metrics}
+            "labels": all_labels, "incidence": incidence, "metrics": metrics}
 
 
 def sequential_weighted_cover(g, tree):
@@ -409,6 +434,6 @@ def augment_weighted(g, tree, budget: int = sim.DEFAULT_BUDGET):
     if res["bridges"]:
         raise BridgeDetected(res["bridges"])
     ves = [e for e, _, _ in res["added"]]
-    aug = vg.project_augmentation(g, tree, res["labels"], ves)
+    aug = vg.project_cover(res["incidence"], ves)
     aug.meta["virtual_cover_weight"] = sum(e.weight for e in ves)
     return aug, res["added"], res["costs"], res["metrics"]

@@ -193,12 +193,17 @@ def test_fast_transcript_schedule_pinned(tmp_path):
 # label_assign and a label exchange (5/39/39, 6/51/164, 2/61/185) became
 # verify_sizes, verify_preorder and a one-token exchange (5/39/39, 5/39/39,
 # 1/42/84), same verdict and bridges: in all 29/349/586 -> 27/318/360 (was
-# aa84322c...efe43654e4, 95d9e34d...f7dfa8cfc2)
+# aa84322c...efe43654e4, 95d9e34d...f7dfa8cfc2). wtap was re-pinned when
+# weighted_up's messages dropped their ancestor-depth token, which the
+# receiver counts: each of its lines loses that token and nothing else
+# moves, weighted_up 21/179/358 -> 21/179/179 and in all 57/335/787 ->
+# 57/335/608 rounds/messages/tokens (was ea8796c0...933eb0daa,
+# 651802bd...eb0d7)
 RUN_PINS = {
     "tap": ("35d705717da9d75ffbe59fcae2f3d33d0d38d57a5c51607704d11bcd777dc83c",
             "8d8ebcf7bbe6c5457310aa1957dc621468a55a6bfd1ea41d81415a3cb1cd7bcc"),
-    "wtap": ("ea8796c0f9b71a6ab0f18a7cfc6526d068c160f9e22c0d382fcb28c933eb0daa",
-             "651802bdf9f44c190509f6e097423fa3a9331742a7c2e140b7ad6d24d5ecb0d7"),
+    "wtap": ("c2b58f331b69b4704f2d8b59e3018c3d35836c8d7c9c3f85d04e691f98d3c3b5",
+             "423fe43fe4a0fcb4578c2d3df8e306dae4234e841161d97d29bc66673eb59ecd"),
     "verify": ("992b26ef3c0e824945374a40e94b3c1f66e6a8ee424fe8dba07c4255e2334bd7",
                "2e73f394af601e3f0c652004fb36144262c3fbcd75c2fa7d7e18a89acba486d3"),
 }
@@ -243,12 +248,17 @@ def test_tap_at_the_smallest_budget_pinned(tmp_path):
 # whose trees have vertices with children of different subtree heights: the
 # upward phase holds up to 18 depths that some children have reported and
 # others have not, not only the one-child case where each value is final on
-# arrival. SHA-256 of the transcript and of the --metrics CSV
+# arrival. SHA-256 of the transcript and of the --metrics CSV. Re-pinned
+# when weighted_up's messages dropped their ancestor-depth token, which the
+# receiver counts: each weighted_up line loses that token and nothing else
+# moves; weighted_up tokens 9356 -> 4678 (wtap) and 10638 -> 5319 (ecss-w)
+# (was 9b5bc33c...68ef2abd, d92ef4af...b46a70; 3ba195c7...7491dd,
+# 4e66f12e...ac18acd)
 UNEVEN_TREE_PINS = {
-    "wtap": ("9b5bc33c5222db8db62db828cb80b3e7d4622a4fc7a3546dc37d7baa68ef2abd",
-             "d92ef4afe3c2213375ba2bc0b9f5a4676dc4454cbb724d6ed4819c3670b46a70"),
-    "ecss-w": ("3ba195c7f3d5577b32d3c66f10c864868c33acb5024a446a27918677467491dd",
-               "4e66f12ef03cb92312c2e234dd7212e1887cd483dea944ee379ef7eb9ac18acd"),
+    "wtap": ("6d2d7f41b56501157bac8daa090505de27cb8aadf14f8075deea3cb5002ae8ae",
+             "295595133d6c59c9dc96fcd1e8a166b98d6ae19eef59a1ce7d4e9da36854ad31"),
+    "ecss-w": ("a981683cd94f1efc2f4d4f5a84225b0ef20c2f4a30e5ed72d19315a263e75f60",
+               "8bcfd1035171135f6dc6ea277dcf0fc41c80d9fc32b94283ef4806846b183b11"),
 }
 
 

@@ -152,18 +152,31 @@ def test_cover_reference_matches_path():
 
 
 def test_augmentation_covers_matches_bridge_check():
-    for seed in range(30):
+    # T plus the augmentation has no bridge iff covers_ref finds every tree
+    # edge on some augmentation edge's fundamental cycle. An augmentation
+    # may leave edges uncovered, repeat an edge, or hold a tree edge, which
+    # counts as covering itself
+    seen = set()
+    for seed in range(40):
         rng = random.Random(seed)
-        g, tree = generators.gen_random_2ec(rng.randint(3, 12),
-                                            rng.randint(1, 6), seed)
+        g, tree = generators.gen_random_2ec(rng.randint(3, 14),
+                                            rng.randint(1, 8), seed)
         nontree = [e for e in range(g.m) if e not in tree.tree_edges]
-        for _ in range(5):
-            sub = [e for e in nontree if rng.random() < 0.5]
-            h = Multigraph(g.n)
-            for e in sorted(set(sub) | tree.tree_edges):
-                u, v, w = g.edges[e]
-                h.add_edge(u, v, w)
-            assert augmentation_covers(g, tree, sub) == is_two_edge_connected(h)
+        for _ in range(6):
+            sub = [e for e in nontree if rng.random() < 0.6]
+            te = rng.choice(sorted(tree.tree_edges))
+            want = all(any(covers_ref(g, tree, e, t) for e in sub)
+                       for t in tree.tree_edges)
+            want_te = all(t == te or any(covers_ref(g, tree, e, t) for e in sub)
+                          for t in tree.tree_edges)
+            assert augmentation_covers(g, tree, sub) == want, seed
+            assert augmentation_covers(g, tree, sub + sub) == want, seed
+            assert augmentation_covers(g, tree, sub + [te]) == want_te, seed
+            seen.add(want)
+    assert seen == {False, True}
+    g, tree = generators.gen_cycle(5)
+    assert not augmentation_covers(g, tree, [])
+    assert augmentation_covers(g, tree, sorted(tree.tree_edges))
 
 
 def test_instance_round_trip():

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from treeaug import generators, labels as lbl, virtual_graph as vg
+from treeaug import (fast, generators, labels as lbl, unweighted,
+                     virtual_graph as vg, weighted)
 from treeaug.graph import covers_ref, tree_path_edges
 from treeaug.labels import TreeView, assign_labels_sequential
 from treeaug.virtual_graph import (PlainScheme, VirtualGraphError,
@@ -10,7 +11,7 @@ from treeaug.virtual_graph import (PlainScheme, VirtualGraphError,
                                    build_incidence_sequential,
                                    covered_tree_edges, edge_covers,
                                    maximal_of, project_augmentation,
-                                   virtual_edges_of)
+                                   project_cover, virtual_edges_of)
 
 
 def setup(seed, nmax=20):
@@ -130,3 +131,32 @@ def test_projection_covers_and_picks_cheapest_parallel():
             chosen = [o for o in group if o.origin in aug.edge_ids]
             if chosen:
                 assert min(o.weight for o in chosen) == wmin
+
+
+@pytest.mark.parametrize("algo", ("tap", "wtap", "fast"))
+def test_projection_from_incidence_matches_project_augmentation(algo):
+    # the exchange's incidence lists give the same projection as incidence
+    # lists rebuilt from G; parallel copies of edges, some of them against
+    # tree edges, make the cheapest-origin choice and its ties matter
+    for seed in range(30):
+        rng = random.Random(seed)
+        g, tree = generators.gen_random_2ec(rng.randint(3, 30),
+                                            rng.randint(0, 20), seed,
+                                            wmin=1, wmax=5)
+        for _ in range(rng.randint(0, 6)):
+            u, v, _ = g.edges[rng.randrange(g.m)]
+            g.add_edge(u, v, rng.randint(1, 5))
+        scheme = None
+        if algo == "tap":
+            res = unweighted.cover_virtual_optimal(g, tree)
+            ves = res["added"]
+        elif algo == "wtap":
+            res = weighted.weighted_cover_distributed(g, tree)
+            ves = [ve for ve, _, _ in res["added"]]
+        else:
+            res = fast.fast_cover_distributed(g, tree)
+            ves, scheme = res["cover"], res["scheme"]
+        if res["bridges"]:
+            continue
+        assert (project_cover(res["incidence"], ves, scheme)
+                == project_augmentation(g, tree, res["labels"], ves, scheme)), seed

@@ -198,7 +198,7 @@ def test_every_virtual_cover_pays_at_least_the_cost_sum():
 
 
 def test_upward_phase_is_pipelined():
-    # one pair per tree edge per round: up phase finishes within 2h + 4
+    # one weight per tree edge per round: up phase finishes within 2h + 4
     for n in (32, 128, 512):
         g, tree = generators.gen_cycle(n)
         rng = random.Random(n)
@@ -209,6 +209,62 @@ def test_upward_phase_is_pipelined():
         h = tree.height
         up = res["metrics"].phase("weighted_up").rounds
         assert up <= 2 * h + 4, (n, up, h)
+
+
+@pytest.mark.parametrize("budget", range(3, 8))
+def test_upward_stream_is_one_token_a_message_pinned(budget):
+    # each message is one altered weight, its depth implied by its place in
+    # the sender's stream, so tokens equal messages at every budget. On the
+    # 64-cycle's path tree a vertex at depth d >= 2 sends d - 1 weights,
+    # 1953 in all, the last in round 2h - 3 = 123; the spider's hub, at
+    # depth 12 with legs of 5, 1, 9 and 3 vertices, waits on its slowest leg
+    for g, tree, want in ((*generators.gen_cycle(64), (123, 1953)),
+                          (*spider([5, 1, 9, 3], 2), (39, 331))):
+        up = weighted_cover_distributed(g, tree, budget)["metrics"].phase("weighted_up")
+        assert (up.rounds, up.messages, up.tokens) == (*want, want[1])
+        assert up.max_tokens_edge_round == 1
+
+
+def _upward_states():
+    """The upward program and fresh states on a tree with a one-child
+    vertex and a two-child vertex: the path 0-1-2 with leaves 3 and 4 below
+    vertex 2, and chords from both leaves to the root."""
+    g = Multigraph(5)
+    tree_ids = [g.add_edge(0, 1, 1), g.add_edge(1, 2, 1), g.add_edge(2, 3, 1),
+                g.add_edge(2, 4, 1)]
+    g.add_edge(3, 0, 5)
+    g.add_edge(4, 0, 7)
+    tree = root_tree(g, tree_ids, 0)
+    view = TreeView.of_tree(tree)
+    labels = assign_labels_sequential(view)
+    scheme = PlainScheme()
+    prog = WeightedUpProgram(view, build_incidence_sequential(g, tree, labels, scheme),
+                             labels, scheme)
+    return prog, [prog.init_state(v) for v in range(g.n)]
+
+
+def test_upward_stream_out_of_order_raises():
+    # vertex 1 (depth 1, one child) takes one weight, for depth 0; vertex 2
+    # (depth 2, children 3 and 4 on edges 2 and 3) takes two from each child
+    prog, st = _upward_states()
+    prog.step(st[1], 0, [(1, (0,))])
+    with pytest.raises(sim.SimError, match="past depth 0"):
+        prog.step(st[1], 1, [(1, (0,))])
+    prog.step(st[2], 0, [(2, (0,)), (3, (2,))])
+    prog.step(st[2], 1, [(2, (0,))])
+    with pytest.raises(sim.SimError, match="past depth 0"):
+        prog.step(st[2], 2, [(2, (0,))])
+
+    # streams that stop short leave a depth unsettled
+    prog, st = _upward_states()
+    with pytest.raises(sim.SimError, match="stopped short"):
+        prog.output(st[1])
+    prog.step(st[2], 0, [(2, (0,)), (3, (2,))])
+    prog.step(st[2], 1, [(2, (0,))])
+    with pytest.raises(sim.SimError, match="no weight for depth 0"):
+        prog.output(st[2])
+    prog.step(st[2], 2, [(3, (0,))])
+    assert prog.output(st[2]) is st[2]
 
 
 def test_no_ancestor_directory_phase():
