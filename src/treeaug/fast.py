@@ -25,8 +25,9 @@ starts with a tuple token that is not an ("lp", head, pos) hop and so
 needs no length token (`split_records`). The tag is "lc" for a leaf-added
 edge and "gc" for an incoming one; a fragment whose two maxima are one
 edge sends it once, tagged "lg", and receivers file it as both.
-`_record_covers` says how the passes read a record. The cover is built
-from the full edges the records' owners hold. The third pass is an
+A record marks the edges it covers outside its descendant's fragment
+only, which `_record_covers` shows is enough. The cover is built from the
+full edges the records' owners hold. The third pass is an
 in-fragment covering scan.
 """
 from __future__ import annotations
@@ -284,17 +285,6 @@ def _leaf_cands(added_leaf):
     return lambda v: [added_leaf[v]] if v in added_leaf else []
 
 
-def _coverage_after_leaf_pass(tree, leaf_max, bcast, covers):
-    """t0[v]: v's local parent edge (or global edge for a fragment root) is
-    covered by a leaf-added edge. leaf_max[v], v's in-fragment scan result
-    (an edge or its origin, None for none), answers for the edges that
-    descend in v's fragment; the broadcast per-fragment maximal edges
-    answer for the others, as `covers(e, v)` says."""
-    t0 = [v != tree.root and leaf_max[v] is not None for v in range(tree.n)]
-    _apply_cover(t0, bcast, covers)
-    return t0
-
-
 def fragment_tree_scan(scheme, split, frag_max, t0, depth_keyed=False):
     """Covering scan on the contracted fragment tree: each fragment is one
     node, responsible for its global edge, with its maximal incoming edge
@@ -344,30 +334,41 @@ def _apply_cover(t0, added, covers):
 
 
 def _label_covers(split, scheme):
-    """covers(e, v) for edges with full labels: `vg.edge_covers`."""
-    return lambda e, v: vg.edge_covers(e, split[v], scheme)
+    """covers(e, v) for edges with full labels, by `_record_covers`'s rule:
+    `vg.edge_covers` outside the fragment of e's descendant."""
+    return lambda e, v: (split[v].frag != e.desc.frag
+                         and vg.edge_covers(e, split[v], scheme))
 
 
-def _record_covers(split, scheme, own):
-    """covers(e, v) for the broadcast records of one kind, each
-    VirtualEdge(ancestor depth, SplitLabel(descFrag, None), origin, 0) for
-    the maximal edge of that kind covering descFrag's global edge: "lc" and
-    "lg" records for the leaf-added kind, "gc" and "lg" records for the
-    incoming kind, with own the vertices' scan results of that kind.
+def _record_covers(split, scheme):
+    """covers(e, v) for the broadcast records, each VirtualEdge(ancestor
+    depth, SplitLabel(descFrag, None), origin, 0) for the maximal edge of
+    its kind covering descFrag's global edge: v's parent edge is on e's
+    path when v lies outside descFrag, below e's ancestor and above
+    descFrag's root, which the directory walk answers from descFrag alone.
+    Marking e's path inside descFrag as well would move only t0:
 
-    Outside descFrag, v's parent edge is on e's path when e's ancestor lies
-    above v and v is an ancestor of descFrag's root, which the walk up the
-    directory answers from descFrag alone. Inside descFrag, it is when v's
-    own scan result of that kind, own[v] by origin, is e: on e's path, e
-    is the maximal edge covering v's parent edge, since any higher one
-    would cover the global edge too; off it, v's result has another
-    origin, since the other half of e's non-tree edge meets e at their
-    LCA above the fragment root and so descends outside the fragment."""
+    - Pass 1: there v's own leaf scan has a result, which sets t0[v].
+    - Pass 2 selects e, f's record, only if no candidate in f's contracted
+      subtree covering f's global edge beats e: the best one would reach f
+      as an optional f prefers, or, consumed, as a necessary covering all
+      that e covers from f up.
+    - Pass 3: below the lowest v0 on e's path under f's root with no t0
+      and no covering necessary, each vertex acts as if marked; without a
+      v0 nothing moves. v0's optional is e: f's own edges lose by the
+      in-fragment scan's maximality, and extras, records of fragments
+      below f, by the contracted scan's, ties by origin in both. So v0
+      consumes e, the verdicts lead to e's owner, and above v0 the
+      necessary e keeps anything from being consumed, as the marks did;
+      f's root is a root of pass 3's forest. Headers stay 4 tokens (from
+      v0 up e is a necessary, not an optional), verdicts 1 ("need" from v0
+      down), `_dedup_cover` keeps e once, and e descends in f, so
+      `final_broadcast` stays.
+    """
     def covers(e, v):
         sv = split[v]
-        if sv.frag == e.desc.frag:
-            return own[v] == e.origin
-        return e.anc < scheme.depth(sv) and scheme.is_ancestor(sv, e.desc)
+        return (sv.frag != e.desc.frag and e.anc < scheme.depth(sv)
+                and scheme.is_ancestor(sv, e.desc))
 
     return covers
 
@@ -434,10 +435,8 @@ def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
         g, view, budget=budget, phase_prefix="labels_local")
     metrics.merge(m)
 
-    # the parent endpoint p of each global edge announces it as ("gr",
-    # childFrag, p) and the hops of p's local label. The first hop's head is
-    # p's fragment root, which is the parent fragment's id, and the hops
-    # give p's depth, so the record needs no label header
+    # the parent endpoint p of each global edge announces its directory
+    # record, ("gr", childFrag, p) and p's hops (see the module docstring)
     msgs = []
     for v in frag_roots:
         if v == tree.root:
@@ -472,8 +471,8 @@ def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
     # one broadcast serves passes 1 and 2: each fragment root announces its
     # maximal leaf-added edge ("lc") and its maximal incoming edge ("gc"),
     # each as ((tag, fragment, origin), ancestor depth), or one "lg" record
-    # when the two are one edge; a vertex keeps only the origins of its own
-    # two results
+    # when the two are one edge. Pass 1 marks v's parent edge where v's own
+    # leaf scan found an edge, the records mark the others
     dview = cover_scan._DepthView(scheme)
     msgs = []
     for v in frag_roots:
@@ -486,8 +485,7 @@ def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
             recs = (("lc", leaf), ("gc", inc))
         msgs += [(v, ((tag, v, ve.origin), dview.depth(ve.anc)))
                  for tag, ve in recs if ve is not None]
-    leaf_own, gc_own = zip(*[[None if ve is None else ve.origin for ve in r]
-                             for r in res])
+    t0 = [v != tree.root and leaf is not None for v, (leaf, _) in enumerate(res)]
     del res
     bc, m = sim.broadcast_upcast(g, bfs, msgs, split_records, budget=budget,
                                  phase="cover_bcast")
@@ -502,11 +500,11 @@ def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
 
     # pass 1: coverage by the leaf-added edges; pass 2: the contracted-tree
     # scan over the fragments' maximal incoming edges, at every vertex
-    t0 = _coverage_after_leaf_pass(tree, leaf_own, leaf_max.values(),
-                                   _record_covers(split, scheme, leaf_own))
+    covers = _record_covers(split, scheme)
+    _apply_cover(t0, leaf_max.values(), covers)
     tf_res = fragment_tree_scan(scheme, split, frag_max, t0, depth_keyed=True)
     added_global = tf_res["added"]
-    _apply_cover(t0, added_global, _record_covers(split, scheme, gc_own))
+    _apply_cover(t0, added_global, covers)
 
     # pass 3: in-fragment covering scan with the fragment-maximal edges as
     # extra leaf candidates
@@ -558,7 +556,8 @@ def sequential_fast_cover(g, tree):
     bcast1 = [res1[v] for v in frag_roots
               if v != tree.root and res1[v] is not None]
     covers = _label_covers(split, scheme)
-    t0 = _coverage_after_leaf_pass(tree, res1, bcast1, covers)
+    t0 = [v != tree.root and res1[v] is not None for v in range(g.n)]
+    _apply_cover(t0, bcast1, covers)
 
     res2 = fragment_max_sequential(view, split, scheme,
                                    lambda v: incidence[v])

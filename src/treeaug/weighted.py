@@ -37,56 +37,27 @@ MIN_BUDGET = 3
 
 
 # ---------------------------------------------------------------------------
-# ancestor directories: every vertex learns (id, label) of all its ancestors.
-
-class _AncestorState:
-    __slots__ = ("ch", "kids", "anc", "got")
-
-    def __init__(self, ch, kids, depth):
-        self.ch = ch
-        self.kids = kids
-        self.anc = [None] * depth  # ancestor labels by depth
-        self.got = 0
-
-
-class _AncestorProgram:
-    """Every vertex sends its label to its children and relays each label
-    frame it receives from its parent to them."""
-
-    def __init__(self, view, all_labels, budget):
-        self.view = view
-        self.labels = all_labels
-        self.budget = budget
-
-    def init_state(self, v):
-        ch = sim.Channel(self.budget)
-        kids = [eid for _, eid in self.view.children[v]]
-        toks = lbl.label_tokens(self.labels[v])
-        for eid in kids:
-            ch.send(eid, toks)
-        return _AncestorState(ch, kids, self.labels[v].depth)
-
-    def step(self, st, rnd, inbox):
-        for _, toks in st.ch.recv(inbox):
-            label, _ = lbl.parse_label(toks, 0)
-            st.anc[label.depth] = label
-            st.got += 1
-            for eid in st.kids:
-                st.ch.send(eid, toks)
-        return st.ch.flush(st.got == len(st.anc))
-
-    def output(self, st):
-        # ancestors indexed by depth 0..depth(v)-1
-        if None in st.anc:
-            raise sim.SimError("incomplete ancestor directory")
-        return st.anc
-
+# ancestor directories: every vertex learns the labels of all its ancestors.
 
 def disseminate_ancestors(g, tree, all_labels, budget: int = sim.DEFAULT_BUDGET,
                           phase: str = "ancestors"):
-    """Standalone ancestor-directory helper: v outputs its ancestors' labels by depth."""
+    """Standalone helper, run by no algorithm: v outputs its ancestors'
+    labels by depth. A framed sim.Downcast from the root: each vertex sends
+    its children one frame, its root path's label tokens with its own label
+    last, once its own frame is in. So it is store-and-forward, O(h^2 L /
+    budget) rounds on a path of height h with L-token labels."""
     view = lbl.TreeView.of_tree(tree)
-    prog = _AncestorProgram(view, all_labels, budget)
+
+    def act(v, toks):
+        toks = toks or ()
+        anc, i = [], 0
+        while i < len(toks):
+            label, i = lbl.parse_label(toks, i)
+            anc.append(label)
+        down = toks + lbl.label_tokens(all_labels[v])
+        return anc, [(eid, down) for _, eid in view.children[v]]
+
+    prog = sim.Downcast(lambda v: v == tree.root, act, budget, framed=True)
     return sim.run(g, prog, budget=budget, phase=phase)
 
 
@@ -209,18 +180,19 @@ class WeightedUpProgram:
     INF included, so the depth of a weight is implied: v counts each
     child's weights. A depth is complete once its slowest child reported
     it, depths complete one at a time in decreasing order, and v sends
-    each depth's weight in the step it completes. A weight past a child's
-    depth 0 raises SimError in `step`, and a child whose weights stop short
-    leaves v unsettled, which raises SimError in `output`. A vertex
-    therefore keeps no per-depth table: it holds its own-edge step function
-    as breakpoints, with a pointer that walks them down; a next-depth
-    counter per child and a pending map for the depths some children have
-    reported and others have not (neither with one child, whose weight is
-    final on arrival and for depth j); and the winning source as runs,
-    appended as depths complete. That is O(own edges + children + winner
-    runs + pending window) per vertex instead of O(depth), O(n) in all on
-    a path. A vertex outputs its state; the downward phase reads min_v, d,
-    src_at(j) and own_edge(j)."""
+    each depth's weight in the step it completes. A vertex with children
+    never halts, so a weight past a child's depth 0 reaches `step`, which
+    raises SimError, and a child whose weights stop short leaves v
+    unsettled, which raises SimError in `output`. A vertex therefore keeps
+    no per-depth table: it holds its own-edge step function as breakpoints,
+    with a pointer that walks them down; a next-depth counter per child and
+    a pending map for the depths some children have reported and others
+    have not (neither with one child, whose weight is final on arrival and
+    for depth j); and the winning source as runs, appended as depths
+    complete. That is O(own edges + children + winner runs + pending
+    window) per vertex instead of O(depth), O(n) in all on a path. A vertex
+    outputs its state; the downward phase reads min_v, d, src_at(j) and
+    own_edge(j)."""
 
     def __init__(self, view, incidence, all_labels, scheme):
         self.view = view
@@ -257,7 +229,7 @@ class WeightedUpProgram:
                     raise sim.SimError("negative altered weight at vertex %d" % st.v)
                 else:
                     outbox = [(st.pe, (w - st.min_v,))]
-            return outbox, HALT if st.j < 0 else IDLE
+            return outbox, IDLE
         if inbox:
             for eid, (w,) in inbox:
                 kid = st.kids[eid]
@@ -281,7 +253,7 @@ class WeightedUpProgram:
                     st.min_v = w  # depth d - 1: v's own tree edge's charge
                 else:
                     outbox.append((st.pe, (self._altered(st, w),)))
-        return outbox, HALT if st.j < 0 else IDLE
+        return outbox, IDLE
 
     @staticmethod
     def _altered(st, w):
@@ -404,9 +376,8 @@ def sequential_weighted_cover(g, tree):
             continue
         m = msg[v]
         if m is None:
-            if min_v[v] is None or min_v[v] >= INF:
-                if min_v[v] is not None and min_v[v] >= INF:
-                    bridges.append(v)
+            if min_v[v] >= INF:
+                bridges.append(v)
                 continue
             u, dec = tree.parent[v], v
         else:

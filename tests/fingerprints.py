@@ -14,7 +14,12 @@ rewrites the file with
 and says which phases moved. With `--diff` the script rewrites nothing and
 prints how the recomputed corpus differs from the file: per (phase, count)
 how many entries rose and fell and the largest rise, and every moved output
-or digest.
+or digest. It then exits 1 if any entry was added, removed or moved, and 0
+if none was, so
+
+    PYTHONPATH=src python tests/fingerprints.py --diff
+
+checks the corpus without pytest.
 """
 from __future__ import annotations
 
@@ -23,6 +28,7 @@ import hashlib
 import json
 import pathlib
 import random
+import sys
 from collections import Counter
 
 from treeaug import apps, fast, generators, unweighted, virtual_graph as vg
@@ -219,7 +225,9 @@ if __name__ == "__main__":
     args = parser.parse_args()
     corpus = compute()
     if args.diff:
-        print("\n".join(diff(load(), corpus)))
+        old = load()
+        print("\n".join(diff(old, corpus)))
+        sys.exit(0 if old == corpus else 1)
     else:
         PATH.write_text(dumps(corpus))
         print("wrote %s: %d entries" % (PATH, len(corpus)))

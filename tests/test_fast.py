@@ -9,7 +9,8 @@ from treeaug import virtual_graph as vg
 from treeaug.fast import (SplitScheme, augment_fast, fragment_decompose,
                           fast_cover_distributed, sequential_fast_cover,
                           split_labels_sequential)
-from treeaug.graph import Multigraph, augmentation_covers, find_bridges, root_tree
+from treeaug.graph import (Multigraph, augmentation_covers, bfs_tree, find_bridges,
+                           root_tree)
 from treeaug.labels import TreeView, assign_labels_sequential
 from treeaug.unweighted import BridgeDetected, augment_unweighted
 from treeaug.virtual_graph import (PlainScheme, build_incidence_sequential,
@@ -275,7 +276,9 @@ def test_scan_result_marks_each_record_path():
     # inside the fragment of an "lc" or "gc" record (an "lg" record is
     # both), a vertex's own scan result of that kind has the record's origin
     # exactly when the vertex is an ancestor-or-self of the record's
-    # descendant; this is all pass 1 and pass 2 read there
+    # descendant: the path the marking rule of
+    # test_marking_inside_the_descendants_fragment_changes_no_cover covers
+    # there, which fast's passes leave unmarked (fast._record_covers)
     cases = ([instance(seed, 30) for seed in range(150)]
              + [instance(seed, 40) for seed in range(80)])
     for i, (g, tree) in enumerate(cases):
@@ -363,16 +366,58 @@ def test_property_split_records_inverts_concatenation(records):
 
 
 def test_third_pass_starts_from_the_shadows_flags():
-    # the engine marks the edges passes 1 and 2 cover from 2-token records
-    # and the vertices' own scan results; the shadow tests full-label edges
-    # against every vertex. The cover alone would not show a difference:
-    # the third pass picks a record's edge again where its path went
-    # unmarked
+    # the engine marks the edges passes 1 and 2 cover from 2-token records,
+    # the shadow from full-label edges, both only at vertices outside the
+    # edge's descendant's fragment. The cover alone would not show a
+    # difference: the third pass picks a record's edge again where its path
+    # goes unmarked (fast._record_covers)
     cases = ([instance(seed, 30) for seed in range(150)]
              + [instance(seed, 120) for seed in range(100)])
     for seed, (g, tree) in enumerate(cases):
         assert (fast_cover_distributed(g, tree)["t0"]
                 == sequential_fast_cover(g, tree)["t0"]), seed
+
+
+def _bridged_instance(seed):
+    """A random tree on edges 0..n-2 and a few chords, so that some tree
+    edges may be bridges."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 30)
+    g = Multigraph(n)
+    tree_ids = [g.add_edge(v, rng.randrange(v), 1) for v in range(1, n)]
+    for _ in range(rng.randint(0, n)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            g.add_edge(u, v, 1)
+    return g, root_tree(g, tree_ids, 0)
+
+
+def test_marking_inside_the_descendants_fragment_changes_no_cover(monkeypatch):
+    # the rule _record_covers leaves out: an edge of pass 1 or 2 also marks
+    # its path inside its descendant's fragment, with full labels and
+    # vg.edge_covers alone. Under it the third pass starts from more flags
+    # and picks the same cover and bridges
+    cases = ([instance(seed, 30) for seed in range(200)]
+             + [instance(seed, 80) for seed in range(100)]
+             + [_bridged_instance(seed) for seed in range(60)])
+
+    def marking_inside(split, scheme):
+        return lambda e, v: vg.edge_covers(e, split[v], scheme)
+
+    moved = 0
+    for i, (g, own_tree) in enumerate(cases):
+        for tree in (own_tree, bfs_tree(g, 0)):
+            want = sequential_fast_cover(g, tree)
+            with monkeypatch.context() as mp:
+                mp.setattr(fast, "_label_covers", marking_inside)
+                got = sequential_fast_cover(g, tree)
+            scheme = want["scheme"]
+            key = lambda ve: (ve.origin, scheme.key(ve.anc), scheme.key(ve.desc))
+            assert list(map(key, got["cover"])) == list(map(key, want["cover"])), i
+            assert got["bridges"] == want["bridges"], i
+            assert all(a or not b for a, b in zip(got["t0"], want["t0"])), i
+            moved += got["t0"] != want["t0"]
+    assert moved  # the rules differ on some instance, so the test has teeth
 
 
 # (rounds, messages, tokens) of global_cover and cover_bcast on

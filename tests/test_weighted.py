@@ -267,6 +267,35 @@ def test_upward_stream_out_of_order_raises():
     assert prog.output(st[2]) is st[2]
 
 
+class _OneWeightTooMany(WeightedUpProgram):
+    """The upward program whose leaf 3 sends one weight after its last."""
+
+    def step(self, st, rnd, inbox):
+        if st.v != 3:
+            return super().step(st, rnd, inbox)
+        if st.j < 0:
+            return [(st.pe, (0,))], sim.HALT
+        out, _ = super().step(st, rnd, inbox)
+        return out, sim.ACTIVE
+
+
+def test_a_weight_after_the_last_one_raises_in_a_run():
+    # path 0-1-2-3 with the chord {0, 3}: leaf 3 sends vertex 2 the weights
+    # for depths 1 and 0, then one more. Vertex 2 has settled depth 0 but
+    # has not halted, so the extra weight reaches its step, which raises
+    g = Multigraph(4)
+    tree_ids = [g.add_edge(u, u + 1, 1) for u in range(3)]
+    g.add_edge(0, 3, 1)
+    tree = root_tree(g, tree_ids, 0)
+    view = TreeView.of_tree(tree)
+    labels = assign_labels_sequential(view)
+    scheme = PlainScheme()
+    incidence = build_incidence_sequential(g, tree, labels, scheme)
+    sim.run(g, WeightedUpProgram(view, incidence, labels, scheme))
+    with pytest.raises(sim.SimError, match="vertex 2 got a weight past depth 0"):
+        sim.run(g, _OneWeightTooMany(view, incidence, labels, scheme))
+
+
 def test_no_ancestor_directory_phase():
     g, tree = instance(5)
     phases = [p.phase for p in weighted_cover_distributed(g, tree)["metrics"].phases]
@@ -281,12 +310,13 @@ def test_only_upward_phase_is_superlinear():
         assert m.messages - m.phase("weighted_up").messages <= 3 * n, n
 
 
-def test_disseminate_ancestors_lists_labels_by_depth():
+@pytest.mark.parametrize("budget", range(1, 8))
+def test_disseminate_ancestors_lists_labels_by_depth(budget):
     for seed in range(30):
         g, tree = instance(seed, nmax=16)
         labels = assign_labels_sequential(TreeView.of_tree(tree))
-        dirs, m = weighted.disseminate_ancestors(g, tree, labels)
-        assert m.max_tokens_edge_round <= 4
+        dirs, m = weighted.disseminate_ancestors(g, tree, labels, budget=budget)
+        assert m.max_tokens_edge_round <= budget
         for v in range(g.n):
             chain = []
             u = tree.parent[v]
