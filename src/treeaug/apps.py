@@ -22,6 +22,7 @@ from .graph import Augmentation, GraphError, Multigraph, bfs_tree, \
     is_connected, mst_tree, root_tree
 
 
+@sim.collector_paused()
 def two_ecss_unweighted(g, budget: int = sim.DEFAULT_BUDGET):
     """2-approximate smallest 2-edge-connected spanning subgraph.
 
@@ -35,6 +36,7 @@ def two_ecss_unweighted(g, budget: int = sim.DEFAULT_BUDGET):
     return edges, tree, aug, metrics
 
 
+@sim.collector_paused()
 def two_ecss_weighted(g, budget: int = sim.DEFAULT_BUDGET):
     """3-approximate minimum-weight 2-edge-connected spanning subgraph: MST
     weight is at most the optimum, and the augmentation of the MST is at
@@ -74,6 +76,7 @@ def recost_for_h(g, h_edge_ids):
     return g0, root_tree(g0, tree_ids, 0)
 
 
+@sim.collector_paused()
 def augment_1_to_2(g, h_edge_ids, budget: int = sim.DEFAULT_BUDGET):
     """Cheapest reinforcement of a connected spanning subgraph H: edges of
     H are recosted to 0 (reuse is free), a spanning tree of H anchors the
@@ -92,6 +95,7 @@ def augment_1_to_2(g, h_edge_ids, budget: int = sim.DEFAULT_BUDGET):
 # ---------------------------------------------------------------------------
 # verification
 
+@sim.collector_paused()
 def verify_2ec_distributed(g, budget: int = sim.DEFAULT_BUDGET):
     """Every vertex learns whether g is 2-edge-connected.
 

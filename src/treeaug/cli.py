@@ -195,6 +195,7 @@ class _TranscriptFile:
                 self.f.write("\n")
 
 
+@sim.collector_paused()
 def _run(args) -> int:
     need = weighted.MIN_BUDGET if args.algo in WEIGHTED_ALGOS else 1
     if args.budget < need:

@@ -586,6 +586,7 @@ def sequential_fast_cover(g, tree):
             "frag_roots": frag_roots}
 
 
+@sim.collector_paused()
 def augment_fast(g, tree, budget: int = sim.DEFAULT_BUDGET):
     """4-approximate augmentation with O(D + sqrt(n)) style round count.
 

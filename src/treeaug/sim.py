@@ -47,12 +47,16 @@ carry it, and each directed edge's "src,dst,edge," text once per run.
 A run allocates millions of short-lived message tuples and frees them all
 again, so CPython's cyclic garbage collector finds nothing to free but
 would still sweep every live object many times over. `run` therefore
-pauses the collector for its length and restores the caller's setting
-when it returns or raises.
+pauses the collector for its length, with `collector_paused`, and restores
+the caller's setting when it returns or raises. The algorithms' public
+entries (each `treeaug run` algorithm, and the command's `run`) pause it
+for their whole call the same way, so that the drivers' own work between
+runs does not trigger collections over a heap holding the instance.
 """
 from __future__ import annotations
 
 import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -160,9 +164,9 @@ def run(g, program, budget: int = DEFAULT_BUDGET, max_rounds: int | None = None,
     vertex evaluation order (testing hook; results must not depend on it);
     anything else raises ValueError.
 
-    The cyclic garbage collector is paused for the whole run, from the first
-    `init_state` to the last `output`; the caller's setting is restored on
-    return and on every exception.
+    The cyclic garbage collector is paused (`collector_paused`) for the
+    whole run, from the first `init_state` to the last `output`; the
+    caller's setting is restored on return and on every exception.
     """
     if eval_order is not None and sorted(eval_order) != list(range(g.n)):
         raise ValueError("eval_order must be a permutation of range(%d)" % g.n)
@@ -172,13 +176,23 @@ def run(g, program, budget: int = DEFAULT_BUDGET, max_rounds: int | None = None,
         transcript = TRANSCRIPT_SINK
     if transcript is not None:
         transcript.append("# phase %s" % phase)
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         return _run_rounds(g, program, budget, max_rounds, phase, transcript,
                            eval_order)
+
+
+@contextmanager
+def collector_paused():
+    """Pause CPython's cyclic garbage collector for a `with` block, or, as
+    `@collector_paused()`, for every call of a function; the caller's
+    setting is restored on exit, by return or by any exception. Nested
+    pauses restore in turn, so only the outermost re-enables it."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
     finally:
-        if gc_was_enabled:
+        if was_enabled:
             gc.enable()
 
 

@@ -49,6 +49,7 @@ def sequential_virtual_optimal(g, tree):
     return res
 
 
+@sim.collector_paused()
 def augment_unweighted(g, tree, budget: int = sim.DEFAULT_BUDGET):
     """2-approximate minimum-cardinality augmentation of tree within g.
 

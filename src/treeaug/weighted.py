@@ -393,6 +393,7 @@ def sequential_weighted_cover(g, tree):
             "labels": all_labels, "incidence": incidence}
 
 
+@sim.collector_paused()
 def augment_weighted(g, tree, budget: int = sim.DEFAULT_BUDGET):
     """2-approximate minimum-weight augmentation of tree within g.
 

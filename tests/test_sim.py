@@ -7,12 +7,13 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treeaug import generators, sim
-from treeaug.graph import Multigraph, bfs_tree, root_tree
+from treeaug import apps, cli, fast, generators, sim, unweighted, weighted
+from treeaug.graph import Multigraph, bfs_tree, root_tree, write_instance
 from treeaug.labels import TreeView
 from treeaug.sim import (ACTIVE, HALT, IDLE, BudgetExceeded, Metrics,
                          Channel, PhaseMetrics, RoundLimitExceeded, SimError,
                          TokenStream, broadcast_upcast)
+from treeaug.unweighted import BridgeDetected
 
 
 def path_graph(n):
@@ -941,3 +942,105 @@ def test_collector_is_paused_inside_run():
         assert gc.isenabled()
     finally:
         _set_collector(was)
+
+
+def test_collector_paused_works_as_a_context_and_a_decorator():
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            _set_collector(enabled)
+            with sim.collector_paused():
+                with sim.collector_paused():
+                    assert not gc.isenabled()
+                assert not gc.isenabled()
+            assert gc.isenabled() is enabled
+
+            @sim.collector_paused()
+            def fails(depth):
+                assert not gc.isenabled()
+                if depth:
+                    return fails(depth - 1)
+                raise KeyError(depth)
+
+            with pytest.raises(KeyError):
+                fails(2)
+            assert gc.isenabled() is enabled
+    finally:
+        _set_collector(was)
+
+
+def _bridged():
+    # the tree is the path 0-1-2-3 and the chord {1, 3}: the tree edge
+    # {0, 1} is a bridge
+    g = Multigraph(4)
+    tree_ids = [g.add_edge(v, v + 1, 1) for v in range(3)]
+    g.add_edge(1, 3, 2)
+    return g, root_tree(g, tree_ids, 0)
+
+
+# each `treeaug run` algorithm's library entry, called on (g, tree, budget)
+ENTRIES = {
+    "tap": lambda g, t, b: unweighted.augment_unweighted(g, t, budget=b),
+    "wtap": lambda g, t, b: weighted.augment_weighted(g, t, budget=b),
+    "fast": lambda g, t, b: fast.augment_fast(g, t, budget=b),
+    "ecss": lambda g, t, b: apps.two_ecss_unweighted(g, budget=b),
+    "ecss-w": lambda g, t, b: apps.two_ecss_weighted(g, budget=b),
+    "aug12": lambda g, t, b: apps.augment_1_to_2(g, t.tree_edges, budget=b),
+    "verify": lambda g, t, b: apps.verify_2ec_distributed(g, budget=b),
+}
+
+
+# every entry on a 2-edge-connected and on a bridged instance; below
+# MIN_BUDGET only the entries built on the weighted augmentation, which
+# raise ValueError there (the command line refuses the budget itself)
+ENTRY_ENDINGS = ([(name, ending) for name in ENTRIES
+                  for ending in ("return", "bridge")]
+                 + [(name, "low-budget") for name in ("wtap", "ecss-w", "aug12")])
+
+
+@pytest.mark.parametrize("via", ["library", "cli"])
+@pytest.mark.parametrize("name, ending", ENTRY_ENDINGS)
+@pytest.mark.parametrize("enabled", [True, False])
+def test_every_algorithm_entry_restores_the_callers_collector(
+        enabled, name, ending, via, tmp_path, monkeypatch):
+    # the collector stays paused from the call's first phase to its last,
+    # and the caller's setting comes back however the call ends; verify
+    # reports a bridge rather than raising
+    if ending == "bridge":
+        g, tree = _bridged()
+    else:
+        g, tree = generators.gen_random_2ec(14, 8, 3, wmin=1, wmax=9)
+    budget = 2 if ending == "low-budget" else sim.DEFAULT_BUDGET
+    phase_starts = []  # the collector's state as each run, or read, starts
+
+    def probe(real):
+        def call(*args, **kwargs):
+            phase_starts.append(gc.isenabled())
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(sim, "run", probe(sim.run))
+    monkeypatch.setattr(cli, "read_instance", probe(cli.read_instance))
+    was = gc.isenabled()
+    try:
+        _set_collector(enabled)
+        if via == "cli":
+            path = str(tmp_path / "inst.txt")
+            write_instance(path, g, tree)
+            rc = cli.main(["run", path, "--algo", name, "--budget", str(budget)])
+            bridge_rc = 0 if name == "verify" else 2
+            assert rc == {"return": 0, "bridge": bridge_rc, "low-budget": 1}[ending]
+        elif ending == "return" or (ending == "bridge" and name == "verify"):
+            ENTRIES[name](g, tree, budget)
+        elif ending == "bridge":
+            with pytest.raises(BridgeDetected):
+                ENTRIES[name](g, tree, budget)
+        else:
+            with pytest.raises(ValueError, match="at least 3"):
+                ENTRIES[name](g, tree, budget)
+        assert gc.isenabled() is enabled
+    finally:
+        _set_collector(was)
+    if ending != "low-budget":
+        assert len(phase_starts) >= 2
+    assert not any(phase_starts)
