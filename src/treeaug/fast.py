@@ -10,7 +10,7 @@ global edge (a tree edge between two fragments) already holds its local
 label, so it announces the edge's directory record itself: ("gr",
 childFrag, p) and the label's ("lp", head, pos) hops. The first hop's head
 is p's fragment root, the parent fragment's id, and `labels.seq_depth`
-reads p's depth from the hops, so the record needs no label header. The
+reads p's depth from the hops, as every label's receiver does. The
 records are the fragment tree: the second pass scans it as a contracted
 tree, and ancestry across fragments and the third pass's entry points are
 read by walking it upward.
@@ -145,7 +145,7 @@ class SplitScheme:
         return f == a.frag and lbl.is_ancestor(a.local, x)
 
     def tokens(self, sl: SplitLabel) -> tuple:
-        return (("sf", sl.frag),) + lbl.label_tokens(sl.local)
+        return (("sf", sl.frag),) + lbl.hop_tokens(sl.local.seq)
 
     def parse(self, buf, i):
         if buf[i][0] != "sf":

@@ -1,20 +1,23 @@
 """Heavy-path ancestry labels with O(log^2 n)-bit labels and local LCA queries.
 
 A label is the sequence of (heavyPathHead, position) hops on the root path,
-plus a (vertexId, depth) header. Two labels of the same tree support
-lca/ancestor queries with no communication. The computed LCA's vertex id is
-resolved when it is derivable from the inputs (it equals one of them, or it
-is a heavy-path head); otherwise it is None, and callers name that
+and those hops alone name a vertex of the tree: labels are equal, and hash
+alike, exactly when their hops are. A label also keeps its vertex id and its
+depth as local fields, which take no part in comparison; the depth is
+`seq_depth` of the hops, and the vertex is None on a label parsed off the
+wire and on a label that `lca_query` builds. Two labels of the same tree
+support lca/ancestor queries with no communication; callers name an
 ancestor by its depth, which is unique on a root path.
 
 Labeling works on a TreeView, which is either a whole rooted tree or a
 forest of tree fragments (each fragment root acting as a local root). On
 the engine it is the two tree waves of `sim`: subtree sizes go up as an
-unframed Convergecast, then labels go down as a framed Downcast.
+unframed Convergecast, then each label goes down as one frame of its hops
+in a framed Downcast.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import sim
 
@@ -25,8 +28,8 @@ class LabelError(Exception):
 
 @dataclass(frozen=True)
 class LcaLabel:
-    vertex: int | None
-    depth: int
+    vertex: int | None = field(compare=False)
+    depth: int = field(compare=False)
     seq: tuple  # ((head, pos), ...)
 
 
@@ -137,38 +140,24 @@ def assign_labels_sequential(view: TreeView) -> list[LcaLabel | None]:
 # queries
 
 def lca_query(a: LcaLabel, b: LcaLabel) -> LcaLabel:
+    """The LCA's label; its vertex is None unless the LCA is a or b."""
     sa, sb = a.seq, b.seq
-    la, lb = len(sa), len(sb)
     j = 0
-    lim = min(la, lb)
+    lim = min(len(sa), len(sb))
     while j < lim and sa[j] == sb[j]:
         j += 1
-    if j == la and j == lb:
-        return a
-    if j == la:
+    if j == len(sa):
         return a  # a's whole hop sequence is a prefix: a is on b's root path
-    if j == lb:
+    if j == len(sb):
         return b
-    ha, pa = sa[j]
-    hb, pb = sb[j]
+    (ha, pa), (hb, pb) = sa[j], sb[j]
     if ha == hb:
-        m = min(pa, pb)
-        seq = sa[:j] + ((ha, m),)
-        if m == pa and j == la - 1:
-            vid = a.vertex
-        elif m == pb and j == lb - 1:
-            vid = b.vertex
-        elif m == 0:
-            vid = ha
-        else:
-            vid = None
-        return LcaLabel(vid, seq_depth(seq), seq)
-    if j == 0:
+        seq = sa[:j] + ((ha, min(pa, pb)),)
+    elif j == 0:
         raise LabelError("labels come from different trees")
-    h, p = sa[j - 1]
-    seq = sa[:j - 1] + ((h, p),)
-    vid = h if p == 0 else None
-    return LcaLabel(vid, seq_depth(seq), seq)
+    else:
+        seq = sa[:j]
+    return LcaLabel(None, seq_depth(seq), seq)
 
 
 def is_ancestor(a: LcaLabel, d: LcaLabel) -> bool:
@@ -177,16 +166,12 @@ def is_ancestor(a: LcaLabel, d: LcaLabel) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# wire format: header ('lh', vertexId|-1, depth), one ('lp', head, pos) per
-# hop. A label sent on its own is one frame of exactly these tokens.
+# wire format: one ('lp', head, pos) token per hop, and nothing else. A
+# label sent on its own is one frame of exactly these tokens; the receiver
+# takes the depth from the hops.
 
 def hop_tokens(seq) -> tuple:
     return tuple(("lp", h, p) for h, p in seq)
-
-
-def label_tokens(label: LcaLabel) -> tuple:
-    vid = -1 if label.vertex is None else label.vertex
-    return (("lh", vid, label.depth),) + hop_tokens(label.seq)
 
 
 def parse_hops(buf, i):
@@ -200,14 +185,13 @@ def parse_hops(buf, i):
 
 
 def parse_label(buf, i):
-    """Parse the label starting at buf[i]; it ends at the first token that
-    is not an 'lp' hop, or at the end of buf. Returns (label, next_index)."""
-    tag = buf[i]
-    if tag[0] != "lh":
-        raise LabelError("expected label header, got %r" % (tag,))
-    _, vid, depth = tag
-    seq, i = parse_hops(buf, i + 1)
-    return LcaLabel(None if vid < 0 else vid, depth, seq), i
+    """Parse the label whose hops start at buf[i]; it ends at the first token
+    that is not an 'lp' hop, or at the end of buf. Returns (label,
+    next_index)."""
+    seq, j = parse_hops(buf, i)
+    if not seq:
+        raise LabelError("expected a label hop at %d" % i)
+    return LcaLabel(None, seq_depth(seq), seq), j
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +222,11 @@ def assign_labels_distributed(g, view: TreeView, budget: int = sim.DEFAULT_BUDGE
                                              phase_prefix + "_sizes")
 
     def act(v, toks):
-        label = LcaLabel(v, 0, ((v, 0),)) if toks is None else parse_label(toks, 0)[0]
+        seq = ((v, 0),) if toks is None else parse_hops(toks, 0)[0]
+        label = LcaLabel(v, seq_depth(seq), seq)
         ch = view.children[v]
         hv = heavy_child(ch, child_sizes[v]) if ch else None
-        return label, [(eid, label_tokens(_child_label(label, c, c == hv)))
+        return label, [(eid, hop_tokens(_child_label(label, c, c == hv).seq))
                        for c, eid in ch]
 
     down = sim.Downcast(lambda v: view.parent_edge[v] < 0, act, budget, framed=True)

@@ -10,11 +10,12 @@ Programs are per-vertex state machines:
     outbox, status = program.step(state, rnd, inbox)
     localOutput = program.output(state)
 
-`inbox` is a list of (edge_id, payload) sorted by edge id; `outbox` is a
-list of (edge_id, payload) with payload a tuple of tokens. `status` is
-ACTIVE (step me next round even without mail), IDLE (wake me on mail), or
-HALT (done; later mail is dropped). Vertices are stepped in ascending id
-order but may only interact through messages, so evaluation order is
+`inbox` is None when no mail arrived, else a list of (edge_id, payload)
+sorted by edge id; `outbox` is a list of (edge_id, payload) with payload
+a tuple of tokens. `status` is ACTIVE (step me next round even without
+mail), IDLE (wake me on mail), or HALT (done; later mail is dropped).
+Vertices are stepped in ascending id order but may only interact through
+messages, so evaluation order is
 unobservable; the transcript-equality test pins that down. Programs keep
 their per-vertex state in a `__slots__` class. A vertex sends only on its
 own edges: any other edge id, negative or past the last edge included,

@@ -49,7 +49,7 @@ class PlainScheme:
         return lbl.is_ancestor(a, d)
 
     def tokens(self, label) -> tuple:
-        return lbl.label_tokens(label)
+        return lbl.hop_tokens(label.seq)
 
     def parse(self, buf, i):
         return lbl.parse_label(buf, i)

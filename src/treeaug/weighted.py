@@ -43,18 +43,22 @@ def disseminate_ancestors(g, tree, all_labels, budget: int = sim.DEFAULT_BUDGET,
                           phase: str = "ancestors"):
     """Standalone helper, run by no algorithm: v outputs its ancestors'
     labels by depth. A framed sim.Downcast from the root: each vertex sends
-    its children one frame, its root path's label tokens with its own label
-    last, once its own frame is in. So it is store-and-forward, O(h^2 L /
-    budget) rounds on a path of height h with L-token labels."""
+    its children one frame, its root path's label hops with its own label's
+    last, once its own frame is in. Every label's first hop, and no later
+    one, is headed by the root, so the stream is cut into labels there.
+    It is store-and-forward, O(h^2 L / budget) rounds on a path of height h
+    with L-hop labels."""
     view = lbl.TreeView.of_tree(tree)
 
     def act(v, toks):
         toks = toks or ()
-        anc, i = [], 0
-        while i < len(toks):
-            label, i = lbl.parse_label(toks, i)
-            anc.append(label)
-        down = toks + lbl.label_tokens(all_labels[v])
+        seqs = []
+        for _, head, pos in toks:
+            if head == tree.root:
+                seqs.append(())
+            seqs[-1] += ((head, pos),)
+        anc = [lbl.LcaLabel(None, lbl.seq_depth(seq), seq) for seq in seqs]
+        down = toks + lbl.hop_tokens(all_labels[v].seq)
         return anc, [(eid, down) for _, eid in view.children[v]]
 
     prog = sim.Downcast(lambda v: v == tree.root, act, budget, framed=True)

@@ -140,11 +140,16 @@ def test_fast_transcript_bytes_pinned(tmp_path):
     # 870 tokens; cover_bcast 20 rounds, 413 -> 289 messages, 1,614 ->
     # 1,118 tokens): in all 102 -> 103 rounds, 1,574 -> 1,388 messages,
     # 4,727 -> 3,859 tokens, 45,230 -> 41,023 bytes (was
-    # 84e456fa...2dd839ba), same output
+    # 84e456fa...2dd839ba), same output. Re-pinned again when a label went
+    # on the wire as its hops alone, without its ("lh", vertexId, depth)
+    # header (labels_local_assign 62 -> 57 messages, 193 -> 137 tokens;
+    # exchange 237 -> 202 messages, 810 -> 626 tokens): in all 103 rounds,
+    # 1,388 -> 1,348 messages, 3,859 -> 3,619 tokens, 41,023 -> 38,621
+    # bytes (was cba17b98...9b21f471), same output
     data = _fast_lb_disj_transcript(tmp_path)
-    assert len(data) == 41023
+    assert len(data) == 38621
     assert hashlib.sha256(data).hexdigest() == (
-        "cba17b98e550160062e0db7b81ffee03f3cdf42e3ee9f75e7bd890779b21f471")
+        "b7b902642225f3aa5acd60f7a42f157f2c5c40cd82433c06334fe430319b8f27")
 
 
 def test_fast_transcript_schedule_pinned(tmp_path):
@@ -168,11 +173,13 @@ def test_fast_transcript_schedule_pinned(tmp_path):
     # labels_global_bcast 20 -> 17 rounds, cover_bcast 21 -> 20. Re-pinned
     # again (was e9de3032...1a76) when the broadcasts' down streams dropped
     # each record's length token: fewer chunks an edge, and
-    # labels_global_bcast 17 -> 18 rounds
+    # labels_global_bcast 17 -> 18 rounds. Re-pinned again (was
+    # 905936e9...0061db61) when labels lost their header: shorter frames,
+    # so fewer chunks in labels_local_assign and the exchange
     lines = _fast_lb_disj_transcript(tmp_path).decode().splitlines()
     schedule = "".join(",".join(line.split(",")[:5]) + "\n" for line in lines)
     assert hashlib.sha256(schedule.encode()).hexdigest() == (
-        "905936e95828b36d4834b33269421953156e2071c540e211214d6c140061db61")
+        "c125194326c512f1fbac48ac5898276f9141d70127fa2aa16951409aeabf6ca6")
 
 
 # SHA-256 of the full transcript and of the --metrics CSV at budget 4 on one
@@ -198,12 +205,17 @@ def test_fast_transcript_schedule_pinned(tmp_path):
 # receiver counts: each of its lines loses that token and nothing else
 # moves, weighted_up 21/179/358 -> 21/179/179 and in all 57/335/787 ->
 # 57/335/608 rounds/messages/tokens (was ea8796c0...933eb0daa,
-# 651802bd...eb0d7)
+# 651802bd...eb0d7). tap and wtap were re-pinned when a label went on the
+# wire as its hops alone, without its ("lh", vertexId, depth) header, same
+# outputs: label_assign 12/39/144 -> 12/39/105 and exchange 1/42/160 ->
+# 1/42/118 in both, in all 49/198/538 -> 49/198/457 (tap; was
+# 35d70571...777dc83c, 8d8ebcf7...b1cd7bcc) and 57/335/608 -> 57/335/527
+# (wtap; was c2b58f33...98d3c3b5, 423fe43f...e59ecd)
 RUN_PINS = {
-    "tap": ("35d705717da9d75ffbe59fcae2f3d33d0d38d57a5c51607704d11bcd777dc83c",
-            "8d8ebcf7bbe6c5457310aa1957dc621468a55a6bfd1ea41d81415a3cb1cd7bcc"),
-    "wtap": ("c2b58f331b69b4704f2d8b59e3018c3d35836c8d7c9c3f85d04e691f98d3c3b5",
-             "423fe43fe4a0fcb4578c2d3df8e306dae4234e841161d97d29bc66673eb59ecd"),
+    "tap": ("facbd7bb6999d8de93e9cc5174077c00407f5b34c979078778e74be544a71855",
+            "4f7b4b732b0ee9e6571b3517232d5f6e920463d907ce10480bc9bef699fc1ed8"),
+    "wtap": ("896145f52ccf5a255bda3ba9d7ca2f5f46defe8588368a617491e46172779b32",
+             "ffde382b812186b7f3e8ee32f3a28422242cb8af9c1ecdc686908e0f451d7ff5"),
     "verify": ("992b26ef3c0e824945374a40e94b3c1f66e6a8ee424fe8dba07c4255e2334bd7",
                "2e73f394af601e3f0c652004fb36144262c3fbcd75c2fa7d7e18a89acba486d3"),
 }
@@ -228,10 +240,14 @@ def test_run_transcript_and_metrics_pinned(tmp_path, algo):
 # scan's two label frames an edge became one framed 4-token header (5 tokens
 # with its length): cover_up 87 -> 60 rounds, 249 -> 195 messages; in all
 # 151 -> 124 rounds, 631 -> 577 messages and tokens, same output (was
-# af6cd25b...1821604, 4a6cea92...b962782ab)
+# af6cd25b...1821604, 4a6cea92...b962782ab). Re-pinned again when labels
+# lost their ("lh", vertexId, depth) header: label_assign 36/144 -> 24/105
+# and exchange 4/160 -> 3/118 rounds/messages; in all 124 -> 111 rounds,
+# 577 -> 496 messages and tokens, same output (was 0fbbb683...cc2235d,
+# 3f4b1fee...1f1660c)
 TAP_BUDGET_1_PIN = (
-    "0fbbb683a469f5721dcde0bb13d1a990a6bda6a8163c2ff774b322b22ec2235d",
-    "3f4b1feeac402abe2bdc5a9941a69c856ab57845177297b2bff2fcc441f1660c")
+    "380df0305ef8fff4765cc1865f9b460c888ed823212fa4c9b816d3872ac28cc9",
+    "586e58669a84e4a2c8892a164f4a7282661f585902690b9c36e44d271110a46a")
 
 
 def test_tap_at_the_smallest_budget_pinned(tmp_path):
@@ -253,12 +269,18 @@ def test_tap_at_the_smallest_budget_pinned(tmp_path):
 # receiver counts: each weighted_up line loses that token and nothing else
 # moves; weighted_up tokens 9356 -> 4678 (wtap) and 10638 -> 5319 (ecss-w)
 # (was 9b5bc33c...68ef2abd, d92ef4af...b46a70; 3ba195c7...7491dd,
-# 4e66f12e...ac18acd)
+# 4e66f12e...ac18acd). Re-pinned again when labels lost their ("lh",
+# vertexId, depth) header, same outputs: wtap's label_assign 41/563/1305 ->
+# 36/431/1006 and exchange 2/572/1333 -> 2/444/1031, in all 179/6409/8342
+# -> 174/6149/7741 rounds/messages/tokens; ecss-w's label_assign
+# 46/568/1329 -> 43/431/1030 and exchange 3/578/1373 -> 2/456/1071, in all
+# 213/7962/9950 -> 209/7703/9349 (was 6d2d7f41...5002ae8ae,
+# 29559513...854ad31; a981683c...315a263e75f60, 8bcfd103...46b183b11)
 UNEVEN_TREE_PINS = {
-    "wtap": ("6d2d7f41b56501157bac8daa090505de27cb8aadf14f8075deea3cb5002ae8ae",
-             "295595133d6c59c9dc96fcd1e8a166b98d6ae19eef59a1ce7d4e9da36854ad31"),
-    "ecss-w": ("a981683cd94f1efc2f4d4f5a84225b0ef20c2f4a30e5ed72d19315a263e75f60",
-               "8bcfd1035171135f6dc6ea277dcf0fc41c80d9fc32b94283ef4806846b183b11"),
+    "wtap": ("e9847d9279262822efec523b0676613f53a5aba7c63b772707f500e2f2809ce4",
+             "147d4aa2ae56216d3c6f5062514a33e3e38d9e337539298bac94d7c004e8d621"),
+    "ecss-w": ("bf98961005f61f0c5b3b4149a64c9b2339254243446b4269c2f3d19ad70e8000",
+               "b0f70c7a4af0747a1684d2df344a2c085f3a40fdf7330e9a749dcd74c4849d9d"),
 }
 
 

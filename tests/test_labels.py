@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from treeaug import generators, labels as lbl, sim
 from treeaug.graph import bfs_tree
 from treeaug.labels import (LabelError, TreeView, assign_labels_distributed,
-                            assign_labels_sequential, is_ancestor,
-                            label_tokens, lca_query, parse_label)
+                            assign_labels_sequential, hop_tokens, is_ancestor,
+                            lca_query, parse_label)
 
 
 def true_lca(tree, a, b):
@@ -37,8 +37,8 @@ def test_sequential_labels_match_tree_facts():
         for v in range(g.n):
             assert labels[v].vertex == v
             assert labels[v].depth == tree.depth[v]
+        rng = random.Random(seed * 7919)
         for _ in range(100):
-            rng = random.Random(seed * 7919)
             a, b = rng.randrange(g.n), rng.randrange(g.n)
             t = true_lca(tree, a, b)
             got = lca_query(labels[a], labels[b])
@@ -47,19 +47,6 @@ def test_sequential_labels_match_tree_facts():
             if got.vertex is not None:
                 assert got.vertex == t
             assert is_ancestor(labels[a], labels[b]) == tree.is_ancestor(a, b)
-
-
-def test_lca_vertex_resolved_when_derivable():
-    # the unresolved case exists but depth and position never lie
-    for seed in range(40):
-        g, tree = random_tree_instance(seed)
-        labels = assign_labels_sequential(TreeView.of_tree(tree))
-        for a in range(g.n):
-            for b in range(g.n):
-                t = true_lca(tree, a, b)
-                got = lca_query(labels[a], labels[b])
-                if t in (a, b) or got.seq[-1][1] == 0:
-                    assert got.vertex == t, (seed, a, b)
 
 
 def test_label_size_logarithmic():
@@ -122,7 +109,7 @@ def test_labeling_runs_on_the_two_tree_waves(monkeypatch, budget):
             height = max(label.depth for label in got)
             assert (sizes.rounds, sizes.messages, sizes.tokens) == (
                 height, len(kids), len(kids))
-            frames = [len(label_tokens(got[v])) + 1 for v in kids]
+            frames = [len(hop_tokens(got[v].seq)) + 1 for v in kids]
             assert assign.messages == sum(-(-f // budget) for f in frames)
             assert assign.tokens == sum(frames)
 
@@ -149,10 +136,31 @@ def test_wire_round_trip():
         g, tree = random_tree_instance(seed)
         labels = assign_labels_sequential(TreeView.of_tree(tree))
         for v in range(g.n):
-            toks = list(label_tokens(labels[v]))
-            back, i = parse_label(toks, 0)
+            toks = list(hop_tokens(labels[v].seq))
+            assert len(toks) == len(labels[v].seq)
+            back, i = parse_label(toks + [("sz", 1)], 0)
             assert i == len(toks)
             assert back == labels[v]
+
+
+def test_parsed_label_is_the_sequential_label():
+    # the hops alone name the vertex: a label off the wire, whose vertex is
+    # unknown, equals and hashes like the one assigned to it
+    for seed in range(20):
+        g, tree = random_tree_instance(seed)
+        labels = assign_labels_sequential(TreeView.of_tree(tree))
+        for v in range(g.n):
+            back, _ = parse_label(hop_tokens(labels[v].seq), 0)
+            assert back.vertex is None and labels[v].vertex == v
+            assert back.depth == labels[v].depth
+            assert back == labels[v] and hash(back) == hash(labels[v])
+            assert {back: v}[labels[v]] == v
+
+
+def test_parse_label_needs_a_hop():
+    for buf in ((), (("sz", 3),), (("sf", 0), ("lp", 0, 0))):
+        with pytest.raises(LabelError):
+            parse_label(buf, 0)
 
 
 def test_cross_tree_query_rejected():

@@ -809,7 +809,7 @@ def test_duplicate_edge_send_rejected():
 
 
 def test_framing_lives_only_in_sim():
-    retired = re.compile(r"""\(\s*["']le["']\s*,\s*\)|["'](eo|um|dm)["']""")
+    retired = re.compile(r"""\(\s*["']le["']\s*,\s*\)|["'](eo|um|dm|lh)["']""")
     for path in sorted(pathlib.Path(sim.__file__).parent.glob("*.py")):
         text = path.read_text()
         if path.name != "sim.py":

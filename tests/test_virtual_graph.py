@@ -105,6 +105,28 @@ def test_incidence_distributed_equals_sequential():
         assert m.max_tokens_edge_round <= 4
 
 
+@pytest.mark.parametrize("algo", ("tap", "fast"))
+def test_exchange_cost_is_one_frame_per_non_tree_edge_end(algo):
+    # every vertex v sends its label, L_v tokens, as one frame over each of
+    # its nt(v) non-tree edges: a length token and the label, in
+    # ceil((L_v + 1) / b) messages
+    run = (unweighted.cover_virtual_optimal if algo == "tap"
+           else fast.fast_cover_distributed)
+    for seed in range(40 if algo == "tap" else 30):
+        g, tree, _, _ = setup(seed, nmax=40)
+        for budget in range(1, 8):
+            res = run(g, tree, budget=budget)
+            scheme = res.get("scheme", PlainScheme())
+            messages = tokens = 0
+            for v in range(g.n):
+                nt = sum(eid not in tree.tree_edges for eid, _ in g.adj[v])
+                frame = len(scheme.tokens(res["labels"][v])) + 1
+                messages += nt * -(-frame // budget)
+                tokens += nt * frame
+            ex = res["metrics"].phase("exchange")
+            assert (ex.messages, ex.tokens) == (messages, tokens), (seed, budget)
+
+
 def test_projection_covers_and_picks_cheapest_parallel():
     for seed in range(40):
         g, tree, labels, scheme = setup(seed)
