@@ -123,8 +123,8 @@ def verify_2ec_distributed(g, budget: int = sim.DEFAULT_BUDGET):
     child_sizes, m = lbl.sizes_distributed(g, view, budget, "verify_sizes")
     metrics.merge(m)
 
-    def number(v, payload):
-        pre = 0 if payload is None else payload[0][1]
+    def number(v, mail):
+        pre = 0 if mail is None else mail[0][1][0][1]
         nxt = pre + 1
         out = []
         for c, eid in view.children[v]:
@@ -157,8 +157,8 @@ def verify_2ec_distributed(g, budget: int = sim.DEFAULT_BUDGET):
     recs, m = sim.run(g, up, budget=budget, phase="verify_bridges")
     metrics.merge(m)
 
-    def act(v, payload):
-        verdict = 1 - recs[v][1] if payload is None else payload[0][1]
+    def act(v, mail):
+        verdict = 1 - recs[v][1] if mail is None else mail[0][1][0][1]
         msg = (("vd", verdict),)
         return verdict, [(eid, msg) for _, eid in view.children[v]]
 

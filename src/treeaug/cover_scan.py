@@ -254,9 +254,9 @@ def cover_down(view, records):
     whether its offered optional was used. A vertex outputs the edges it
     added: its up-pass additions, plus its own optional if the verdict
     consumed it."""
-    def act(v, verdict):
+    def act(v, mail):
         rec = records[v]
-        my_need = verdict == ("need",)
+        my_need = mail is not None and mail[0][1] == ("need",)
         added = list(rec.added)
         if my_need and rec.opt_src[0] == "own":
             added.append(rec.opt_src[1])

@@ -5,7 +5,10 @@ cover is built in three passes (tree-leaf edges, cross-fragment edges,
 in-fragment edges). The result is an optimal-within-factor-2 cover of the
 ancestor-descendant view, hence a 4-approximate augmentation.
 
-Every broadcast runs over a BFS tree. The parent endpoint p of each
+Every broadcast runs over a BFS tree, flooded from the root as an
+unframed `sim.Downcast`: a vertex acts on the whole first round of mail
+that reaches it, takes the least (sender id, edge id) of it as its
+parent, and sends on every edge. The parent endpoint p of each
 global edge (a tree edge between two fragments) already holds its local
 label, so it announces the edge's directory record itself: ("gr",
 childFrag, p) and the label's ("lp", head, pos) hops. The first hop's head
@@ -36,8 +39,7 @@ import math
 from dataclasses import dataclass
 
 from . import cover_scan, labels as lbl, sim, virtual_graph as vg
-from .graph import root_tree
-from .sim import HALT, IDLE
+from .graph import NotConnectedError, root_tree
 from .unweighted import BridgeDetected
 
 
@@ -174,47 +176,33 @@ def split_labels_sequential(tree, frag_of):
 # ---------------------------------------------------------------------------
 # distributed BFS tree (carrier for the coordinator broadcasts)
 
-class _BfsState:
-    __slots__ = ("v", "dist", "parent", "fired")
-
-    def __init__(self, v, dist):
-        self.v = v
-        self.dist = dist
-        self.parent = (-1, -1)  # (parent vertex, tree edge id)
-        self.fired = False
-
-
-class _BfsProgram:
-    def __init__(self, g, root):
-        self.g = g
-        self.root = root
-
-    def init_state(self, v):
-        return _BfsState(v, 0 if v == self.root else None)
-
-    def step(self, st, rnd, inbox):
-        if st.dist is None and inbox:
-            best = None
-            for eid, payload in inbox:
-                u = payload[0][1]
-                if best is None or (u, eid) < best:
-                    best = (u, eid)
-            st.dist = rnd  # first delivery round equals the BFS distance
-            st.parent = best
-        if st.dist is not None and not st.fired:
-            st.fired = True
-            return ([(eid, (("d", st.v, st.dist),))
-                     for eid, _ in self.g.adj[st.v]], HALT)
-        return [], IDLE
-
-    def output(self, st):
-        return st.parent
-
-
 def build_bfs_tree_distributed(g, root: int, budget: int = sim.DEFAULT_BUDGET):
-    prog = _BfsProgram(g, root)
+    """BFS tree from `root` by flooding, as an unframed sim.Downcast over all
+    of g's edges; returns (tree, Metrics). The root sends ("d", root, 0) on
+    every edge in round 0. A vertex at distance d first gets mail in round
+    d, all of it from distance d - 1; it takes as its parent the least
+    (sender id, edge id) over that round's mail, `graph.bfs_tree`'s rule,
+    sends ("d", v, d) on every edge and halts.
+
+    Cost, for a connected g with m edges: every vertex sends one 1-token
+    message on each of its edges, so messages = tokens = 2m. The last
+    layer, at distance ecc(root), sends in round ecc(root) to neighbours
+    that have halted, so the run takes ecc(root) + 1 rounds, and 0 when
+    n = 1. A disconnected g raises NotConnectedError after the run."""
+    def act(v, mail):
+        if mail is None:
+            parent, dist = None, 0
+        else:
+            parent = min((toks[0][1], eid) for eid, toks in mail)
+            dist = mail[0][1][0][2] + 1
+        msg = (("d", v, dist),)
+        return parent, [(eid, msg) for eid, _ in g.adj[v]]
+
+    prog = sim.Downcast(lambda v: v == root, act)
     outputs, metrics = sim.run(g, prog, budget=budget, phase="bfs")
-    tree_ids = [outputs[v][1] for v in range(g.n) if v != root]
+    tree_ids = [outputs[v][1] for v in range(g.n) if v != root and outputs[v]]
+    if len(tree_ids) < g.n - 1:
+        raise NotConnectedError("graph is disconnected")
     return root_tree(g, tree_ids, root), metrics
 
 

@@ -221,8 +221,8 @@ def assign_labels_distributed(g, view: TreeView, budget: int = sim.DEFAULT_BUDGE
     child_sizes, metrics = sizes_distributed(g, view, budget,
                                              phase_prefix + "_sizes")
 
-    def act(v, toks):
-        seq = ((v, 0),) if toks is None else parse_hops(toks, 0)[0]
+    def act(v, mail):
+        seq = ((v, 0),) if mail is None else parse_hops(mail[0][1], 0)[0]
         label = LcaLabel(v, seq_depth(seq), seq)
         ch = view.children[v]
         hv = heavy_child(ch, child_sizes[v]) if ch else None

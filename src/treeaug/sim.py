@@ -25,8 +25,9 @@ algorithms' two tree waves are written once here, framed or unframed as
 the caller picks (unframed, each message goes as it is, one per edge a
 round, never split): `Convergecast`, a leaves-to-root scan in which each
 vertex decides once its children's messages, one each, are in and sends
-its own one up, and `Downcast`, a root-to-leaves relay in which each
-vertex acts once on its parent's message.
+its own one up, and `Downcast`, a wave from its starting vertices in
+which each vertex acts once, on the first round in which mail reaches
+it: a root-to-leaves relay, or the BFS flood over every edge.
 `broadcast_upcast` gathers k messages at a tree root, store-and-forward
 and framed, and streams them down cut-through and unframed: the root
 appends each message to its down stream as it collects it, with no length
@@ -403,7 +404,7 @@ class Channel:
 # ---------------------------------------------------------------------------
 # the two tree waves. Convergecast runs over a TreeView, a rooted forest
 # given by parent_edge[v] (-1 at a root) and children[v], a list of
-# (child, edge id) pairs; Downcast's `act` reads the forest itself. A
+# (child, edge id) pairs; Downcast's `act` reads its edges itself. A
 # framed wave vertex builds its Channel at its first send or its first
 # mail, since only then does it hold a partial frame; until then it has
 # nothing queued, so its flush is empty. An unframed wave vertex returns
@@ -496,15 +497,19 @@ class _DownState:
 
 
 class Downcast:
-    """Root-to-leaves wave: every vertex acts once, sends, and halts.
+    """Wave from the starting vertices: every vertex acts once, sends, and
+    halts.
 
-    A vertex acts on the first message from its parent, or in round 0 if
-    `starts(v)`; a child never sends to its parent, so the only mail a
-    vertex gets is its parent's. `act(v, payload)`, with payload None in
-    round 0, returns (output, outbox): the vertex's output and its messages
-    to its children. Framed, they go through a Channel and stream under
-    `budget`; unframed, the outbox is sent as it is, and `run` rejects two
-    messages on one edge. A vertex that never acts outputs None.
+    A vertex acts once, on the first round in which mail reaches it (framed,
+    a whole frame), or in round 0 if `starts(v)`. `act(v, mail)` gets that
+    round's mail, a list of (edge id, payload) pairs: unframed, the
+    engine's inbox, sorted by edge id; framed, the whole frames its Channel
+    returned. In round 0 mail is None. It returns (output, outbox): the
+    vertex's output and its messages. Framed, they go through a Channel and
+    stream under `budget`; unframed, the outbox is sent as it is, and `run`
+    rejects two messages on one edge. Mail that reaches a vertex after it
+    has acted is dropped, so a flood over every edge of a graph is a
+    Downcast too. A vertex that never acts outputs None.
 
     Cost from the roots of a forest of height h: unframed, h rounds and one
     message per tree edge; framed, if every message has L tokens, each tree
@@ -529,7 +534,7 @@ class Downcast:
             if not msgs and not (rnd == 0 and self.starts(st.v)):
                 return [], IDLE
             st.acted = True
-            st.out, outbox = self.act(st.v, msgs[0][1] if msgs else None)
+            st.out, outbox = self.act(st.v, msgs or None)
             if not self.framed:
                 return outbox, HALT
             if outbox:

@@ -50,8 +50,8 @@ def disseminate_ancestors(g, tree, all_labels, budget: int = sim.DEFAULT_BUDGET,
     with L-hop labels."""
     view = lbl.TreeView.of_tree(tree)
 
-    def act(v, toks):
-        toks = toks or ()
+    def act(v, mail):
+        toks = () if mail is None else mail[0][1]
         seqs = []
         for _, head, pos in toks:
             if head == tree.root:
@@ -282,11 +282,12 @@ def weighted_down(view, tables):
     tree edge; the tree root never acts. A vertex outputs its (virtual
     edge, top id, decider id) records and whether its tree edge is a
     bridge."""
-    def act(v, m):
+    def act(v, mail):
         tab = tables[v]
         added = []
         bridge = False
         chain_child = None
+        m = None if mail is None else mail[0][1]
         if m is None or m[0] == "bot":
             m = None
             if tab.min_v >= INF:

@@ -9,8 +9,8 @@ from treeaug import virtual_graph as vg
 from treeaug.fast import (SplitScheme, augment_fast, fragment_decompose,
                           fast_cover_distributed, sequential_fast_cover,
                           split_labels_sequential)
-from treeaug.graph import (Multigraph, augmentation_covers, bfs_tree, find_bridges,
-                           root_tree)
+from treeaug.graph import (Multigraph, NotConnectedError, augmentation_covers,
+                           bfs_tree, eccentricity, find_bridges, root_tree)
 from treeaug.labels import TreeView, assign_labels_sequential
 from treeaug.unweighted import BridgeDetected, augment_unweighted
 from treeaug.virtual_graph import (PlainScheme, build_incidence_sequential,
@@ -164,6 +164,61 @@ def test_phases_are_exactly_the_needed_ones():
         "labels_global_bcast", "exchange", "global_cover", "cover_bcast",
         "local_cover_up", "local_cover_down", "final_broadcast"]
     assert not hasattr(fast, "_ParentLabelProgram")
+
+
+def _random_multigraph(seed):
+    """A random spanning tree over shuffled ids plus chords and parallel
+    copies of edges, in either orientation."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 30)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    g = Multigraph(n)
+    for i in range(1, n):
+        g.add_edge(ids[i], ids[rng.randrange(i)])
+    for _ in range(rng.randint(0, 2 * n) if n > 1 else 0):
+        if rng.random() < 0.5:
+            u, v, _ = rng.choice(g.edges)
+        else:
+            u, v = rng.sample(range(n), 2)
+        g.add_edge(*rng.sample((u, v), 2))
+    return g, rng.randrange(n)
+
+
+def _id_order_case():
+    # vertex 3's two parent candidates: vertex 2 on edge 2 and vertex 1 on
+    # edges 3 and 4, so the least edge id alone would pick vertex 2
+    g = Multigraph(4)
+    for u, v in ((0, 2), (0, 1), (2, 3), (1, 3), (3, 1)):
+        g.add_edge(u, v)
+    return g, 0
+
+
+@pytest.mark.parametrize("budget", (1, 4))
+def test_engine_bfs_is_graph_bfs_tree_at_its_derived_cost(budget):
+    cases = [_id_order_case(), (generators.gen_cycle(9)[0], 0)]
+    cases += [(generators.gen_random_2ec(60, 40, s)[0], 0) for s in range(3)]
+    cases += [_random_multigraph(s) for s in range(60)]
+    for g, root in cases:
+        tree, m = fast.build_bfs_tree_distributed(g, root, budget=budget)
+        want = bfs_tree(g, root)
+        assert tree.root == root
+        assert tree.tree_edges == want.tree_edges, (g.edges, root)
+        assert [p.phase for p in m.phases] == ["bfs"]
+        # every vertex floods all its edges once, one token a message; the
+        # last layer still sends, to neighbours that have halted
+        assert m.rounds == (eccentricity(g, root) + 1 if g.n > 1 else 0)
+        assert m.messages == m.tokens == 2 * g.m
+    # in the hand-built case the least edge id alone picks wrong
+    g, _ = _id_order_case()
+    assert bfs_tree(g, 0).parent_edge[3] == 3
+    assert min(eid for eid, _ in g.adj[3]) == 2
+    # vertices the flood never reaches never act
+    for n in (3, 4):
+        g = Multigraph(n)
+        g.add_edge(0, 1)
+        with pytest.raises(NotConnectedError, match="disconnected"):
+            fast.build_bfs_tree_distributed(g, 0, budget=budget)
 
 
 def test_cover_complete_and_at_most_twice_optimal():

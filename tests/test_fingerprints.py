@@ -3,6 +3,7 @@ corpus equal the checked-in ones; see tests/fingerprints.py."""
 import copy
 
 import fingerprints
+from treeaug.graph import eccentricity
 
 
 def test_fingerprint_corpus_is_unchanged():
@@ -11,6 +12,24 @@ def test_fingerprint_corpus_is_unchanged():
     assert got.keys() == want.keys()
     moved = [k for k in want if got[k] != want[k]]
     assert not moved, "\n".join(fingerprints.diff(want, got))
+
+
+def test_bfs_entries_cost_their_derived_counts():
+    # the engine BFS floods every edge once (fast.build_bfs_tree_distributed):
+    # ecc(root) + 1 rounds, 0 when n = 1, and 2m one-token messages. fast
+    # roots it at its tree's root, ecss, ecss-w and verify at vertex 0
+    graphs = {name: (g, tree.root) for name, g, tree in fingerprints.instances()}
+    algos = set()
+    for key, e in fingerprints.load().items():
+        if "bfs" not in e["phases"]:
+            continue
+        name, _, algo = key.split("|")
+        g, root = graphs[name]
+        root = root if algo == "fast" else 0
+        rounds = eccentricity(g, root) + 1 if g.n > 1 else 0
+        assert e["phases"]["bfs"] == [rounds, 2 * g.m, 2 * g.m], key
+        algos.add(algo)
+    assert algos == {"fast", "ecss", "ecss-w", "verify"}
 
 
 def test_diff_counts_rises_and_falls_and_names_moved_outputs():

@@ -656,8 +656,9 @@ def test_downcast_from_the_root_costs_h_rounds(shape, framed, budget):
     view = TreeView.of_tree(tree)
     L = 5 if framed else 1
 
-    def act(v, payload):
-        return payload, [(eid, (v,) * L) for _, eid in view.children[v]]
+    def act(v, mail):
+        return (None if mail is None else mail[0][1],
+                [(eid, (v,) * L) for _, eid in view.children[v]])
 
     down = sim.Downcast(lambda v: v == tree.root, act, budget, framed=framed)
     out, m = sim.run(g, down, budget=budget)
