@@ -115,16 +115,14 @@ def verify_2ec_distributed(g, budget: int = sim.DEFAULT_BUDGET):
 
     Returns (verdict, sorted bridge vertex list, Metrics), a bridge named by
     its lower vertex; raises SimError if a vertex's verdict is not the
-    root's."""
-    if not is_connected(g):
-        raise GraphError("input graph is not connected")
+    root's, and the BFS raises NotConnectedError if g is disconnected."""
     tree, metrics = build_bfs_tree_distributed(g, 0, budget=budget)
     view = lbl.TreeView.of_tree(tree)
     child_sizes, m = lbl.sizes_distributed(g, view, budget, "verify_sizes")
     metrics.merge(m)
 
     def number(v, mail):
-        pre = 0 if mail is None else mail[0][1][0][1]
+        pre = mail[0][1][0][1] if mail else 0
         nxt = pre + 1
         out = []
         for c, eid in view.children[v]:
@@ -132,7 +130,7 @@ def verify_2ec_distributed(g, budget: int = sim.DEFAULT_BUDGET):
             nxt += child_sizes[v][c]
         return (pre, nxt), out
 
-    down = sim.Downcast(lambda v: view.parent_edge[v] < 0, number)
+    down = sim.Wave(lambda v: view.parent_edge[v] >= 0, number)
     interval, m = sim.run(g, down, budget=budget, phase="verify_preorder")
     metrics.merge(m)
     nbr_pres, m = vg.exchange_distributed(
@@ -140,29 +138,28 @@ def verify_2ec_distributed(g, budget: int = sim.DEFAULT_BUDGET):
         lambda v, peer: [toks[0][1] for toks in peer.values()], budget)
     metrics.merge(m)
 
-    def decide(v, msgs):
+    def decide(v, mail):
         pre, end = interval[v]
         low, high = min([pre] + nbr_pres[v]), max([pre] + nbr_pres[v])
         below = 0
-        for _, child_low, child_high, child_below in msgs.values():
+        for _, ((_, child_low, child_high, child_below),) in mail:
             low = min(low, child_low)
             high = max(high, child_high)
             below |= child_below
         bridge = view.parent_edge[v] >= 0 and pre <= low and high < end
         below |= bridge
-        return (bridge, below), (("vb", low, high, below),)
+        return (bridge, below), view.to_parent(v, (("vb", low, high, below),))
 
-    up = sim.Convergecast(view, lambda toks: toks[0], decide, budget,
-                          framed=False)
+    up = sim.Wave(lambda v: len(view.children[v]), decide)
     recs, m = sim.run(g, up, budget=budget, phase="verify_bridges")
     metrics.merge(m)
 
     def act(v, mail):
-        verdict = 1 - recs[v][1] if mail is None else mail[0][1][0][1]
+        verdict = mail[0][1][0][1] if mail else 1 - recs[v][1]
         msg = (("vd", verdict),)
         return verdict, [(eid, msg) for _, eid in view.children[v]]
 
-    down = sim.Downcast(lambda v: view.parent_edge[v] < 0, act)
+    down = sim.Wave(lambda v: view.parent_edge[v] >= 0, act)
     verdicts, m = sim.run(g, down, budget=budget, phase="verify_verdict")
     metrics.merge(m)
     verdict = verdicts[tree.root] == 1

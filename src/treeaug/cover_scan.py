@@ -17,10 +17,9 @@ The scan is generic over:
     the fast algorithm.
 
 Both a sequential executor and an engine run are provided; they must
-produce identical results. The engine run is the simulator's two tree
-waves: a sim.Convergecast for the up pass, in which each vertex sends its
-parent one 4-token (origin, ancestor depth) header for its necessary and
-optional edges, and a sim.Downcast from the roots for the verdicts.
+produce identical results. The engine run is two sim.Waves: up, each
+vertex sends its parent one 4-token (origin, ancestor depth) header for its
+necessary and optional edges, and down from the roots, the verdicts.
 """
 from __future__ import annotations
 
@@ -218,7 +217,7 @@ def parse_depth_header(toks):
 
 
 def cover_up(view, resp_labels, incoming, t0, scheme, budget):
-    """Upward pass of the scan over a TreeView, as a sim.Convergecast.
+    """Upward pass of the scan over a TreeView, as a sim.Wave.
 
     Per-vertex inputs: responsible label, incoming candidates (incidence
     plus any extra leaf candidates), t0 flag. A received header rebuilds
@@ -235,28 +234,31 @@ def cover_up(view, resp_labels, incoming, t0, scheme, budget):
     """
     dview = _DepthView(scheme)
 
-    def decide(v, msgs):
-        kids = [c for c, _ in view.children[v]]
-        node = ScanNode(v, resp_labels[v], children=kids,
+    def act(v, mail):
+        by_edge = dict(mail)
+        kids = view.children[v]
+        node = ScanNode(v, resp_labels[v], children=[c for c, _ in kids],
                         incoming=incoming[v], t0=t0[v],
                         root=view.parent_edge[v] < 0)
-        child_recs = [(c, ScanRecord(nec=nec, opt=opt))
-                      for c, (nec, opt) in zip(kids, msgs.values())]
+        child_recs = []
+        for c, eid in kids:
+            nec, opt = parse_depth_header(by_edge[eid])
+            child_recs.append((c, ScanRecord(nec=nec, opt=opt)))
         rec = _scan_node(node, child_recs, dview)
-        return rec, depth_header(rec.nec, rec.opt, dview)
+        return rec, view.to_parent(v, depth_header(rec.nec, rec.opt, dview))
 
-    return sim.Convergecast(view, parse_depth_header, decide, budget,
-                            framed=budget < HEADER_TOKENS)
+    return sim.Wave(lambda v: len(view.children[v]), act, budget,
+                    framed=budget < HEADER_TOKENS)
 
 
 def cover_down(view, records):
-    """Verdict pass, as a sim.Downcast from the view roots: tells each child
+    """Verdict pass, as a sim.Wave down from the view roots: tells each child
     whether its offered optional was used. A vertex outputs the edges it
     added: its up-pass additions, plus its own optional if the verdict
     consumed it."""
     def act(v, mail):
         rec = records[v]
-        my_need = mail is not None and mail[0][1] == ("need",)
+        my_need = bool(mail) and mail[0][1] == ("need",)
         added = list(rec.added)
         if my_need and rec.opt_src[0] == "own":
             added.append(rec.opt_src[1])
@@ -266,7 +268,7 @@ def cover_down(view, records):
             outbox.append((eid, ("need",) if need else ("bot",)))
         return added, outbox
 
-    return sim.Downcast(lambda v: view.parent_edge[v] < 0, act)
+    return sim.Wave(lambda v: view.parent_edge[v] >= 0, act)
 
 
 def distributed_cover_scan(g, view, resp_labels, incoming, t0, scheme,

@@ -6,7 +6,7 @@ in-fragment edges). The result is an optimal-within-factor-2 cover of the
 ancestor-descendant view, hence a 4-approximate augmentation.
 
 Every broadcast runs over a BFS tree, flooded from the root as an
-unframed `sim.Downcast`: a vertex acts on the whole first round of mail
+unframed `sim.Wave`: a vertex acts on the whole first round of mail
 that reaches it, takes the least (sender id, edge id) of it as its
 parent, and sends on every edge. The parent endpoint p of each
 global edge (a tree edge between two fragments) already holds its local
@@ -177,7 +177,7 @@ def split_labels_sequential(tree, frag_of):
 # distributed BFS tree (carrier for the coordinator broadcasts)
 
 def build_bfs_tree_distributed(g, root: int, budget: int = sim.DEFAULT_BUDGET):
-    """BFS tree from `root` by flooding, as an unframed sim.Downcast over all
+    """BFS tree from `root` by flooding, as an unframed sim.Wave over all
     of g's edges; returns (tree, Metrics). The root sends ("d", root, 0) on
     every edge in round 0. A vertex at distance d first gets mail in round
     d, all of it from distance d - 1; it takes as its parent the least
@@ -190,7 +190,7 @@ def build_bfs_tree_distributed(g, root: int, budget: int = sim.DEFAULT_BUDGET):
     that have halted, so the run takes ecc(root) + 1 rounds, and 0 when
     n = 1. A disconnected g raises NotConnectedError after the run."""
     def act(v, mail):
-        if mail is None:
+        if not mail:
             parent, dist = None, 0
         else:
             parent = min((toks[0][1], eid) for eid, toks in mail)
@@ -198,7 +198,7 @@ def build_bfs_tree_distributed(g, root: int, budget: int = sim.DEFAULT_BUDGET):
         msg = (("d", v, dist),)
         return parent, [(eid, msg) for eid, _ in g.adj[v]]
 
-    prog = sim.Downcast(lambda v: v == root, act)
+    prog = sim.Wave(lambda v: v != root, act)
     outputs, metrics = sim.run(g, prog, budget=budget, phase="bfs")
     tree_ids = [outputs[v][1] for v in range(g.n) if v != root and outputs[v]]
     if len(tree_ids) < g.n - 1:
@@ -210,7 +210,7 @@ def build_bfs_tree_distributed(g, root: int, budget: int = sim.DEFAULT_BUDGET):
 # in-fragment maximal-edge scan (one run serves the leaf and global passes)
 
 def _fragment_max_scan(view, split_labels, scheme, own_cands, budget):
-    """Bottom-up within each fragment, as a sim.Convergecast, for the two
+    """Bottom-up within each fragment, as a sim.Wave, for the two
     kinds of candidate at once. own_cands[i](v) lists the vertex's own
     candidates of kind i, with full labels. Every non-root vertex sends its
     local parent one `cover_scan.depth_header` (leafOrigin, leafAncDepth,
@@ -221,26 +221,41 @@ def _fragment_max_scan(view, split_labels, scheme, own_cands, budget):
 
     Every candidate a vertex compares has its ancestor endpoint on the
     vertex's root path: a child's edge covers the child's parent edge, and
-    an own edge descends from the vertex. So the vertex decides on depths
-    through `cover_scan._DepthView`, as `cover_scan.cover_up` does, and a
+    an own edge descends from the vertex. So the vertex decides on depths,
+    by `_fragment_max_decide`, as `cover_scan.cover_up` does, and a
     received edge is VirtualEdge(ancestor depth, None, origin, 0).
 
     Cost on fragments of height h_f, with k fragments: from budget 4 up,
     h_f rounds and n - k messages of at most 4 tokens; below 4, one frame
     an edge of at most 5 tokens with its length.
     """
+    decide = _fragment_max_decide(split_labels, scheme, own_cands)
+
+    def act(v, mail):
+        by_edge = dict(mail)
+        best, up = decide(v, [cover_scan.parse_depth_header(by_edge[eid])
+                              for _, eid in view.children[v]])
+        return best, view.to_parent(v, up)
+
+    return sim.Wave(lambda v: len(view.children[v]), act, budget,
+                    framed=budget < cover_scan.HEADER_TOKENS)
+
+
+def _fragment_max_decide(split_labels, scheme, own_cands):
+    """The choice of a `_fragment_max_scan` vertex: decide(v, recs), recs
+    its children's (leaf, in) edge pairs in `children[v]` order, returns
+    its maximal edge of each kind and the header it sends up. Ancestor
+    endpoints are compared through `cover_scan._DepthView`."""
     dview = cover_scan._DepthView(scheme)
 
-    def decide(v, msgs):
+    def decide(v, recs):
         depth = scheme.depth(split_labels[v])
         best = tuple(
-            vg.maximal_covering([m[i] for m in msgs.values()] + own(v),
-                                depth, dview)
+            vg.maximal_covering([r[i] for r in recs] + own(v), depth, dview)
             for i, own in enumerate(own_cands))
         return best, cover_scan.depth_header(*best, dview)
 
-    return sim.Convergecast(view, cover_scan.parse_depth_header, decide,
-                            budget, framed=budget < cover_scan.HEADER_TOKENS)
+    return decide
 
 
 def fragment_max_sequential(view, split_labels, scheme, own_cands):

@@ -206,6 +206,8 @@ def root_tree(g: Multigraph, tree_edge_ids, root: int = 0) -> RootedTree:
         raise GraphError("expected %d tree edges, got %d" % (g.n - 1, len(tree_edge_ids)))
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for eid in sorted(tree_edge_ids):
+        if not 0 <= eid < g.m:
+            raise GraphError("tree edge id %d is not an edge of the graph" % eid)
         u, v, _ = g.edges[eid]
         adj[u].append((eid, v))
         adj[v].append((eid, u))

@@ -11,9 +11,8 @@ ancestor by its depth, which is unique on a root path.
 
 Labeling works on a TreeView, which is either a whole rooted tree or a
 forest of tree fragments (each fragment root acting as a local root). On
-the engine it is the two tree waves of `sim`: subtree sizes go up as an
-unframed Convergecast, then each label goes down as one frame of its hops
-in a framed Downcast.
+the engine it is two `sim.Wave`s: subtree sizes go up an unframed one,
+then each label goes down a framed one as one frame of its hops.
 """
 from __future__ import annotations
 
@@ -92,6 +91,11 @@ class TreeView:
             order.append(v)
             stack.extend(c for c, _ in self.children[v])
         return order
+
+    def to_parent(self, v, msg) -> list:
+        """The outbox that sends `msg` to v's parent: empty at a root."""
+        pe = self.parent_edge[v]
+        return [(pe, msg)] if pe >= 0 else []
 
 
 def subtree_sizes(view: TreeView) -> list[int]:
@@ -198,15 +202,15 @@ def parse_label(buf, i):
 # distributed assignment: the two tree waves from the view roots.
 
 def sizes_distributed(g, view: TreeView, budget: int, phase: str):
-    """Subtree sizes up the view, an unframed sim.Convergecast of one
-    ("sz", size) token a tree edge in h rounds; returns ({child: size} per
-    vertex, Metrics)."""
-    def sizes(v, msgs):
-        by_child = {c: msgs[eid] for c, eid in view.children[v]}
-        return by_child, (("sz", 1 + sum(by_child.values())),)
+    """Subtree sizes up the view, an unframed sim.Wave of one ("sz", size)
+    token a tree edge in h rounds; returns ({child: size} per vertex,
+    Metrics)."""
+    def sizes(v, mail):
+        by_edge = dict(mail)
+        by_child = {c: by_edge[eid][0][1] for c, eid in view.children[v]}
+        return by_child, view.to_parent(v, (("sz", 1 + sum(by_child.values())),))
 
-    up = sim.Convergecast(view, lambda toks: toks[0][1], sizes, budget,
-                          framed=False)
+    up = sim.Wave(lambda v: len(view.children[v]), sizes)
     return sim.run(g, up, budget=budget, phase=phase)
 
 
@@ -215,20 +219,20 @@ def assign_labels_distributed(g, view: TreeView, budget: int = sim.DEFAULT_BUDGE
     """Run the two labeling phases on the engine; returns (labels, Metrics).
 
     <prefix>_sizes is `sizes_distributed`. <prefix>_assign is a framed
-    sim.Downcast from the view roots: every vertex picks its heavy child and
+    sim.Wave down from the view roots: every vertex picks its heavy child and
     sends each child its label as one frame.
     """
     child_sizes, metrics = sizes_distributed(g, view, budget,
                                              phase_prefix + "_sizes")
 
     def act(v, mail):
-        seq = ((v, 0),) if mail is None else parse_hops(mail[0][1], 0)[0]
+        seq = parse_hops(mail[0][1], 0)[0] if mail else ((v, 0),)
         label = LcaLabel(v, seq_depth(seq), seq)
         ch = view.children[v]
         hv = heavy_child(ch, child_sizes[v]) if ch else None
         return label, [(eid, hop_tokens(_child_label(label, c, c == hv).seq))
                        for c, eid in ch]
 
-    down = sim.Downcast(lambda v: view.parent_edge[v] < 0, act, budget, framed=True)
+    down = sim.Wave(lambda v: view.parent_edge[v] >= 0, act, budget, framed=True)
     labels, m2 = sim.run(g, down, budget=budget, phase=phase_prefix + "_assign")
     return labels, metrics.merge(m2)

@@ -21,13 +21,12 @@ their per-vertex state in a `__slots__` class. A vertex sends only on its
 own edges: any other edge id, negative or past the last edge included,
 raises SimError. A per-vertex `Channel` sends a program's messages
 framed: a length token, then the message, streamed under the budget. The
-algorithms' two tree waves are written once here, framed or unframed as
-the caller picks (unframed, each message goes as it is, one per edge a
-round, never split): `Convergecast`, a leaves-to-root scan in which each
-vertex decides once its children's messages, one each, are in and sends
-its own one up, and `Downcast`, a wave from its starting vertices in
-which each vertex acts once, on the first round in which mail reaches
-it: a root-to-leaves relay, or the BFS flood over every edge.
+algorithms' tree waves are one program, `Wave`, framed or unframed as the
+caller picks (unframed, each message goes as it is, one per edge a round,
+never split): each vertex acts once, when the mail it waits for is in,
+sends, and halts. Waiting for one message from each child makes a
+leaves-to-root scan; waiting for none at the roots and one elsewhere, a
+root-to-leaves relay, or the BFS flood over every edge.
 `broadcast_upcast` gathers k messages at a tree root, store-and-forward
 and framed, and streams them down cut-through and unframed: the root
 appends each message to its down stream as it collects it, with no length
@@ -402,14 +401,11 @@ class Channel:
 
 
 # ---------------------------------------------------------------------------
-# the two tree waves. Convergecast runs over a TreeView, a rooted forest
-# given by parent_edge[v] (-1 at a root) and children[v], a list of
-# (child, edge id) pairs; Downcast's `act` reads its edges itself. A
-# framed wave vertex builds its Channel at its first send or its first
-# mail, since only then does it hold a partial frame; until then it has
-# nothing queued, so its flush is empty. An unframed wave vertex returns
-# its outbox as it is and builds no Channel; `run` rejects two messages on
-# one edge.
+# the tree wave. A framed wave vertex builds its Channel at its first send or
+# its first mail, since only then does it hold a partial frame; until then
+# it has nothing queued, so its flush is empty. An unframed wave vertex
+# returns its outbox as it is and builds no Channel; `run` rejects two
+# messages on one edge.
 
 def _channel(st, budget):
     """The framed wave vertex's Channel, built on first use."""
@@ -419,129 +415,69 @@ def _channel(st, budget):
     return ch
 
 
-def _flush(st):
-    return ([], HALT) if st.ch is None else st.ch.flush(True)
+class _WaveState:
+    __slots__ = ("v", "need", "mail", "ch", "out")
 
-
-class _ConvergeState:
-    __slots__ = ("v", "pe", "msgs", "missing", "ch", "result")
-
-    def __init__(self, v, pe, children):
+    def __init__(self, v, need):
         self.v = v
-        self.pe = pe
-        self.msgs = {eid: None for _, eid in children}  # child edge -> parsed message
-        self.missing = len(children)
+        self.need = need
+        self.mail = []  # the (edge id, payload) pairs held; None once acted
         self.ch = None
-        self.result = None
-
-
-class Convergecast:
-    """Leaves-to-root wave: every non-root vertex sends its parent one
-    message.
-
-    A vertex parses the message from each child edge with `parse(tokens)`.
-    Once it holds one from every child it calls `decide(v, msgs)`, where
-    `msgs` maps each child edge, in `children[v]` order, to its parsed
-    message; `decide` returns (result, up). A non-root vertex then sends
-    the token tuple `up` to its parent: framed, through a Channel;
-    unframed, as its outbox as it is. The vertex outputs `result`.
-
-    Cost: if every `up` message has L tokens, each tree edge carries c
-    messages, c = ceil((L+1)/budget) framed and c = 1 unframed, and the
-    run takes h*c rounds on a forest of height h. The covering scan's
-    4-token header (L = 4) is unframed from budget 4 up: h rounds, n-1
-    messages and at most 4(n-1) tokens; below budget 4 it is one frame, so
-    c = ceil(5/budget).
-    """
-
-    def __init__(self, view, parse, decide, budget, framed=True):
-        self.view = view
-        self.parse = parse
-        self.decide = decide
-        self.budget = budget
-        self.framed = framed
-
-    def init_state(self, v):
-        return _ConvergeState(v, self.view.parent_edge[v], self.view.children[v])
-
-    def step(self, st, rnd, inbox):
-        if st.msgs is not None:
-            if inbox:
-                if self.framed:
-                    inbox = _channel(st, self.budget).recv(inbox)
-                for eid, toks in inbox:
-                    st.msgs[eid] = self.parse(toks)
-                st.missing -= len(inbox)
-            if st.missing:
-                return [], IDLE  # a vertex sends nothing before it decides
-            st.result, up = self.decide(st.v, st.msgs)
-            st.msgs = None  # every child has reported; free its messages
-            if st.pe >= 0:
-                if not self.framed:
-                    return [(st.pe, up)], HALT
-                _channel(st, self.budget).send(st.pe, up)
-        return _flush(st)
-
-    def output(self, st):
-        return st.result
-
-
-class _DownState:
-    __slots__ = ("v", "ch", "acted", "out")
-
-    def __init__(self, v):
-        self.v = v
-        self.ch = None
-        self.acted = False
         self.out = None
 
 
-class Downcast:
-    """Wave from the starting vertices: every vertex acts once, sends, and
+class Wave:
+    """Tree wave: every vertex waits for its mail, acts once, sends, and
     halts.
 
-    A vertex acts once, on the first round in which mail reaches it (framed,
-    a whole frame), or in round 0 if `starts(v)`. `act(v, mail)` gets that
-    round's mail, a list of (edge id, payload) pairs: unframed, the
-    engine's inbox, sorted by edge id; framed, the whole frames its Channel
-    returned. In round 0 mail is None. It returns (output, outbox): the
-    vertex's output and its messages. Framed, they go through a Channel and
-    stream under `budget`; unframed, the outbox is sent as it is, and `run`
-    rejects two messages on one edge. Mail that reaches a vertex after it
-    has acted is dropped, so a flood over every edge of a graph is a
-    Downcast too. A vertex that never acts outputs None.
+    A vertex waits for `need(v)` messages (framed, whole frames) and acts in
+    the first round in which it holds at least that many, or in round 0
+    when `need(v)` is 0. `act(v, mail)` gets every (edge id, payload) pair
+    it holds, in arrival order, each round's sorted by edge id ([] when
+    `need(v)` is 0), and returns (output, outbox): the vertex's output and
+    its messages. Framed, they go through a Channel and stream under
+    `budget`; unframed, the outbox is sent as it is, and `run` rejects two
+    messages on one edge. Mail that reaches a vertex after it has acted is
+    dropped, so a flood over every edge of a graph is a Wave too. A vertex
+    that never acts outputs None.
 
-    Cost from the roots of a forest of height h: unframed, h rounds and one
-    message per tree edge; framed, if every message has L tokens, each tree
-    edge carries c = ceil((L+1)/budget) messages and the run takes h*c
-    rounds.
+    On a forest given by a `labels.TreeView`, an up wave has need(v) = the
+    number of v's children and each non-root vertex sends its parent one
+    message; a down wave has need 0 at the roots and 1 elsewhere and each
+    vertex sends each child one message. Cost on a forest of height h:
+    unframed, h rounds and one message per tree edge; framed, if every
+    message has L tokens, c = ceil((L+1)/budget) messages per tree edge,
+    and since a vertex acts only once its frames are whole, each level
+    adds c rounds: h*c rounds.
     """
 
-    def __init__(self, starts, act, budget=None, framed=False):
-        self.starts = starts
+    def __init__(self, need, act, budget=None, framed=False):
+        self.need = need
         self.act = act
         self.budget = budget
         self.framed = framed
 
     def init_state(self, v):
-        return _DownState(v)
+        return _WaveState(v, self.need(v))
 
     def step(self, st, rnd, inbox):
-        if not st.acted:
-            msgs = inbox
-            if inbox and self.framed:
-                msgs = _channel(st, self.budget).recv(inbox)
-            if not msgs and not (rnd == 0 and self.starts(st.v)):
+        mail = st.mail
+        if mail is not None:
+            if inbox:
+                if self.framed:
+                    inbox = _channel(st, self.budget).recv(inbox)
+                mail += inbox
+            if len(mail) < st.need:
                 return [], IDLE
-            st.acted = True
-            st.out, outbox = self.act(st.v, msgs or None)
+            st.mail = None
+            st.out, outbox = self.act(st.v, mail)
             if not self.framed:
                 return outbox, HALT
             if outbox:
                 ch = _channel(st, self.budget)
                 for eid, toks in outbox:
                     ch.send(eid, toks)
-        return _flush(st)
+        return ([], HALT) if st.ch is None else st.ch.flush(True)
 
     def output(self, st):
         return st.out

@@ -42,7 +42,7 @@ MIN_BUDGET = 3
 def disseminate_ancestors(g, tree, all_labels, budget: int = sim.DEFAULT_BUDGET,
                           phase: str = "ancestors"):
     """Standalone helper, run by no algorithm: v outputs its ancestors'
-    labels by depth. A framed sim.Downcast from the root: each vertex sends
+    labels by depth. A framed sim.Wave down from the root: each vertex sends
     its children one frame, its root path's label hops with its own label's
     last, once its own frame is in. Every label's first hop, and no later
     one, is headed by the root, so the stream is cut into labels there.
@@ -51,7 +51,7 @@ def disseminate_ancestors(g, tree, all_labels, budget: int = sim.DEFAULT_BUDGET,
     view = lbl.TreeView.of_tree(tree)
 
     def act(v, mail):
-        toks = () if mail is None else mail[0][1]
+        toks = mail[0][1] if mail else ()
         seqs = []
         for _, head, pos in toks:
             if head == tree.root:
@@ -61,7 +61,7 @@ def disseminate_ancestors(g, tree, all_labels, budget: int = sim.DEFAULT_BUDGET,
         down = toks + lbl.hop_tokens(all_labels[v].seq)
         return anc, [(eid, down) for _, eid in view.children[v]]
 
-    prog = sim.Downcast(lambda v: v == tree.root, act, budget, framed=True)
+    prog = sim.Wave(lambda v: v != tree.root, act, budget, framed=True)
     return sim.run(g, prog, budget=budget, phase=phase)
 
 
@@ -278,7 +278,7 @@ class WeightedUpProgram:
 def weighted_down(view, tables):
     """Relay (topDepth, topId, deciderId) unchanged along the recorded
     cheapest-sender chain; the chain end adds its own incoming edge. A
-    sim.Downcast started by the depth-1 vertices, each a decider for its own
+    sim.Wave started by the depth-1 vertices, each a decider for its own
     tree edge; the tree root never acts. A vertex outputs its (virtual
     edge, top id, decider id) records and whether its tree edge is a
     bridge."""
@@ -287,7 +287,7 @@ def weighted_down(view, tables):
         added = []
         bridge = False
         chain_child = None
-        m = None if mail is None else mail[0][1]
+        m = mail[0][1] if mail else None
         if m is None or m[0] == "bot":
             m = None
             if tab.min_v >= INF:
@@ -305,7 +305,7 @@ def weighted_down(view, tables):
         return (added, bridge), [(eid, m if c == chain_child else ("bot",))
                                  for c, eid in view.children[v]]
 
-    return sim.Downcast(lambda v: tables[v].d == 1, act)
+    return sim.Wave(lambda v: tables[v].d != 1, act)
 
 
 def weighted_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):

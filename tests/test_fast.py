@@ -306,15 +306,15 @@ def test_depth_keyed_decide_equals_full_label_maximal_covering(
     dview = cover_scan._DepthView(scheme)
     inner = [v for v in range(g.n) if view.children[v]] or list(range(g.n))
     v = inner[pick % len(inner)]
-    msgs = {}
-    for i, (c, eid) in enumerate(view.children[v]):
+    recs = []
+    for i, (c, _) in enumerate(view.children[v]):
         sent = (full[0][c], full[1][c])
         if not as_label[i % len(as_label)]:
             sent = cover_scan.parse_depth_header(
                 cover_scan.depth_header(*sent, dview))
-        msgs[eid] = sent
-    scan = fast._fragment_max_scan(view, split, scheme, own, budget=4)
-    best, up = scan.decide(v, msgs)
+        recs.append(sent)
+    decide = fast._fragment_max_decide(split, scheme, own)
+    best, up = decide(v, recs)
     for kind in (0, 1):
         want = vg.maximal_covering(
             [full[kind][c] for c, _ in view.children[v]] + own[kind](v),

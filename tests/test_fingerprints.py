@@ -1,9 +1,13 @@
 """Every algorithm's outputs and per-phase counts on the fingerprint
 corpus equal the checked-in ones; see tests/fingerprints.py."""
 import copy
+from collections import Counter
 
 import fingerprints
-from treeaug.graph import eccentricity
+from treeaug import apps
+from treeaug.fast import fragment_decompose
+from treeaug.graph import bfs_tree, eccentricity, mst_tree
+from treeaug.labels import TreeView, assign_labels_sequential
 
 
 def test_fingerprint_corpus_is_unchanged():
@@ -30,6 +34,62 @@ def test_bfs_entries_cost_their_derived_counts():
         assert e["phases"]["bfs"] == [rounds, 2 * g.m, 2 * g.m], key
         algos.add(algo)
     assert algos == {"fast", "ecss", "ecss-w", "verify"}
+
+
+# the one-token sim.Wave phases, each over the tree view of its algorithm
+UNFRAMED_WAVES = ("label_sizes", "cover_down", "verify_sizes",
+                  "verify_preorder", "verify_bridges", "verify_verdict",
+                  "labels_local_sizes", "local_cover_down")
+FRAMED_WAVES = ("label_assign", "labels_local_assign")
+
+
+def _wave_view(algo, g, tree):
+    """The forest an algorithm's waves run over: fast's local phases run in
+    its fragments; the others run on their algorithm's spanning tree."""
+    if algo in ("ecss", "verify"):
+        tree = bfs_tree(g, 0)
+    elif algo == "ecss-w":
+        tree = mst_tree(g, 0)
+    elif algo == "aug12":
+        tree = apps.recost_for_h(g, tree.tree_edges)[1]
+    if algo == "fast":
+        return TreeView.of_fragments(tree, fragment_decompose(tree)[0])
+    return TreeView.of_tree(tree)
+
+
+def test_wave_entries_cost_their_derived_counts():
+    # a sim.Wave (sim.py) on a forest of height h with k = n - roots edges:
+    # unframed, h rounds and one message an edge, here of one token;
+    # weighted_down starts at the depth-1 deciders, so it takes h - 1 rounds
+    # and sends nothing to the root's children. Framed, a child's label of
+    # L hops goes as one frame: ceil((L+1)/b) messages and L+1 tokens
+    graphs = {name: (g, tree) for name, g, tree in fingerprints.instances()}
+    views = {}
+    seen = Counter()
+    for key, e in fingerprints.load().items():
+        name, b, algo = key.split("|")
+        b = int(b)
+        if (name, algo) not in views:
+            view = _wave_view(algo, *graphs[name])
+            labels = assign_labels_sequential(view)
+            hops = [len(labels[v].seq) for v in range(view.n)
+                    if view.parent_edge[v] >= 0]
+            views[name, algo] = (view, max(lab.depth for lab in labels), hops)
+        view, h, hops = views[name, algo]
+        k = len(hops)
+        for phase, cost in e["phases"].items():
+            if phase in UNFRAMED_WAVES:
+                assert cost == [h, k, k], (key, phase)
+            elif phase == "weighted_down":
+                root_kids = len(view.children[view.roots[0]])
+                assert cost[:2] == [max(h - 1, 0), k - root_kids], key
+            elif phase in FRAMED_WAVES:
+                assert cost[1:] == [sum(-(-(L + 1) // b) for L in hops),
+                                    sum(L + 1 for L in hops)], (key, phase)
+            else:
+                continue
+            seen[phase] += 1
+    assert seen.keys() == {*UNFRAMED_WAVES, "weighted_down", *FRAMED_WAVES}
 
 
 def test_diff_counts_rises_and_falls_and_names_moved_outputs():

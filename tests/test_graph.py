@@ -89,6 +89,15 @@ def test_rooted_tree_structure():
             assert pos[tree.parent[v]] < pos[v]
 
 
+@pytest.mark.parametrize("eid", (-1, 1))
+def test_root_tree_rejects_an_edge_id_outside_the_graph(eid):
+    # -1 would silently name the last edge, and be taken for the root's
+    # "no parent edge" sentinel; an id past the last edge is no edge either
+    g = build_multigraph(2, [(0, 1, 1)])
+    with pytest.raises(GraphError, match="tree edge id %d " % eid):
+        root_tree(g, [eid], 0)
+
+
 def test_bfs_tree_layers_and_parent_rule():
     for seed in range(30):
         rng = random.Random(seed)

@@ -81,8 +81,8 @@ def test_distributed_label_round_bound():
 
 @pytest.mark.parametrize("budget", (1, 4))
 def test_labeling_runs_on_the_two_tree_waves(monkeypatch, budget):
-    # sizes go up as an unframed Convergecast, one ("sz", size) token per
-    # view edge; labels go down as a framed Downcast, one frame per child
+    # sizes go up as an unframed sim.Wave, one ("sz", size) token per view
+    # edge; labels go down as a framed sim.Wave, one frame per child
     assert not [name for name, obj in vars(lbl).items()
                 if isinstance(obj, type) and hasattr(obj, "init_state")]
     real_run = sim.run
@@ -102,8 +102,7 @@ def test_labeling_runs_on_the_two_tree_waves(monkeypatch, budget):
             got, m = assign_labels_distributed(g, view, budget=budget,
                                                phase_prefix="x")
             assert got == assign_labels_sequential(view)
-            assert runs == [("x_sizes", sim.Convergecast),
-                            ("x_assign", sim.Downcast)]
+            assert runs == [("x_sizes", sim.Wave), ("x_assign", sim.Wave)]
             kids = [v for v in range(g.n) if view.parent_edge[v] >= 0]
             sizes, assign = m.phases
             height = max(label.depth for label in got)

@@ -627,12 +627,12 @@ def test_convergecast_costs_exactly_h_times_c(shape, framed, budget):
     view = TreeView.of_tree(tree)
     L = 7 if framed else 1
 
-    def decide(v, msgs):
-        size = 1 + sum(msg[0] for msg in msgs.values())
-        return size, (size,) + (v,) * (L - 1)
+    def decide(v, mail):
+        size = 1 + sum(msg[0] for _, msg in mail)
+        return size, view.to_parent(v, (size,) + (v,) * (L - 1))
 
-    prog = sim.Convergecast(view, lambda toks: toks, decide, budget,
-                            framed=framed)
+    prog = sim.Wave(lambda v: len(view.children[v]), decide, budget,
+                    framed=framed)
     sizes, m = sim.run(g, prog, budget=budget)
     assert sizes[tree.root] == g.n
     c = -(-(L + 1) // budget) if framed else 1
@@ -657,10 +657,10 @@ def test_downcast_from_the_root_costs_h_rounds(shape, framed, budget):
     L = 5 if framed else 1
 
     def act(v, mail):
-        return (None if mail is None else mail[0][1],
+        return (mail[0][1] if mail else None,
                 [(eid, (v,) * L) for _, eid in view.children[v]])
 
-    down = sim.Downcast(lambda v: v == tree.root, act, budget, framed=framed)
+    down = sim.Wave(lambda v: v != tree.root, act, budget, framed=framed)
     out, m = sim.run(g, down, budget=budget)
     assert out == [None if v == tree.root else (tree.parent[v],) * L
                    for v in range(g.n)]
@@ -675,22 +675,26 @@ def test_downcast_from_the_root_costs_h_rounds(shape, framed, budget):
 def test_a_wave_vertex_builds_a_channel_only_to_queue_or_reassemble(framed):
     # framed, a vertex builds its Channel at its first send, or at its first
     # mail, where it may hold a partial frame: on a star every vertex does,
-    # also when its message streams over several rounds. Unframed, a
-    # Downcast vertex returns its outbox as it is and a Convergecast vertex
-    # returns its one message, so neither builds one
+    # also when its message streams over several rounds. Unframed, a wave
+    # vertex returns its outbox as it is, down to its children or up to its
+    # parent, so none builds one
     g, tree = _star(9)
     view = TreeView.of_tree(tree)
+
+    def kids(v):
+        return len(view.children[v])
+
     waves = [
-        sim.Convergecast(view, lambda toks: toks,
-                         lambda v, msgs: (v, (v,)), 4, framed=framed),
-        sim.Downcast(lambda v: v == tree.root,
-                     lambda v, payload: (v, [(eid, (v,)) for _, eid
-                                             in view.children[v]]),
-                     4, framed=framed),
+        sim.Wave(kids, lambda v, mail: (v, view.to_parent(v, (v,))),
+                 4, framed=framed),
+        sim.Wave(lambda v: v != tree.root,
+                 lambda v, payload: (v, [(eid, (v,)) for _, eid
+                                         in view.children[v]]),
+                 4, framed=framed),
     ]
     if framed:
-        waves.append(sim.Convergecast(view, lambda toks: toks,
-                                      lambda v, msgs: (v, (v,) * 6), 4))
+        waves.append(sim.Wave(kids, lambda v, mail:
+                              (v, view.to_parent(v, (v,) * 6)), 4, framed=True))
     for wave in waves:
         states = {}
         init_state = wave.init_state
@@ -713,14 +717,13 @@ def test_unframed_message_over_budget_is_never_split(wave):
     view = TreeView.of_tree(tree)
     long_msg = ("x",) * 3
     if wave == "convergecast":
-        prog = sim.Convergecast(view, lambda toks: toks,
-                                lambda v, msgs: (v, long_msg), 2,
-                                framed=False)
+        prog = sim.Wave(lambda v: len(view.children[v]),
+                        lambda v, mail: (v, view.to_parent(v, long_msg)))
         sender = tree.order[-1]  # the deepest vertex is a leaf
     else:
-        prog = sim.Downcast(lambda v: v == tree.root,
-                            lambda v, payload: (v, [(eid, long_msg) for _, eid
-                                                    in view.children[v]]))
+        prog = sim.Wave(lambda v: v != tree.root,
+                        lambda v, payload: (v, [(eid, long_msg) for _, eid
+                                                in view.children[v]]))
         sender = tree.root
     lines = []
     with pytest.raises(BudgetExceeded) as ei:
@@ -735,13 +738,13 @@ def test_unframed_message_over_budget_is_never_split(wave):
 
 
 def test_unframed_downcast_sending_twice_on_an_edge_is_rejected():
-    # an unframed Downcast hands its outbox to the engine as it is, and the
+    # an unframed wave hands its outbox to the engine as it is, and the
     # engine carries one message an edge a round
     g, tree = _star(4)
     view = TreeView.of_tree(tree)
-    prog = sim.Downcast(lambda v: v == tree.root,
-                        lambda v, payload: (v, [(eid, (v,)) for _, eid
-                                                in view.children[v]] * 2))
+    prog = sim.Wave(lambda v: v != tree.root,
+                    lambda v, payload: (v, [(eid, (v,)) for _, eid
+                                            in view.children[v]] * 2))
     with pytest.raises(SimError, match="sent twice on an edge"):
         sim.run(g, prog, budget=4)
 
