@@ -30,7 +30,7 @@ class Multigraph:
             raise GraphError("vertex count must be positive")
         self.n = n
         self.edges: list[tuple[int, int, int]] = []  # eid -> (u, v, w)
-        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # v -> [(eid, nbr)]
+        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # v -> [(eid, nbr)], by eid
 
     @property
     def m(self) -> int:
@@ -325,9 +325,12 @@ def augmentation_covers(g: Multigraph, t: RootedTree, aug_edge_ids) -> bool:
 
 
 def subgraph_two_edge_connected(g: Multigraph, edge_ids) -> bool:
-    """Check 2-edge-connectivity of the spanning subgraph on edge_ids."""
+    """Check 2-edge-connectivity of the spanning subgraph on edge_ids; an id
+    outside range(g.m) raises GraphError."""
     h = Multigraph(g.n)
     for eid in sorted(edge_ids):
+        if not 0 <= eid < g.m:
+            raise GraphError("edge id %d is not an edge of the graph" % eid)
         u, v, w = g.edges[eid]
         h.add_edge(u, v, w)
     return is_two_edge_connected(h)

@@ -26,7 +26,10 @@ caller picks (unframed, each message goes as it is, one per edge a round,
 never split): each vertex acts once, when the mail it waits for is in,
 sends, and halts. Waiting for one message from each child makes a
 leaves-to-root scan; waiting for none at the roots and one elsewhere, a
-root-to-leaves relay, or the BFS flood over every edge.
+root-to-leaves relay, or the BFS flood over every edge. A framed wave may
+also send first, streaming while it waits: the exchange of one frame each
+way over every non-tree edge. With `broadcast_upcast`'s program and wtap's
+`weighted.WeightedUpProgram`, the engine runs three program classes.
 `broadcast_upcast` gathers k messages at a tree root, store-and-forward
 and framed, and streams them down cut-through and unframed: the root
 appends each message to its down stream as it collects it, with no length
@@ -402,10 +405,8 @@ class Channel:
 
 # ---------------------------------------------------------------------------
 # the tree wave. A framed wave vertex builds its Channel at its first send or
-# its first mail, since only then does it hold a partial frame; until then
-# it has nothing queued, so its flush is empty. An unframed wave vertex
-# returns its outbox as it is and builds no Channel; `run` rejects two
-# messages on one edge.
+# its first mail, when it first queues or holds part of a frame; an unframed
+# one hands its outbox to `run` as it is and builds none.
 
 def _channel(st, budget):
     """The framed wave vertex's Channel, built on first use."""
@@ -439,7 +440,10 @@ class Wave:
     `budget`; unframed, the outbox is sent as it is, and `run` rejects two
     messages on one edge. Mail that reaches a vertex after it has acted is
     dropped, so a flood over every edge of a graph is a Wave too. A vertex
-    that never acts outputs None.
+    that never acts outputs None. A framed wave may send first: v queues
+    the (edge id, tokens) messages `first(v)` gives before any mail
+    arrives and streams them while it waits, ACTIVE while anything is
+    queued, else IDLE; `virtual_graph.exchange_distributed` is one.
 
     On a forest given by a `labels.TreeView`, an up wave has need(v) = the
     number of v's children and each non-root vertex sends its parent one
@@ -451,14 +455,20 @@ class Wave:
     adds c rounds: h*c rounds.
     """
 
-    def __init__(self, need, act, budget=None, framed=False):
+    def __init__(self, need, act, budget=None, framed=False, first=None):
+        if first is not None and not framed:
+            raise ValueError("only a framed wave sends first")
         self.need = need
         self.act = act
         self.budget = budget
         self.framed = framed
+        self.first = first
 
     def init_state(self, v):
-        return _WaveState(v, self.need(v))
+        st = _WaveState(v, self.need(v))
+        for eid, toks in self.first(v) if self.first else ():
+            _channel(st, self.budget).send(eid, toks)
+        return st
 
     def step(self, st, rnd, inbox):
         mail = st.mail
@@ -468,15 +478,13 @@ class Wave:
                     inbox = _channel(st, self.budget).recv(inbox)
                 mail += inbox
             if len(mail) < st.need:
-                return [], IDLE
+                return ([], IDLE) if st.ch is None else st.ch.flush(False)
             st.mail = None
             st.out, outbox = self.act(st.v, mail)
             if not self.framed:
                 return outbox, HALT
-            if outbox:
-                ch = _channel(st, self.budget)
-                for eid, toks in outbox:
-                    ch.send(eid, toks)
+            for eid, toks in outbox:
+                _channel(st, self.budget).send(eid, toks)
         return ([], HALT) if st.ch is None else st.ch.flush(True)
 
     def output(self, st):

@@ -7,11 +7,13 @@ the original weight and edge id. A cover of all tree edges in this view
 projects back to an augmentation of G at most twice the size/weight.
 
 Label handling is abstracted behind a scheme object so the same machinery
-runs on whole-tree labels and on fragment (split) labels.
+runs on whole-tree labels and on fragment (split) labels. The labels cross
+the non-tree edges in one framed `sim.Wave` that sends first.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from . import labels as lbl
 from . import sim
@@ -143,50 +145,17 @@ def build_incidence_sequential(g, tree, all_labels, scheme):
     return incidence
 
 
-class _ExchangeState:
-    __slots__ = ("v", "nt", "ch", "peer")
-
-    def __init__(self, v, nt, ch):
-        self.v = v
-        self.nt = nt      # number of incident non-tree edges
-        self.ch = ch
-        self.peer = {}    # non-tree edge id -> the neighbour's message
-
-
-class _ExchangeProgram:
-    """Every vertex sends one frame, `send(v)`, over each incident non-tree
-    edge, and once all have come in outputs `read(v, peer)`, peer mapping
-    each of those edge ids to the frame that came over it."""
-
-    def __init__(self, g, tree, send, read, budget):
-        self.g = g
-        self.tree = tree
-        self.send = send
-        self.read = read
-        self.budget = budget
-
-    def init_state(self, v):
-        nt = sorted(eid for eid, _ in self.g.adj[v]
-                    if eid not in self.tree.tree_edges)
-        ch = sim.Channel(self.budget)
-        toks = self.send(v)
-        for eid in nt:
-            ch.send(eid, toks)
-        return _ExchangeState(v, len(nt), ch)
-
-    def step(self, st, rnd, inbox):
-        for eid, toks in st.ch.recv(inbox):
-            st.peer[eid] = toks
-        return st.ch.flush(len(st.peer) == st.nt)
-
-    def output(self, st):
-        return self.read(st.v, st.peer)
-
-
 def exchange_distributed(g, tree, send, read, budget: int = sim.DEFAULT_BUDGET):
-    """Run _ExchangeProgram; returns (per-vertex read results, Metrics)."""
-    prog = _ExchangeProgram(g, tree, send, read, budget)
-    return sim.run(g, prog, budget=budget, phase="exchange")
+    """A framed `sim.Wave` that sends first: each vertex v sends `send(v)`
+    on each of its non-tree edges and, once all have come in, outputs
+    `read(v, peer)`, peer mapping those edge ids to the frames that came
+    over them. Returns (read results, Metrics)."""
+    nt = [[eid for eid, _ in adj if eid not in tree.tree_edges]  # ascending
+          for adj in g.adj]
+    wave = sim.Wave(lambda v: len(nt[v]),
+                    lambda v, mail: (read(v, dict(mail)), []), budget,
+                    framed=True, first=lambda v: zip(nt[v], repeat(send(v))))
+    return sim.run(g, wave, budget=budget, phase="exchange")
 
 
 def build_incidence_distributed(g, tree, all_labels, scheme,

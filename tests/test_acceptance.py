@@ -8,6 +8,7 @@ import itertools
 import math
 import random
 import time
+from pathlib import Path
 
 from treeaug import apps, cli, fast, generators, oracle, sim, unweighted, weighted
 from treeaug.graph import (Multigraph, augmentation_covers, bfs_tree, diameter,
@@ -448,8 +449,8 @@ def test_criterion_12_congest_fidelity(tmp_path):
         for algo in ("tap", "wtap", "fast"):
             assert cli.main(["run", inst, "--algo", algo, "--csv", csv,
                              "--transcript", tr + algo]) == 0
-        snaps.append((open(csv, "rb").read(),)
-                     + tuple(open(tr + a, "rb").read()
+        snaps.append((Path(csv).read_bytes(),)
+                     + tuple(Path(tr + a).read_bytes()
                              for a in ("tap", "wtap", "fast")))
     if snaps[0] != snaps[1]:
         _report("criterion-12", False, "repeated runs differ")

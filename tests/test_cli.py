@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,7 +41,7 @@ def test_run_with_oracle_and_csv(tmp_path):
                     "--csv", csv]) == 0
     assert run_cli(["run", inst, "--algo", "tap", "--oracle",
                     "--csv", csv]) == 0
-    lines = open(csv).read().strip().split("\n")
+    lines = Path(csv).read_text().strip().split("\n")
     assert lines[0] == cli.CSV_HEADER
     assert len(lines) == 3
     row = dict(zip(lines[0].split(","), lines[1].split(",")))
@@ -56,10 +57,10 @@ def test_metrics_and_transcript_outputs(tmp_path):
     run_cli(["gen", "cycle", "--n", "12", "-o", inst])
     assert run_cli(["run", inst, "--algo", "tap", "--metrics", met,
                     "--transcript", tr]) == 0
-    mlines = open(met).read().strip().split("\n")
+    mlines = Path(met).read_text().strip().split("\n")
     assert mlines[0] == "phase,rounds,messages,tokens,max_tokens_edge_round"
     assert mlines[-1].startswith("total,")
-    tlines = open(tr).read().strip().split("\n")
+    tlines = Path(tr).read_text().strip().split("\n")
     assert any(l.startswith("# phase") for l in tlines)
     data = [l for l in tlines if not l.startswith("#")]
     assert data and all(len(l.split(",")) >= 6 for l in data)
@@ -75,7 +76,7 @@ def test_repeat_runs_byte_identical(tmp_path):
         csv = str(tmp_path / ("c%d.csv" % i))
         assert run_cli(["run", inst, "--algo", "wtap", "--csv", csv,
                         "--transcript", tr]) == 0
-        outs.append((open(tr, "rb").read(), open(csv, "rb").read()))
+        outs.append((Path(tr).read_bytes(), Path(csv).read_bytes()))
     assert outs[0] == outs[1]
 
 
@@ -85,7 +86,7 @@ def _fast_lb_disj_transcript(tmp_path):
     assert run_cli(["gen", "lb-disj", "--k", "2", "--d", "2", "--p", "4",
                     "--a", "10", "--b", "01", "--unweighted", "-o", inst]) == 0
     assert run_cli(["run", inst, "--algo", "fast", "--transcript", tr]) == 0
-    return open(tr, "rb").read()
+    return Path(tr).read_bytes()
 
 
 def test_fast_output_pinned(tmp_path, capsys):
@@ -230,7 +231,7 @@ def test_run_transcript_and_metrics_pinned(tmp_path, algo):
                     "--wmin", "1", "--wmax", "9", "-o", inst]) == 0
     assert run_cli(["run", inst, "--algo", algo, "--budget", "4",
                     "--transcript", tr, "--metrics", met]) == 0
-    digests = tuple(hashlib.sha256(open(p, "rb").read()).hexdigest()
+    digests = tuple(hashlib.sha256(Path(p).read_bytes()).hexdigest()
                     for p in (tr, met))
     assert digests == RUN_PINS[algo]
 
@@ -256,7 +257,7 @@ def test_tap_at_the_smallest_budget_pinned(tmp_path):
                     "--wmin", "1", "--wmax", "9", "-o", inst]) == 0
     assert run_cli(["run", inst, "--algo", "tap", "--budget", "1",
                     "--transcript", tr, "--metrics", met]) == 0
-    assert tuple(hashlib.sha256(open(p, "rb").read()).hexdigest()
+    assert tuple(hashlib.sha256(Path(p).read_bytes()).hexdigest()
                  for p in (tr, met)) == TAP_BUDGET_1_PIN
 
 
@@ -291,7 +292,7 @@ def test_weighted_runs_on_uneven_subtrees_pinned(tmp_path, algo):
                     "--wmin", "1", "--wmax", "9", "-o", inst]) == 0
     assert run_cli(["run", inst, "--algo", algo, "--budget", "3",
                     "--transcript", tr, "--metrics", met]) == 0
-    assert tuple(hashlib.sha256(open(p, "rb").read()).hexdigest()
+    assert tuple(hashlib.sha256(Path(p).read_bytes()).hexdigest()
                  for p in (tr, met)) == UNEVEN_TREE_PINS[algo]
 
 
@@ -322,7 +323,7 @@ def test_transcript_cut_short_by_the_round_limit(tmp_path):
     with pytest.raises(sim.RoundLimitExceeded):
         unweighted.augment_unweighted(g, tree)
     assert len(lines) > 1
-    assert open(tr).read() == "\n".join(lines) + "\n"
+    assert Path(tr).read_text() == "\n".join(lines) + "\n"
 
 
 def test_transcript_with_no_lines_is_one_newline(tmp_path):
@@ -421,7 +422,7 @@ def test_diameter_computed_only_for_csv(tmp_path, monkeypatch):
     assert calls == []
     assert run_cli(["run", inst, "--algo", "tap", "--csv", csv]) == 0
     assert calls == [16]
-    row = open(csv).read().strip().split("\n")[1].split(",")
+    row = Path(csv).read_text().strip().split("\n")[1].split(",")
     assert row[4] == "8"
 
 

@@ -43,15 +43,22 @@ UNFRAMED_WAVES = ("label_sizes", "cover_down", "verify_sizes",
 FRAMED_WAVES = ("label_assign", "labels_local_assign")
 
 
+def _algo_tree(algo, g, tree):
+    """The spanning tree an algorithm runs on: tap, wtap and fast take the
+    instance's, the others build their own."""
+    if algo in ("ecss", "verify"):
+        return bfs_tree(g, 0)
+    if algo == "ecss-w":
+        return mst_tree(g, 0)
+    if algo == "aug12":
+        return apps.recost_for_h(g, tree.tree_edges)[1]
+    return tree
+
+
 def _wave_view(algo, g, tree):
     """The forest an algorithm's waves run over: fast's local phases run in
     its fragments; the others run on their algorithm's spanning tree."""
-    if algo in ("ecss", "verify"):
-        tree = bfs_tree(g, 0)
-    elif algo == "ecss-w":
-        tree = mst_tree(g, 0)
-    elif algo == "aug12":
-        tree = apps.recost_for_h(g, tree.tree_edges)[1]
+    tree = _algo_tree(algo, g, tree)
     if algo == "fast":
         return TreeView.of_fragments(tree, fragment_decompose(tree)[0])
     return TreeView.of_tree(tree)
@@ -90,6 +97,65 @@ def test_wave_entries_cost_their_derived_counts():
                 continue
             seen[phase] += 1
     assert seen.keys() == {*UNFRAMED_WAVES, "weighted_down", *FRAMED_WAVES}
+
+
+def _exchange_lengths(algo, g, tree):
+    """(nt(v), L_v) for every vertex v: its non-tree edges on the
+    algorithm's tree, and the tokens of what it sends on each, less the
+    length token. A label goes as its hops; fast's split label adds its
+    ("sf", fragment) token; verify sends one preorder number."""
+    if algo == "verify":
+        lengths = [1] * g.n
+    else:
+        labels = assign_labels_sequential(_wave_view(algo, g, tree))
+        lengths = [len(lab.seq) + (algo == "fast") for lab in labels]
+    tree_edges = _algo_tree(algo, g, tree).tree_edges
+    return [(sum(eid not in tree_edges for eid, _ in g.adj[v]), lengths[v])
+            for v in range(g.n)]
+
+
+def test_exchange_entries_cost_their_derived_counts():
+    # virtual_graph.exchange_distributed: each vertex v streams one frame of
+    # L_v + 1 tokens on each of its nt(v) non-tree edges, c(v) =
+    # ceil((L_v+1)/b) messages, all from round 0 on, and acts once its
+    # neighbours' frames are in; the run lasts as long as the longest
+    # stream, 0 rounds when there is no non-tree edge
+    graphs = {name: (g, tree) for name, g, tree in fingerprints.instances()}
+    sends = {}
+    algos = set()
+    for key, e in fingerprints.load().items():
+        if "exchange" not in e["phases"]:
+            continue
+        name, b, algo = key.split("|")
+        b = int(b)
+        if (name, algo) not in sends:
+            sends[name, algo] = _exchange_lengths(algo, *graphs[name])
+        per_vertex = [(nt, L, -(-(L + 1) // b)) for nt, L in sends[name, algo]]
+        assert e["phases"]["exchange"] == [
+            max((c for nt, _, c in per_vertex if nt), default=0),
+            sum(nt * c for nt, _, c in per_vertex),
+            sum(nt * (L + 1) for nt, L, _ in per_vertex)], key
+        algos.add(algo)
+    assert algos == set(fingerprints.ALGOS)
+
+
+def test_weighted_up_entries_cost_their_derived_counts():
+    # weighted.WeightedUpProgram: a non-root vertex sends its parent one
+    # 1-token weight for each of the parent's ancestors, depth(parent(v))
+    # messages, within criterion 08's 2h + 4 rounds
+    graphs = {name: (g, tree) for name, g, tree in fingerprints.instances()}
+    algos = set()
+    for key, e in fingerprints.load().items():
+        if "weighted_up" not in e["phases"]:
+            continue
+        name, _, algo = key.split("|")
+        tree = _algo_tree(algo, *graphs[name])
+        sent = sum(tree.depth[v] - 1 for v in range(tree.n) if v != tree.root)
+        rounds, messages, tokens = e["phases"]["weighted_up"]
+        assert (messages, tokens) == (sent, sent), key
+        assert rounds <= 2 * tree.height + 4, key
+        algos.add(algo)
+    assert algos == set(fingerprints.WEIGHTED_ALGOS)
 
 
 def test_diff_counts_rises_and_falls_and_names_moved_outputs():

@@ -98,6 +98,15 @@ def test_root_tree_rejects_an_edge_id_outside_the_graph(eid):
         root_tree(g, [eid], 0)
 
 
+def test_augmentation_covers_rejects_an_edge_id_outside_the_graph():
+    # on the 5-cycle, -1 would silently name non-tree edge 4 and report a
+    # cover; m would be a bare IndexError
+    g, tree = generators.gen_cycle(5)
+    for eid in (-1, g.m):
+        with pytest.raises(GraphError, match="edge id %d " % eid):
+            augmentation_covers(g, tree, [eid])
+
+
 def test_bfs_tree_layers_and_parent_rule():
     for seed in range(30):
         rng = random.Random(seed)

@@ -748,6 +748,46 @@ def test_unframed_downcast_sending_twice_on_an_edge_is_rejected():
     with pytest.raises(SimError, match="sent twice on an edge"):
         sim.run(g, prog, budget=4)
 
+
+def test_a_wave_that_sends_first_streams_while_it_waits():
+    # on the path 0 - 1 - 2 - 3 at budget 1, vertices 0, 1 and 2 queue
+    # frames of 1, 4 and 6 tokens in init_state, vertex 1 on both its
+    # edges. Vertex 1 holds vertex 0's whole frame after round 1 but needs
+    # two, so it keeps streaming its own frames through round 4 and acts
+    # only in round 7, once vertex 2's last token is in. Vertex 3 has
+    # nothing to send and need 0: it acts in round 0 and halts
+    g = path_graph(4)
+    first = {0: [(0, ("a",))], 1: [(0, ("b",) * 4), (1, ("b",) * 4)],
+             2: [(1, ("c",) * 6)], 3: []}
+    need = {0: 1, 1: 2, 2: 1, 3: 0}
+    acted, steps = {}, []
+
+    def act(v, mail):
+        acted[v] = steps[-1][1]
+        return mail, []
+
+    wave = sim.Wave(need.get, act, 1, framed=True, first=first.get)
+    real_step = wave.step
+
+    def step(st, rnd, inbox):
+        steps.append((st.v, rnd))
+        return real_step(st, rnd, inbox)
+
+    wave.step = step
+    lines = []
+    out, m = sim.run(g, wave, budget=1, transcript=lines)
+    assert acted == {3: 0, 0: 5, 2: 5, 1: 7}
+    assert out == [[(0, ("b",) * 4)], [(0, ("a",)), (1, ("c",) * 6)],
+                   [(1, ("b",) * 4)], []]
+    assert [r for v, r in steps if v == 3] == [0]
+    sent_by_1 = [line.split(",")[:4] for line in lines[1:]
+                 if line.split(",")[1] == "1"]
+    assert sent_by_1 == [[str(r), "1", dst, eid] for r in range(5)
+                         for dst, eid in (("0", "0"), ("2", "1"))]
+    assert (m.rounds, m.messages, m.tokens) == (7, 19, 19)
+    with pytest.raises(ValueError, match="only a framed wave"):
+        sim.Wave(need.get, act, first=first.get)
+
 def _arrivals(g, tree, msgs, budget):
     """Run broadcast_upcast with a transcript; return the round t_k in which
     the root collects the k-th message, the round in which each vertex has
