@@ -14,11 +14,16 @@ Programs are per-vertex state machines:
 sorted by edge id; `outbox` is a list of (edge_id, payload) with payload
 a tuple of tokens. `status` is ACTIVE (step me next round even without
 mail), IDLE (wake me on mail), or HALT (done; later mail is dropped).
-Vertices are stepped in ascending id order but may only interact through
-messages, so evaluation order is
-unobservable; the transcript-equality test pins that down. Programs keep
-their per-vertex state in a `__slots__` class. A vertex sends only on its
-own edges: any other edge id, negative or past the last edge included,
+Round 0 steps every vertex; each later round steps, once each, the
+vertices that returned ACTIVE or got mail in the round before. Mail lands
+in mailboxes, two lists indexed by vertex (this round's and the next's,
+swapped each round), and a vertex joins the next round's wake list when
+its first message of the round lands or when it returns ACTIVE, with an
+empty mailbox then. The wake list is sorted once a round, so vertices are
+stepped in ascending id order. They interact only through messages, so
+that order is unobservable: `run`'s `eval_order` hook permutes it, and the
+tests check that no transcript changes. Programs keep their per-vertex
+state in a `__slots__` class. A vertex sends only on its own edges: any other edge id, negative or past the last edge included,
 raises SimError. A per-vertex `Channel` sends a program's messages
 framed: a length token, then the message, streamed under the budget. The
 algorithms' tree waves are one program, `Wave`, framed or unframed as the
@@ -207,34 +212,46 @@ def _run_rounds(g, program, budget, max_rounds, phase, transcript, eval_order):
     prefixes = {}  # a directed edge's transcript line prefix, by _round_lines key
     states = [program.init_state(v) for v in range(n)]
     halted = [False] * n
-    # the vertices that returned ACTIVE last round, in the order stepped
-    awake = range(n) if eval_order is None else eval_order
-    inbox_map: dict[int, list] = {}
+    # the mailboxes by vertex, swapped each round: `cur` holds this round's
+    # mail and `nxt` fills with the next round's; None is no mailbox, and []
+    # one opened by a vertex returning ACTIVE before any mail landed
+    cur = [None] * n
+    nxt = [None] * n
+    # the wake list: the vertices to step this round, each once. Round 0 has
+    # all of them; a vertex joins the next round's when its mailbox there
+    # opens. It is sorted once a round into the evaluation order, ascending
+    # id or by position in `eval_order`
+    woken = list(range(n))
+    order_key = None
+    if eval_order is not None:
+        pos = [0] * n
+        for i, v in enumerate(eval_order):
+            pos[v] = i
+        order_key = pos.__getitem__
     step = program.step
     n_msgs = n_toks = max_tok = 0
     last_comm_round = -1
 
     rnd = 0
-    while awake or inbox_map:
+    while woken:
         if rnd >= max_rounds:
             raise RoundLimitExceeded(max_rounds, Metrics(
                 [PhaseMetrics(phase, rnd, n_msgs, n_toks, max_tok)]))
-        if not inbox_map:
-            actives = awake
-        elif eval_order is None:
-            actives = sorted(inbox_map.keys() | awake)
-        else:
-            pend = inbox_map.keys() | awake
-            actives = [v for v in eval_order if v in pend]
-        next_awake = []
-        next_inbox: dict[int, list] = {}
-        for v in actives:
-            inbox = inbox_map.get(v)
-            if inbox is not None:
+        # in a pipeline the list is nearly sorted already, so this is close
+        # to linear
+        woken.sort(key=order_key)
+        next_woken = []
+        sent = n_msgs
+        for v in woken:
+            inbox = cur[v]
+            cur[v] = None
+            if inbox:
                 if halted[v]:
                     continue  # late mail to a halted vertex is dropped
                 if len(inbox) > 1:
                     inbox.sort()
+            else:
+                inbox = None
             outbox, status = step(states[v], rnd, inbox)
             if outbox:
                 k = len(outbox)
@@ -261,22 +278,25 @@ def _run_rounds(g, program, budget, max_rounds, phase, transcript, eval_order):
                         dst = eu
                     else:
                         raise SimError("vertex %d not incident to edge %d" % (v, eid))
-                    bucket = next_inbox.get(dst)
-                    if bucket is None:
-                        next_inbox[dst] = [msg]
+                    box = nxt[dst]
+                    if box is None:  # the first mail opens it and wakes dst
+                        nxt[dst] = [msg]
+                        next_woken.append(dst)
                     else:
-                        bucket.append(msg)
-            if status == ACTIVE:
-                next_awake.append(v)
-            elif status != IDLE:
-                halted[v] = True
-        if next_inbox:
+                        box.append(msg)
+            if status != IDLE:
+                if status != ACTIVE:
+                    halted[v] = True
+                elif nxt[v] is None:
+                    nxt[v] = []
+                    next_woken.append(v)
+        if n_msgs != sent:
             last_comm_round = rnd
             if transcript is not None:
-                transcript.extend(_round_lines(rnd, next_inbox, edges, n,
+                transcript.extend(_round_lines(rnd, next_woken, nxt, edges, n,
                                               prefixes))
-        awake = next_awake
-        inbox_map = next_inbox
+        woken = next_woken
+        cur, nxt = nxt, cur
         rnd += 1
 
     pm = PhaseMetrics(phase, last_comm_round + 1, n_msgs, n_toks, max_tok)
@@ -284,9 +304,10 @@ def _run_rounds(g, program, budget, max_rounds, phase, transcript, eval_order):
     return outputs, Metrics([pm])
 
 
-def _round_lines(rnd, mail, edges, n, prefixes):
-    """The transcript lines of the round `rnd`, which left `mail`, on a
-    graph of n vertices and `edges`.
+def _round_lines(rnd, woken, boxes, edges, n, prefixes):
+    """The transcript lines of the round `rnd`, on a graph of n vertices and
+    `edges`: the mail it left in `boxes[v]` for each v in `woken` (a box may
+    be empty, for a vertex that is ACTIVE without mail).
 
     Lines go in (src, dst, edge) order, independent of the vertex
     evaluation order, sorted by the one int key (src*n + dst)*m + edge;
@@ -295,13 +316,13 @@ def _round_lines(rnd, mail, edges, n, prefixes):
     across the rounds of one run."""
     m = len(edges)
     keyed = []
-    for dst, bucket in mail.items():
-        for eid, payload in bucket:
+    for dst in woken:
+        for eid, payload in boxes[dst]:
             eu, ev, _ = edges[eid]
             keyed.append((((eu + ev - dst) * n + dst) * m + eid, payload))
     keyed.sort()
     # a payload sent on several edges (a broadcast chunk) is formatted
-    # once: `mail` holds every payload until the round's lines are
+    # once: `boxes` holds every payload until the round's lines are
     # written, so no id is reused for another object meanwhile
     text: dict[int, str] = {}
     head = "%d," % rnd

@@ -109,6 +109,12 @@ def _own_steps(incoming, depth, scheme):
     return starts, edges
 
 
+# a leaf's completed depths for one step, as (source, (weight,)): no child
+# reports, so INF, and only its own edge can win
+_LEAF_ONE = ((-1, (INF,)),)
+_LEAF_TWO = _LEAF_ONE * 2
+
+
 class _WeightedUpState:
     """One vertex's upward state. Weights arrive in the order each child
     sends them, depths d - 1, d - 2, ..., 0, so no weight names its depth:
@@ -130,42 +136,21 @@ class _WeightedUpState:
         self.own_i = len(own_starts) - 1
         # one child: its id; several: child edge -> [child, the depth its
         # next weight is for], and for each depth some but not all children
-        # reported, [best weight, its child, reports so far]
+        # reported, [best weight, its child, its message, reports so far]
         self.kid = children[0][0] if len(children) == 1 else None
         self.kids = ({eid: [c, d - 1] for c, eid in children}
                      if len(children) > 1 else None)
         self.pending = {} if self.kids is not None else None
-        # the winning source (-1: own edge) by runs: run i starts at depth
-        # d - 1 - run_pos[i] and holds down to the next run
+        # the winning source (a child's tree edge, or -1: own edge) by runs:
+        # run i starts at depth d - 1 - run_pos[i] and holds down to the
+        # next run
         self.run_pos = []
         self.run_src = []
-        if not children and d > 0:
-            self.min_v = self.settle(d - 1, INF, -1)
-            self.j = d - 2
-
-    def settle(self, j, w, src):
-        """Fix the value at depth j, the next to settle, from the children's
-        best w (from child src; INF, -1 if none) and the own edge, which wins
-        only when strictly cheaper. Returns the value."""
-        if j != self.j:
-            raise sim.SimError("vertex %d settled depth %d before %d"
-                               % (self.v, j, self.j))
-        i = self.own_i
-        starts = self.own_starts
-        while i >= 0 and starts[i] > j:
-            i -= 1
-        self.own_i = i
-        if i >= 0 and self.own_edges[i].weight < w:
-            w, src = self.own_edges[i].weight, -1
-        if not self.run_src or self.run_src[-1] != src:
-            self.run_pos.append(self.d - 1 - j)
-            self.run_src.append(src)
-        self.j = j - 1
-        return w
 
     def src_at(self, j):
         """The source of the cheapest cover of v..u for the ancestor u at
-        depth j: a child, or -1 for an own edge."""
+        depth j: the tree edge of the child it came from, or -1 for an own
+        edge."""
         return self.run_src[bisect_right(self.run_pos, self.d - 1 - j) - 1]
 
     def own_edge(self, j):
@@ -183,20 +168,29 @@ class WeightedUpProgram:
     parent v (depth d), one a round, in that order and with none left out,
     INF included, so the depth of a weight is implied: v counts each
     child's weights. A depth is complete once its slowest child reported
-    it, depths complete one at a time in decreasing order, and v sends
-    each depth's weight in the step it completes. A vertex with children
-    never halts, so a weight past a child's depth 0 reaches `step`, which
-    raises SimError, and a child whose weights stop short leaves v
-    unsettled, which raises SimError in `output`. A vertex therefore keeps
-    no per-depth table: it holds its own-edge step function as breakpoints,
-    with a pointer that walks them down; a next-depth counter per child and
-    a pending map for the depths some children have reported and others
-    have not (neither with one child, whose weight is final on arrival and
-    for depth j); and the winning source as runs, appended as depths
-    complete. That is O(own edges + children + winner runs + pending
-    window) per vertex instead of O(depth), O(n) in all on a path. A vertex
-    outputs its state; the downward phase reads min_v, d, src_at(j) and
-    own_edge(j)."""
+    it, depths complete one at a time in decreasing order, and v settles
+    and sends each depth's weight in the step it completes; a leaf has all
+    of them complete and settles depths d - 1 and d - 2 in round 0, then
+    one a round. Depth d - 1 gives v's own tree edge's charge min_v and is
+    not sent; each later weight w goes up as w - min_v, or INF. A step
+    settles what it completes in one loop, with no call per weight: each
+    depth takes the children's best (ties to the lowest child id), or the
+    own edge's when strictly cheaper, and its source, a child's tree edge
+    or -1, extends the current winner run or starts one.
+
+    A vertex with children never halts, so a weight past a child's depth 0
+    reaches `step`, which raises SimError, as do a depth that completes out
+    of order among several children and a negative altered weight; a child
+    whose weights stop short leaves v unsettled, which raises SimError in
+    `output`. A vertex therefore keeps no per-depth table: it holds its
+    own-edge step function as breakpoints, with a pointer that walks them
+    down; a next-depth counter per child and a pending map for the depths
+    some children have reported and others have not (neither with one
+    child, whose weight is final on arrival and for depth j); and the
+    winning source as runs, appended as depths complete. That is O(own
+    edges + children + winner runs + pending window) per vertex instead of
+    O(depth), O(n) in all on a path. A vertex outputs its state; the
+    downward phase reads min_v, d, src_at(j) and own_edge(j)."""
 
     def __init__(self, view, incidence, all_labels, scheme):
         self.view = view
@@ -211,62 +205,86 @@ class WeightedUpProgram:
                                 self.view.children[v])
 
     def step(self, st, rnd, inbox):
-        if st.kid is None and st.kids is None:  # a leaf: every depth is ready
-            j = st.j
-            if j < 0:
-                return [], HALT
-            out = [(st.pe, (self._altered(st, st.settle(j, INF, -1)),))]
-            return out, ACTIVE if j > 0 else HALT
-        outbox = []
-        if st.kid is not None:  # one child: its weight is for depth j, final
-            if inbox:
-                j = st.j
+        # `done`: the children's best weights for the depths j, j - 1, ...
+        # that complete this step, each as (source, (weight,)) with source
+        # the child edge it came on, or -1 at a leaf
+        j = st.j  # the next depth to settle
+        kids = st.kids
+        if kids is None:
+            if st.kid is not None:  # one child: its weight is for depth j, final
+                if not inbox:
+                    return [], IDLE
                 if j < 0:
                     raise sim.SimError("vertex %d got a weight past depth 0 "
                                        "from child %d" % (st.v, st.kid))
-                w = st.settle(j, inbox[0][1][0], st.kid)
-                if st.min_v is None:
-                    st.min_v = w  # depth d - 1: v's own tree edge's charge
-                elif w >= INF:
-                    outbox = [(st.pe, (INF,))]
-                elif w < st.min_v:
-                    raise sim.SimError("negative altered weight at vertex %d" % st.v)
-                else:
-                    outbox = [(st.pe, (w - st.min_v,))]
-            return outbox, IDLE
-        if inbox:
-            for eid, (w,) in inbox:
-                kid = st.kids[eid]
-                c, j = kid
+                done = inbox
+                status = IDLE
+            else:  # a leaf: every depth is ready
                 if j < 0:
+                    return [], HALT
+                # round 0 settles depth d - 1 and sends depth d - 2
+                done = _LEAF_TWO if st.min_v is None and j > 0 else _LEAF_ONE
+                status = ACTIVE if j >= len(done) else HALT
+        else:  # several children: a depth completes when its slowest reports
+            done = []
+            pending = st.pending
+            for msg in inbox or ():
+                eid, (w,) = msg
+                kid = kids[eid]
+                c, jc = kid
+                if jc < 0:
                     raise sim.SimError("vertex %d got a weight past depth 0 "
                                        "from child %d" % (st.v, c))
-                kid[1] = j - 1
-                p = st.pending.get(j)
+                kid[1] = jc - 1
+                p = pending.get(jc)
                 if p is None:
-                    p = st.pending[j] = [w, c, 0]
-                elif w < p[0] or (w == p[0] and c < p[1]):
-                    p[0] = w
-                    p[1] = c
-                p[2] += 1
-                if p[2] < len(st.kids):
-                    continue
-                del st.pending[j]
-                w = st.settle(j, p[0], p[1])
-                if st.min_v is None:
-                    st.min_v = w  # depth d - 1: v's own tree edge's charge
+                    p = pending[jc] = [w, c, msg, 1]
                 else:
-                    outbox.append((st.pe, (self._altered(st, w),)))
-        return outbox, IDLE
-
-    @staticmethod
-    def _altered(st, w):
-        if w >= INF:
-            return INF
-        alt = w - st.min_v
-        if alt < 0:
-            raise sim.SimError("negative altered weight at vertex %d" % st.v)
-        return alt
+                    if w < p[0] or (w == p[0] and c < p[1]):
+                        p[0] = w
+                        p[1] = c
+                        p[2] = msg
+                    p[3] += 1
+                if p[3] == len(kids):
+                    del pending[jc]
+                    if jc != j - len(done):
+                        raise sim.SimError("vertex %d settled depth %d before %d"
+                                           % (st.v, jc, j - len(done)))
+                    done.append(p[2])
+            if not done:
+                return [], IDLE
+            status = IDLE
+        # settle each: the own edge wins only when strictly cheaper; the
+        # winner extends its run or starts one, and every weight but the
+        # first, min_v, goes up altered
+        outbox = []
+        min_v = st.min_v
+        for src, (w,) in done:
+            i = st.own_i
+            if i >= 0:
+                starts = st.own_starts
+                while i >= 0 and starts[i] > j:
+                    i -= 1
+                st.own_i = i
+                if i >= 0 and st.own_edges[i].weight < w:
+                    w, src = st.own_edges[i].weight, -1
+            if min_v is None:  # depth d - 1: v's own tree edge's charge
+                min_v = st.min_v = w
+                st.run_pos.append(0)
+                st.run_src.append(src)
+            else:
+                if st.run_src[-1] != src:
+                    st.run_pos.append(st.d - 1 - j)
+                    st.run_src.append(src)
+                if w >= INF:
+                    outbox.append((st.pe, (INF,)))
+                elif w < min_v:
+                    raise sim.SimError("negative altered weight at vertex %d" % st.v)
+                else:
+                    outbox.append((st.pe, (w - min_v,)))
+            j -= 1
+        st.j = j
+        return outbox, status
 
     def output(self, st):
         if st.j >= 0:
@@ -286,7 +304,7 @@ def weighted_down(view, tables):
         tab = tables[v]
         added = []
         bridge = False
-        chain_child = None
+        chain_edge = None
         m = mail[0][1] if mail else None
         if m is None or m[0] == "bot":
             m = None
@@ -301,9 +319,9 @@ def weighted_down(view, tables):
             if src == -1:
                 added.append((tab.own_edge(j), u, dec))
             else:
-                chain_child = src
-        return (added, bridge), [(eid, m if c == chain_child else ("bot",))
-                                 for c, eid in view.children[v]]
+                chain_edge = src
+        return (added, bridge), [(eid, m if eid == chain_edge else ("bot",))
+                                 for _, eid in view.children[v]]
 
     return sim.Wave(lambda v: tables[v].d != 1, act)
 

@@ -98,6 +98,22 @@ class Chatter:
         return None
 
 
+class _PingPong:
+    """Vertices 0 and 1 bounce a counter on edge 0 forever, each IDLE and
+    woken only by the mail."""
+
+    def init_state(self, v):
+        return v
+
+    def step(self, v, rnd, inbox):
+        if inbox:
+            return [(0, (inbox[0][1][0] + 1,))], IDLE
+        return ([(0, (0,))] if v == 0 else []), IDLE
+
+    def output(self, v):
+        return None
+
+
 def test_round_limit():
     g = path_graph(2)
     with pytest.raises(RoundLimitExceeded) as ei:
@@ -106,6 +122,16 @@ def test_round_limit():
     (pm,) = ei.value.metrics.phases
     assert (pm.phase, pm.rounds, pm.messages, pm.tokens,
             pm.max_tokens_edge_round) == ("main", 10, 10, 10, 1)
+
+    # woken by mail alone, each round's message is counted and logged
+    lines = []
+    with pytest.raises(RoundLimitExceeded) as ei:
+        sim.run(g, _PingPong(), max_rounds=5, transcript=lines)
+    (pm,) = ei.value.metrics.phases
+    assert (pm.phase, pm.rounds, pm.messages, pm.tokens,
+            pm.max_tokens_edge_round) == ("main", 5, 5, 5, 1)
+    assert lines == ["# phase main"] + ["%d,%d,%d,0,1,%d" % (r, r % 2, 1 - r % 2, r)
+                                        for r in range(5)]
 
 
 class _SendOnce:
@@ -205,6 +231,54 @@ def test_scheduler_steps_active_every_round_idle_on_mail_halted_never():
     assert lines == ["# phase main", "2,0,1,0,1,p", "3,1,0,0,1,q", "3,1,2,1,1,r"]
 
 
+class _Script:
+    """Records each vertex's steps as (round, inbox). In round r vertex v
+    sends sends[v, r] and returns status[v, r], else nothing and IDLE."""
+
+    def __init__(self, n, sends, status):
+        self.sends = sends
+        self.status = status
+        self.steps = [[] for _ in range(n)]
+
+    def init_state(self, v):
+        return v
+
+    def step(self, v, rnd, inbox):
+        self.steps[v].append((rnd, inbox))
+        return self.sends.get((v, rnd), []), self.status.get((v, rnd), IDLE)
+
+    def output(self, v):
+        return None
+
+
+@pytest.mark.parametrize("order", ([0, 1, 2], [1, 0, 2], [2, 1, 0], [1, 2, 0]))
+def test_an_active_vertex_with_mail_is_stepped_once_with_it(order):
+    # on the path 0-1-2, vertex 1 returns ACTIVE in round 0 and both its
+    # neighbours mail it, before or after it is stepped as `order` has it
+    g = path_graph(3)
+    prog = _Script(g.n, {(0, 0): [(0, ("a",))], (2, 0): [(1, ("b",))]},
+                   {(1, 0): ACTIVE})
+    _, m = sim.run(g, prog, eval_order=order)
+    assert prog.steps == [[(0, None)],
+                          [(0, None), (1, [(0, ("a",)), (1, ("b",))])],
+                          [(0, None)]]
+    assert (m.rounds, m.messages) == (1, 2)
+
+
+@pytest.mark.parametrize("order", ([0, 1, 2, 3], [3, 2, 1, 0]))
+def test_mail_on_several_edges_is_one_inbox_sorted_by_edge_id(order):
+    # the edge ids into vertex 0 run against the senders' ids, and vertex 1
+    # sends on two parallel edges, the higher id first
+    g = Multigraph(4)
+    for u, v in ((0, 3), (0, 2), (1, 0), (0, 1)):
+        g.add_edge(u, v, 1)
+    prog = _Script(g.n, {(1, 0): [(3, ("p",)), (2, ("q",))],
+                         (2, 0): [(1, ("r",))], (3, 0): [(0, ("s",))]}, {})
+    sim.run(g, prog, eval_order=order)
+    assert prog.steps[0] == [(0, None), (1, [(0, ("s",)), (1, ("r",)),
+                                             (2, ("q",)), (3, ("p",))])]
+
+
 @pytest.mark.parametrize("order", ([0, 1], [0, 1, 1], [0, 1, 3], [2, 1, 0, 3]))
 def test_eval_order_must_be_a_permutation(order):
     # an order that leaves a vertex out would never step it and lose its mail
@@ -245,6 +319,19 @@ def test_mail_to_halted_vertex_is_dropped_but_counted():
     assert m.messages == 1      # still paid for
     assert lines == ["# phase main", "1,0,1,0,1,x"]  # and still logged
 
+    # on the path 0-1-2 vertex 1 halts in round 0 and both its neighbours,
+    # ACTIVE, mail it in round 1, stepped before or after it
+    g = path_graph(3)
+    for order in ([0, 1, 2], [2, 1, 0]):
+        prog = _Script(g.n, {(0, 1): [(0, ("a",))], (2, 1): [(1, ("b",))]},
+                       {(0, 0): ACTIVE, (1, 0): HALT, (2, 0): ACTIVE})
+        lines = []
+        _, m = sim.run(g, prog, transcript=lines, eval_order=order)
+        assert prog.steps == [[(0, None), (1, None)], [(0, None)],
+                              [(0, None), (1, None)]]
+        assert (m.rounds, m.messages, m.tokens) == (2, 2, 2)
+        assert lines == ["# phase main", "1,0,1,0,1,a", "1,2,1,1,1,b"]
+
 
 def _wave_transcript(g, tree, order):
     """Transcript of the covering scan's two waves and wtap's two phases,
@@ -278,6 +365,51 @@ def test_transcript_independent_of_eval_order():
                 base = tr
             else:
                 assert tr == base, (seed, order_seed)
+
+
+def _runs_in_order(monkeypatch, call, order):
+    """What `call()` returns, and the transcript of its engine runs, with
+    every run stepping its vertices in `order`."""
+    real_run = sim.run
+    lines = []
+
+    def run(g, program, *args, **kwargs):
+        return real_run(g, program, *args, transcript=lines, eval_order=order,
+                        **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(sim, "run", run)
+        return call(), lines
+
+
+@pytest.mark.parametrize("budget", [1, 4])
+def test_each_program_class_is_independent_of_eval_order(monkeypatch, budget):
+    # the broadcast's store-and-forward upcast and cut-through downcast,
+    # the label waves (unframed sizes, framed labels), and the exchange, a
+    # framed wave that sends first
+    from treeaug import labels as lbl, virtual_graph as vg
+    for seed in range(6):
+        g, _ = generators.gen_random_2ec(12, 6, seed)
+        tree = bfs_tree(g, 0)
+        view = TreeView.of_tree(tree)
+        labels = lbl.assign_labels_sequential(view)
+        msgs = [(v, (0, v + 1, seed + 1)) for v in range(0, g.n, 3)]
+        calls = {
+            "broadcast": lambda: broadcast_upcast(g, tree, msgs, _at_zero,
+                                                  budget=budget),
+            "labels": lambda: lbl.assign_labels_distributed(g, view, budget=budget),
+            "exchange": lambda: vg.exchange_distributed(
+                g, tree, lambda v: lbl.hop_tokens(labels[v].seq),
+                lambda v, peer: sorted(peer.items()), budget=budget),
+        }
+        for name, call in calls.items():
+            base = _runs_in_order(monkeypatch, call, None)
+            assert len(base[1]) > 1, name
+            for order_seed in range(3):
+                order = list(range(g.n))
+                random.Random(order_seed).shuffle(order)
+                assert _runs_in_order(monkeypatch, call, order) == base, (
+                    name, seed, order_seed)
 
 
 class _Echo:

@@ -101,22 +101,31 @@ def test_upward_state_is_linear_on_a_path():
                                 st.integers(0, 5)), max_size=10))
 def test_own_edge_breakpoints_match_the_own_table(depth, edges):
     # a leaf's state holds only the own-edge breakpoints; both its lookup
-    # and the pointer that settles depths deepest first give _own_table's
-    # cheapest own edge, ties and all, at every depth. Edges reaching no
-    # ancestor below `depth` never count
+    # and the pointer that settles depths deepest first, as the leaf steps,
+    # give _own_table's cheapest own edge, ties and all, at every depth.
+    # Edges reaching no ancestor below `depth` never count
     incoming = [VirtualEdge(type("Label", (), {"depth": a})(), None, origin, w)
                 for a, w, origin in edges]
     scheme = PlainScheme()
     best_w, best_edge = _own_table(incoming, depth, scheme)
     starts, own = _own_steps(incoming, depth, scheme)
     leaf = _WeightedUpState(0, depth, -1, starts, own, [])
+    step = WeightedUpProgram(None, None, None, scheme).step
+    sent = []
+    status = sim.HALT
+    for rnd in range(depth):
+        out, status = step(leaf, rnd, None)
+        sent += [w for _, (w,) in out]
+        if status == sim.HALT:
+            break
+    assert (leaf.j, status) == (-1, sim.HALT)
+    if depth:
+        # the leaf sends every depth's weight but d - 1's, altered by min_v
+        settled = [leaf.min_v] + [w if w >= INF else w + leaf.min_v for w in sent]
+        assert settled == best_w[::-1]
     for j in range(depth):
         assert leaf.own_edge(j) is best_edge[j]
         assert leaf.src_at(j) == -1
-    if depth:
-        settled = [leaf.min_v] + [leaf.settle(j, INF, -1)
-                                  for j in range(depth - 2, -1, -1)]
-        assert settled == best_w[::-1]
 
 
 def test_cover_weight_equals_cost_sum():
@@ -265,6 +274,19 @@ def test_upward_stream_out_of_order_raises():
         prog.output(st[2])
     prog.step(st[2], 2, [(3, (0,))])
     assert prog.output(st[2]) is st[2]
+
+
+@pytest.mark.parametrize("children", [[(8, 5)], [(8, 5), (9, 6)]],
+                         ids=["one-child", "several-children"])
+def test_a_negative_altered_weight_raises(children):
+    # vertex 7 at depth 3, with no own edge, settles depth 2 from weight 4,
+    # so min_v = 4; a weight of 3 for depth 1 would go up altered as -1
+    step = WeightedUpProgram(None, None, None, PlainScheme()).step
+    st = _WeightedUpState(7, 3, 0, [], [], children)
+    assert step(st, 0, [(eid, (4,)) for _, eid in children]) == ([], sim.IDLE)
+    assert st.min_v == 4
+    with pytest.raises(sim.SimError, match="negative altered weight at vertex 7"):
+        step(st, 1, [(eid, (3,)) for _, eid in children])
 
 
 class _OneWeightTooMany(WeightedUpProgram):
