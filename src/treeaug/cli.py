@@ -13,8 +13,7 @@ Exit codes: 0 success, 2 the produced solution failed its validity check
 (or the input broke the 2-edge-connectivity promise), 3 a token-budget or
 round-limit violation, 1 anything else (bad usage, a generator size the
 family does not allow, an instance file that cannot be read or parsed, a
-budget below the algorithm's minimum or a round limit below 1, oracle size
-guard).
+budget or a round limit below 1, oracle size guard).
 """
 from __future__ import annotations
 
@@ -114,9 +113,6 @@ def _graph_diameter(g) -> int:
 
 
 ALGOS = ("tap", "wtap", "fast", "ecss", "ecss-w", "aug12", "verify")
-# algorithms built on the weighted augmentation, whose fixed-size records
-# need at least weighted.MIN_BUDGET tokens per edge and round
-WEIGHTED_ALGOS = ("wtap", "ecss-w", "aug12")
 
 
 def _run_algo(args, g, tree):
@@ -197,10 +193,9 @@ class _TranscriptFile:
 
 @sim.collector_paused()
 def _run(args) -> int:
-    need = weighted.MIN_BUDGET if args.algo in WEIGHTED_ALGOS else 1
-    if args.budget < need:
-        print("error: --algo %s needs --budget of at least %d (got %d)"
-              % (args.algo, need, args.budget), file=sys.stderr)
+    if args.budget < 1:
+        print("error: --budget must be at least 1 (got %d)" % args.budget,
+              file=sys.stderr)
         return 1
     if args.max_rounds is not None and args.max_rounds < 1:
         print("error: --max-rounds must be at least 1 (got %d)"

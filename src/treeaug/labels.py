@@ -41,14 +41,13 @@ def seq_depth(seq) -> int:
 
 @dataclass
 class TreeView:
-    """Forest view of a rooted tree: per-vertex local parent and children.
+    """Forest view of a rooted tree: per-vertex local parent edge and children.
 
     A fragment root has parent_edge -1 even if it has a parent in the full
     tree; labeling and scans treat it as a root.
     """
 
     n: int
-    parent_vertex: list[int]
     parent_edge: list[int]
     children: list[list[tuple[int, int]]]  # v -> [(child, edge id)] sorted
     roots: list[int]
@@ -59,28 +58,25 @@ class TreeView:
             sorted((c, tree.parent_edge[c]) for c in tree.children[v])
             for v in range(tree.n)
         ]
-        return TreeView(tree.n, list(tree.parent), list(tree.parent_edge),
-                        children, [tree.root])
+        return TreeView(tree.n, list(tree.parent_edge), children, [tree.root])
 
     @staticmethod
     def of_fragments(tree, frag_of) -> "TreeView":
         """Restrict tree edges to same-fragment pairs; fragment roots are the
         vertices whose tree parent lies in another fragment (or the root)."""
-        pv = [-1] * tree.n
         pe = [-1] * tree.n
         children: list[list[tuple[int, int]]] = [[] for _ in range(tree.n)]
         roots = []
         for v in range(tree.n):
             p = tree.parent[v]
             if p >= 0 and frag_of[p] == frag_of[v]:
-                pv[v] = p
                 pe[v] = tree.parent_edge[v]
                 children[p].append((v, tree.parent_edge[v]))
             else:
                 roots.append(v)
         for v in range(tree.n):
             children[v].sort()
-        return TreeView(tree.n, pv, pe, children, roots)
+        return TreeView(tree.n, pe, children, roots)
 
     def preorder(self) -> list[int]:
         """Every vertex of the forest, each one after its parent."""

@@ -15,9 +15,9 @@ next-depth counter per child, one pending entry per depth some children
 have reported and others have not, and the runs of the winning source, so
 its memory is O(own edges + children + winner runs + pending window)
 rather than O(depth). Downward phase: each vertex either starts a cover for
-its own tree edge, naming its parent as the top ancestor, or relays the
-ancestor's (topDepth, topId, deciderId) choice to the recorded cheapest
-sender; the vertex at the end of a chain adds its own incoming edge.
+its own tree edge, naming its parent's depth as the top, or relays the
+1-token (topDepth,) it got to the recorded cheapest sender; the vertex at
+the end of a chain adds its own incoming edge.
 
 The per-tree-edge charges c(t) = min_v sum exactly to the weight of the
 produced cover, and no augmentation can cost less than their sum.
@@ -31,9 +31,6 @@ from .sim import ACTIVE, HALT, IDLE
 from .unweighted import BridgeDetected
 
 INF = 1 << 62
-# the fewest tokens per edge and round that carry the downward (topDepth,
-# topId, deciderId) relays unframed; the upward weights take one token
-MIN_BUDGET = 3
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +291,11 @@ class WeightedUpProgram:
 
 
 def weighted_down(view, tables):
-    """Relay (topDepth, topId, deciderId) unchanged along the recorded
+    """Relay the 1-token (topDepth,) unchanged along the recorded
     cheapest-sender chain; the chain end adds its own incoming edge. A
     sim.Wave started by the depth-1 vertices, each a decider for its own
     tree edge; the tree root never acts. A vertex outputs its (virtual
-    edge, top id, decider id) records and whether its tree edge is a
+    edge, top depth, None) records and whether its tree edge is a
     bridge."""
     def act(v, mail):
         tab = tables[v]
@@ -312,12 +309,12 @@ def weighted_down(view, tables):
                 bridge = True
             else:
                 # decider: the top ancestor is the parent, at depth d - 1
-                m = (tab.d - 1, view.parent_vertex[v], v)
+                m = (tab.d - 1,)
         if m is not None:
-            j, u, dec = m
+            j, = m
             src = tab.src_at(j)
             if src == -1:
-                added.append((tab.own_edge(j), u, dec))
+                added.append((tab.own_edge(j), j, None))
             else:
                 chain_edge = src
         return (added, bridge), [(eid, m if eid == chain_edge else ("bot",))
@@ -327,14 +324,9 @@ def weighted_down(view, tables):
 
 
 def weighted_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
-    """Full distributed run. Returns dict with "added" [(ve, top, decider)],
-    "costs" {tree edge id: charge}, "bridges", "labels", "incidence",
-    "metrics".
-
-    Raises ValueError when budget is below MIN_BUDGET."""
-    if budget < MIN_BUDGET:
-        raise ValueError("weighted augmentation needs a budget of at least %d "
-                         "tokens (got %d)" % (MIN_BUDGET, budget))
+    """Full distributed run. Returns dict with "added" [(ve, top depth,
+    None)], "costs" {tree edge id: charge}, "bridges", "labels",
+    "incidence", "metrics"."""
     view = lbl.TreeView.of_tree(tree)
     all_labels, metrics = lbl.assign_labels_distributed(g, view, budget=budget)
     scheme = vg.PlainScheme()
@@ -393,24 +385,21 @@ def sequential_weighted_cover(g, tree):
             min_v[v] = bw[d - 1]
     added = []
     bridges = []
-    msg = {v: None for v in range(n)}
+    msg = [None] * n  # the top depth relayed to v
     for v in tree.order:
         if v == tree.root:
             continue
-        m = msg[v]
-        if m is None:
+        j = msg[v]
+        if j is None:
             if min_v[v] >= INF:
                 bridges.append(v)
                 continue
-            u, dec = tree.parent[v], v
-        else:
-            u, dec = m
-        j = depth[u]
+            j = depth[v] - 1
         src = best_src[v][j]
         if src == -1:
-            added.append((best_edge[v][j], u, dec))
+            added.append((best_edge[v][j], j, None))
         else:
-            msg[src] = (u, dec)
+            msg[src] = j
     costs = {tree.parent_edge[v]: min_v[v] for v in range(n) if v != tree.root}
     return {"added": added, "costs": costs, "bridges": bridges,
             "labels": all_labels, "incidence": incidence}
@@ -421,9 +410,12 @@ def augment_weighted(g, tree, budget: int = sim.DEFAULT_BUDGET):
     """2-approximate minimum-weight augmentation of tree within g.
 
     Returns (Augmentation, cover records, costs, Metrics). The cover
-    records are (virtual edge, top ancestor id, decider id) triples; the
+    records are (virtual edge, top ancestor depth, None) triples; the
     covered tree path of each edge runs from its descendant endpoint up to
     the top ancestor, and those paths partition the covered tree edges.
+    The third field is always None and is kept only so that callers that
+    unpack three fields, such as the benchmark's cross-checks, keep working
+    until they change with it.
     """
     res = weighted_cover_distributed(g, tree, budget=budget)
     if res["bridges"]:

@@ -3,8 +3,8 @@ costs on a fixed set of small instances, at budgets 1-7.
 
 Each entry is keyed "instance|budget|algorithm" and holds the run's value
 or verdict ("out"), a digest of its edge set and bridge list, and the
-rounds, messages and tokens of every phase and of the total. Algorithms
-built on the weighted augmentation are skipped below its MIN_BUDGET.
+rounds, messages and tokens of every phase and of the total. Every
+algorithm runs at every budget.
 `tests/test_fingerprints.py` recomputes the corpus and compares it with
 `tests/fingerprints.json`; a change that moves a count or an output
 rewrites the file with
@@ -39,7 +39,6 @@ from treeaug.unweighted import BridgeDetected
 PATH = pathlib.Path(__file__).resolve().parent / "fingerprints.json"
 BUDGETS = range(1, 8)
 ALGOS = ("tap", "wtap", "fast", "ecss", "ecss-w", "aug12", "verify")
-WEIGHTED_ALGOS = ("wtap", "ecss-w", "aug12")
 
 
 def _graph(n, edges, tree_ids):
@@ -160,8 +159,6 @@ def compute() -> dict:
     for name, g, tree in instances():
         for b in BUDGETS:
             for algo in ALGOS:
-                if algo in WEIGHTED_ALGOS and b < weighted.MIN_BUDGET:
-                    continue
                 corpus["%s|%d|%s" % (name, b, algo)] = entry(algo, g, tree, b)
     return corpus
 

@@ -68,7 +68,8 @@ def test_wave_entries_cost_their_derived_counts():
     # a sim.Wave (sim.py) on a forest of height h with k = n - roots edges:
     # unframed, h rounds and one message an edge, here of one token;
     # weighted_down starts at the depth-1 deciders, so it takes h - 1 rounds
-    # and sends nothing to the root's children. Framed, a child's label of
+    # and sends nothing to the root's children, and each of its relays,
+    # (topDepth,) or ("bot",), is one token. Framed, a child's label of
     # L hops goes as one frame: ceil((L+1)/b) messages and L+1 tokens
     graphs = {name: (g, tree) for name, g, tree in fingerprints.instances()}
     views = {}
@@ -89,7 +90,7 @@ def test_wave_entries_cost_their_derived_counts():
                 assert cost == [h, k, k], (key, phase)
             elif phase == "weighted_down":
                 root_kids = len(view.children[view.roots[0]])
-                assert cost[:2] == [max(h - 1, 0), k - root_kids], key
+                assert cost == [max(h - 1, 0), k - root_kids, k - root_kids], key
             elif phase in FRAMED_WAVES:
                 assert cost[1:] == [sum(-(-(L + 1) // b) for L in hops),
                                     sum(L + 1 for L in hops)], (key, phase)
@@ -155,7 +156,7 @@ def test_weighted_up_entries_cost_their_derived_counts():
         assert (messages, tokens) == (sent, sent), key
         assert rounds <= 2 * tree.height + 4, key
         algos.add(algo)
-    assert algos == set(fingerprints.WEIGHTED_ALGOS)
+    assert algos == {"wtap", "ecss-w", "aug12"}
 
 
 def test_diff_counts_rises_and_falls_and_names_moved_outputs():
