@@ -152,8 +152,8 @@ def sequential_cover_scan(nodes: dict, scheme):
 # ancestor endpoint, with -1, -1 for none. A vertex that forwards neither
 # (a bridge, or a pre-covered edge with no optional) sends just (-1,). The
 # header goes unframed when the budget holds its 4 tokens, else as one
-# frame. fast's in-fragment scan sends the same header for its two kinds
-# of edge.
+# frame. Both up passes that send it, `cover_up` and fast's in-fragment
+# scan (for its two kinds of edge), are a `header_wave`.
 
 HEADER_TOKENS = 4
 _NONE = (-1, -1)
@@ -216,14 +216,17 @@ def parse_depth_header(toks):
                  for i in (0, 2))
 
 
-def cover_up(view, resp_labels, incoming, t0, scheme, budget):
-    """Upward pass of the scan over a TreeView, as a sim.Wave.
+def header_wave(view, scheme, decide, budget):
+    """Leaves-to-root pass over a TreeView, as a sim.Wave, in which every
+    non-root vertex sends its parent one depth header.
 
-    Per-vertex inputs: responsible label, incoming candidates (incidence
-    plus any extra leaf candidates), t0 flag. A received header rebuilds
-    each candidate with its ancestor depth in place of its label and no
-    descendant: the descendant endpoint is structurally below and never
-    inspected on the way up, and `_DepthView` decides on depths.
+    `decide(v, recs)` gets its children's (a, b) edge pairs, parsed from
+    their headers in `children[v]` order, and returns (output, (a, b)): the
+    vertex's output and the two edges, each a VirtualEdge or None, whose
+    `depth_header` it sends up, with ancestor depths read through
+    `_DepthView(scheme)`. A parsed edge carries its ancestor depth in place
+    of its label and no descendant: the descendant endpoint is structurally
+    below and never inspected on the way up.
 
     Cost on a forest of height h with n vertices: from budget 4 up, one
     message a tree edge, 4 tokens (1 for (-1,)), and at most h rounds;
@@ -236,19 +239,32 @@ def cover_up(view, resp_labels, incoming, t0, scheme, budget):
 
     def act(v, mail):
         by_edge = dict(mail)
+        out, (a, b) = decide(v, [parse_depth_header(by_edge[eid])
+                                 for _, eid in view.children[v]])
+        return out, view.to_parent(v, depth_header(a, b, dview))
+
+    return sim.Wave(lambda v: len(view.children[v]), act, budget,
+                    framed=budget < HEADER_TOKENS)
+
+
+def cover_up(view, resp_labels, incoming, t0, scheme, budget):
+    """Upward pass of the scan: a `header_wave` whose vertices decide by
+    `_scan_node` on their responsible label, incoming candidates (incidence
+    plus any extra leaf candidates) and t0 flag, send up their necessary and
+    optional edges, and output their ScanRecord."""
+    dview = _DepthView(scheme)
+
+    def decide(v, recs):
         kids = view.children[v]
         node = ScanNode(v, resp_labels[v], children=[c for c, _ in kids],
                         incoming=incoming[v], t0=t0[v],
                         root=view.parent_edge[v] < 0)
-        child_recs = []
-        for c, eid in kids:
-            nec, opt = parse_depth_header(by_edge[eid])
-            child_recs.append((c, ScanRecord(nec=nec, opt=opt)))
-        rec = _scan_node(node, child_recs, dview)
-        return rec, view.to_parent(v, depth_header(rec.nec, rec.opt, dview))
+        rec = _scan_node(node, [(c, ScanRecord(nec=nec, opt=opt))
+                                for (c, _), (nec, opt) in zip(kids, recs)],
+                         dview)
+        return rec, (rec.nec, rec.opt)
 
-    return sim.Wave(lambda v: len(view.children[v]), act, budget,
-                    framed=budget < HEADER_TOKENS)
+    return header_wave(view, scheme, decide, budget)
 
 
 def cover_down(view, records):

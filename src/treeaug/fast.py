@@ -210,42 +210,30 @@ def build_bfs_tree_distributed(g, root: int, budget: int = sim.DEFAULT_BUDGET):
 # in-fragment maximal-edge scan (one run serves the leaf and global passes)
 
 def _fragment_max_scan(view, split_labels, scheme, own_cands, budget):
-    """Bottom-up within each fragment, as a sim.Wave, for the two
-    kinds of candidate at once. own_cands[i](v) lists the vertex's own
-    candidates of kind i, with full labels. Every non-root vertex sends its
-    local parent one `cover_scan.depth_header` (leafOrigin, leafAncDepth,
-    inOrigin, inAncDepth): per kind, the maximal edge covering its parent
-    edge, or none. It goes unframed from budget 4 up, else as one frame.
-    A vertex outputs its two maximal edges; a fragment root's cover its
-    global edge.
+    """Bottom-up within each fragment, for the two kinds of candidate at
+    once, as a `cover_scan.header_wave`. own_cands[i](v) lists the vertex's
+    own candidates of kind i, with full labels. Per kind, a vertex keeps
+    the maximal edge covering its parent edge, or none, and every non-root
+    vertex sends its local parent the header of the two, (leafOrigin,
+    leafAncDepth, inOrigin, inAncDepth). A vertex outputs its two maximal
+    edges; a fragment root's cover its global edge.
 
     Every candidate a vertex compares has its ancestor endpoint on the
     vertex's root path: a child's edge covers the child's parent edge, and
     an own edge descends from the vertex. So the vertex decides on depths,
-    by `_fragment_max_decide`, as `cover_scan.cover_up` does, and a
-    received edge is VirtualEdge(ancestor depth, None, origin, 0).
-
-    Cost on fragments of height h_f, with k fragments: from budget 4 up,
-    h_f rounds and n - k messages of at most 4 tokens; below 4, one frame
-    an edge of at most 5 tokens with its length.
+    by `_fragment_max_decide`, as `cover_scan.cover_up` does. It costs what
+    `header_wave` does on the fragment forest.
     """
-    decide = _fragment_max_decide(split_labels, scheme, own_cands)
-
-    def act(v, mail):
-        by_edge = dict(mail)
-        best, up = decide(v, [cover_scan.parse_depth_header(by_edge[eid])
-                              for _, eid in view.children[v]])
-        return best, view.to_parent(v, up)
-
-    return sim.Wave(lambda v: len(view.children[v]), act, budget,
-                    framed=budget < cover_scan.HEADER_TOKENS)
+    return cover_scan.header_wave(
+        view, scheme, _fragment_max_decide(split_labels, scheme, own_cands),
+        budget)
 
 
 def _fragment_max_decide(split_labels, scheme, own_cands):
     """The choice of a `_fragment_max_scan` vertex: decide(v, recs), recs
     its children's (leaf, in) edge pairs in `children[v]` order, returns
-    its maximal edge of each kind and the header it sends up. Ancestor
-    endpoints are compared through `cover_scan._DepthView`."""
+    its maximal edge of each kind twice, as its output and as the pair it
+    sends up, comparing ancestor endpoints through `cover_scan._DepthView`."""
     dview = cover_scan._DepthView(scheme)
 
     def decide(v, recs):
@@ -253,7 +241,7 @@ def _fragment_max_decide(split_labels, scheme, own_cands):
         best = tuple(
             vg.maximal_covering([r[i] for r in recs] + own(v), depth, dview)
             for i, own in enumerate(own_cands))
-        return best, cover_scan.depth_header(*best, dview)
+        return best, best
 
     return decide
 

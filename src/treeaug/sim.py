@@ -23,27 +23,28 @@ empty mailbox then. The wake list is sorted once a round, so vertices are
 stepped in ascending id order. They interact only through messages, so
 that order is unobservable: `run`'s `eval_order` hook permutes it, and the
 tests check that no transcript changes. Programs keep their per-vertex
-state in a `__slots__` class. A vertex sends only on its own edges: any other edge id, negative or past the last edge included,
-raises SimError. A per-vertex `Channel` sends a program's messages
-framed: a length token, then the message, streamed under the budget. The
-algorithms' tree waves are one program, `Wave`, framed or unframed as the
-caller picks (unframed, each message goes as it is, one per edge a round,
-never split): each vertex acts once, when the mail it waits for is in,
-sends, and halts. Waiting for one message from each child makes a
-leaves-to-root scan; waiting for none at the roots and one elsewhere, a
-root-to-leaves relay, or the BFS flood over every edge. A framed wave may
-also send first, streaming while it waits: the exchange of one frame each
-way over every non-tree edge. With `broadcast_upcast`'s program and wtap's
-`weighted.WeightedUpProgram`, the engine runs three program classes.
-`broadcast_upcast` gathers k messages at a tree root, store-and-forward
-and framed, and streams them down cut-through and unframed: the root
-appends each message to its down stream as it collects it, with no length
-token, and every vertex relays each chunk to its children in the round it
-arrives. A relay keeps the root's chunks without reading them and never
-halts; the run ends when the tree falls quiet. The caller's messages
-delimit themselves: the stream is cut back into them once, after the run,
-by the caller's `split`, when every vertex is shown to hold the same
-chunks.
+state in a `__slots__` class. A vertex sends only on its own edges: any
+other edge id, negative or past the last edge included, raises SimError.
+A per-vertex `Channel` is the engine's one token queue: it sends a
+program's messages framed, a length token, then the message, streamed
+under the budget. The algorithms' tree waves are one program, `Wave`,
+framed or unframed as the caller picks (unframed, each message goes as it
+is, one per edge a round, never split): each vertex acts once, when the
+mail it waits for is in, sends, and halts. Waiting for one message from
+each child makes a leaves-to-root scan; waiting for none at the roots and
+one elsewhere, a root-to-leaves relay, or the BFS flood over every edge.
+A framed wave may also send first, streaming while it waits: the exchange
+of one frame each way over every non-tree edge. With `broadcast_upcast`'s
+program and wtap's `weighted.WeightedUpProgram`, the engine runs three
+program classes. `broadcast_upcast` gathers k messages at a tree root,
+store-and-forward and framed, and streams them down cut-through and
+unframed: the root appends each message to its down stream as it collects
+it, with no length token, and every vertex relays each chunk to its
+children in the round it arrives. A relay keeps the root's chunks without
+reading them and never halts; the run ends when the tree falls quiet. The
+caller's messages delimit themselves: the stream is cut back into them
+once, after the run, by the caller's `split`, when every vertex is shown
+to hold the same chunks.
 
 A transcript is one "round,src,dst,edge,tokens,payload" line per delivered
 message, written to a sink: any object with `append(line)` and
@@ -344,50 +345,28 @@ def _fmt_payload(payload) -> str:
                     for tok in payload)
 
 
-class TokenStream:
-    """Per-edge outgoing token queue; drained at most `budget` tokens a round."""
-
-    __slots__ = ("buf",)
-
-    def __init__(self):
-        self.buf = []
-
-    def push_frame(self, tokens):
-        """Queue one frame: a length token, then `tokens`."""
-        self.buf.append(len(tokens))
-        self.buf.extend(tokens)
-
-    def take(self, budget):
-        if not self.buf:
-            return None
-        out = tuple(self.buf[:budget])
-        del self.buf[:budget]
-        return out
-
-
 class Channel:
-    """One vertex's framed streams over its incident edges.
+    """The engine's one token queue: a vertex's framed streams on its edges.
 
     Each message is sent as a frame: one length token followed by that many
-    tokens, streamed under the budget and handed to the receiver once its
-    last token arrives. Frames on one edge arrive whole and in the order
-    they were sent.
+    tokens, queued on its edge, streamed at most `budget` tokens a round and
+    handed to the receiver once its last token arrives. Frames on one edge
+    arrive whole and in the order they were sent.
     """
 
     __slots__ = ("budget", "_out", "_partial")
 
     def __init__(self, budget):
         self.budget = budget
-        self._out: dict[int, TokenStream] = {}  # edge -> its queue
+        self._out: dict[int, list] = {}  # edge -> its queued tokens
         self._partial: dict[int, tuple] = {}  # edge -> tokens of an unfinished frame
 
     def send(self, eid, tokens):
         """Queue a message carrying `tokens` on edge `eid`; a frame may
         carry none."""
-        s = self._out.get(eid)
-        if s is None:
-            s = self._out[eid] = TokenStream()
-        s.push_frame(tokens)
+        q = self._out.setdefault(eid, [])
+        q.append(len(tokens))
+        q.extend(tokens)
 
     def recv(self, inbox):
         """The messages this round's mail completed, as (eid, tokens)."""
@@ -414,37 +393,25 @@ class Channel:
         `done`, else IDLE."""
         outbox = []
         queued = False
-        for eid, s in self._out.items():
-            if s.buf:
-                outbox.append((eid, s.take(self.budget)))
-                if s.buf:
+        for eid, q in self._out.items():
+            if q:
+                outbox.append((eid, tuple(q[:self.budget])))
+                del q[:self.budget]
+                if q:
                     queued = True
         if queued:
             return outbox, ACTIVE
         return outbox, HALT if done else IDLE
 
 
-# ---------------------------------------------------------------------------
-# the tree wave. A framed wave vertex builds its Channel at its first send or
-# its first mail, when it first queues or holds part of a frame; an unframed
-# one hands its outbox to `run` as it is and builds none.
-
-def _channel(st, budget):
-    """The framed wave vertex's Channel, built on first use."""
-    ch = st.ch
-    if ch is None:
-        ch = st.ch = Channel(budget)
-    return ch
-
-
 class _WaveState:
     __slots__ = ("v", "need", "mail", "ch", "out")
 
-    def __init__(self, v, need):
+    def __init__(self, v, need, ch):
         self.v = v
         self.need = need
         self.mail = []  # the (edge id, payload) pairs held; None once acted
-        self.ch = None
+        self.ch = ch  # framed, the vertex's Channel; unframed, None
         self.out = None
 
 
@@ -453,18 +420,19 @@ class Wave:
     halts.
 
     A vertex waits for `need(v)` messages (framed, whole frames) and acts in
-    the first round in which it holds at least that many, or in round 0
-    when `need(v)` is 0. `act(v, mail)` gets every (edge id, payload) pair
-    it holds, in arrival order, each round's sorted by edge id ([] when
+    the first round in which it holds at least that many, or in round 0 when
+    `need(v)` is 0. `act(v, mail)` gets every (edge id, payload) pair it
+    holds, in arrival order, each round's sorted by edge id ([] when
     `need(v)` is 0), and returns (output, outbox): the vertex's output and
-    its messages. Framed, they go through a Channel and stream under
-    `budget`; unframed, the outbox is sent as it is, and `run` rejects two
-    messages on one edge. Mail that reaches a vertex after it has acted is
-    dropped, so a flood over every edge of a graph is a Wave too. A vertex
-    that never acts outputs None. A framed wave may send first: v queues
-    the (edge id, tokens) messages `first(v)` gives before any mail
-    arrives and streams them while it waits, ACTIVE while anything is
-    queued, else IDLE; `virtual_graph.exchange_distributed` is one.
+    its messages. Framed, each vertex holds a Channel from the start, and
+    its messages go through it and stream under `budget`; unframed, the
+    outbox is sent as it is, and `run` rejects two messages on one edge.
+    Mail that reaches a vertex after it has acted is dropped, so a flood
+    over every edge of a graph is a Wave too. A vertex that never acts
+    outputs None. A framed wave may send first: v queues the (edge id,
+    tokens) messages `first(v)` gives before any mail arrives and streams
+    them while it waits, ACTIVE while anything is queued, else IDLE;
+    `virtual_graph.exchange_distributed` is one.
 
     On a forest given by a `labels.TreeView`, an up wave has need(v) = the
     number of v's children and each non-root vertex sends its parent one
@@ -486,27 +454,29 @@ class Wave:
         self.first = first
 
     def init_state(self, v):
-        st = _WaveState(v, self.need(v))
+        st = _WaveState(v, self.need(v),
+                        Channel(self.budget) if self.framed else None)
         for eid, toks in self.first(v) if self.first else ():
-            _channel(st, self.budget).send(eid, toks)
+            st.ch.send(eid, toks)
         return st
 
     def step(self, st, rnd, inbox):
         mail = st.mail
+        ch = st.ch
         if mail is not None:
             if inbox:
-                if self.framed:
-                    inbox = _channel(st, self.budget).recv(inbox)
+                if ch is not None:
+                    inbox = ch.recv(inbox)
                 mail += inbox
             if len(mail) < st.need:
-                return ([], IDLE) if st.ch is None else st.ch.flush(False)
+                return ([], IDLE) if ch is None else ch.flush(False)
             st.mail = None
             st.out, outbox = self.act(st.v, mail)
-            if not self.framed:
+            if ch is None:
                 return outbox, HALT
             for eid, toks in outbox:
-                _channel(st, self.budget).send(eid, toks)
-        return ([], HALT) if st.ch is None else st.ch.flush(True)
+                ch.send(eid, toks)
+        return ([], HALT) if ch is None else ch.flush(True)
 
     def output(self, st):
         return st.out
@@ -581,7 +551,7 @@ class _UpDownState:
         self.chunks = []   # the down stream's chunks, as sent or received
         root = pe < 0
         self.got = [] if root else None  # the root's collected messages
-        self.down = TokenStream() if root else None  # the root's down stream
+        self.down = [] if root else None  # the root's unsent down stream
 
 
 class _UpDownProgram:
@@ -637,7 +607,7 @@ class _UpDownProgram:
     @staticmethod
     def _collect(st, msg):
         st.got.append(msg)
-        st.down.buf.extend(msg)
+        st.down.extend(msg)
 
     def step(self, st, rnd, inbox):
         pe = st.pe
@@ -666,13 +636,15 @@ class _UpDownProgram:
         for _, msg in st.ch.recv(inbox):
             self._collect(st, msg)
         done = len(st.got) == self.k
-        queued = st.down.buf
+        queued = st.down
+        b = self.budget
         outbox = []
         chunk = None
-        while queued and (done or len(queued) >= self.budget):
+        while queued and (done or len(queued) >= b):
             if chunk is not None:
                 return outbox, ACTIVE  # the next chunk goes out next round
-            chunk = st.down.take(self.budget)
+            chunk = tuple(queued[:b])
+            del queued[:b]
             st.chunks.append(chunk)
             outbox = [(eid, chunk) for eid in st.child_edges]
         return outbox, HALT if done else IDLE

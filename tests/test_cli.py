@@ -409,14 +409,32 @@ def test_gen_rejects_negative_or_empty_weight_ranges(tmp_path, capsys, args):
     assert "randrange" not in err and not out_path.exists()
 
 
+def _module_names():
+    return [(mod, dict(vars(mod))) for mod in (sim, cli)]
+
+
+def _assert_unchanged(before):
+    for mod, names in before:
+        now = vars(mod)
+        assert sorted(now) == sorted(names), mod.__name__
+        moved = [k for k, v in names.items() if now[k] is not v]
+        assert not moved, (mod.__name__, moved)
+
+
 def test_max_rounds_option_does_not_leak(tmp_path):
+    # every module-level name of sim and cli is the same object after a run
+    # that sets the round limit and the transcript, and after one that hits
+    # the limit and exits 3
     inst = str(tmp_path / "c.txt")
+    log = str(tmp_path / "t.txt")
     run_cli(["gen", "cycle", "--n", "16", "-o", inst])
-    before = sim.DEFAULT_MAX_ROUNDS
-    assert run_cli(["run", inst, "--algo", "tap", "--max-rounds", "4096"]) == 0
-    assert sim.DEFAULT_MAX_ROUNDS is before
-    assert run_cli(["run", inst, "--algo", "tap", "--max-rounds", "3"]) == 3
-    assert sim.DEFAULT_MAX_ROUNDS is before
+    before = _module_names()
+    assert run_cli(["run", inst, "--algo", "tap", "--max-rounds", "4096",
+                    "--transcript", log]) == 0
+    _assert_unchanged(before)
+    assert run_cli(["run", inst, "--algo", "tap", "--max-rounds", "3",
+                    "--transcript", log]) == 3
+    _assert_unchanged(before)
 
 
 def test_diameter_computed_only_for_csv(tmp_path, monkeypatch):

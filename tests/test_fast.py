@@ -315,6 +315,7 @@ def test_depth_keyed_decide_equals_full_label_maximal_covering(
         recs.append(sent)
     decide = fast._fragment_max_decide(split, scheme, own)
     best, up = decide(v, recs)
+    assert up == best
     for kind in (0, 1):
         want = vg.maximal_covering(
             [full[kind][c] for c, _ in view.children[v]] + own[kind](v),
@@ -324,7 +325,8 @@ def test_depth_keyed_decide_equals_full_label_maximal_covering(
         if want is not None:
             assert ((got.origin, dview.depth(got.anc))
                     == (want.origin, scheme.depth(want.anc)))
-    assert up == cover_scan.depth_header(full[0][v], full[1][v], dview)
+    assert (cover_scan.depth_header(*up, dview)
+            == cover_scan.depth_header(full[0][v], full[1][v], dview))
 
 
 def test_scan_result_marks_each_record_path():

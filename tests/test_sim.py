@@ -12,7 +12,7 @@ from treeaug.graph import Multigraph, bfs_tree, root_tree, write_instance
 from treeaug.labels import TreeView
 from treeaug.sim import (ACTIVE, HALT, IDLE, BudgetExceeded, Metrics,
                          Channel, PhaseMetrics, RoundLimitExceeded, SimError,
-                         TokenStream, broadcast_upcast)
+                         broadcast_upcast)
 from treeaug.unweighted import BridgeDetected
 
 
@@ -498,13 +498,12 @@ def test_nominal_phases_are_flagged_and_kept_out_of_the_csv():
         assert {len(r) for r in rows} == {5}
 
 
-def test_token_stream_drains_by_budget():
-    s = TokenStream()
-    s.push_frame(("a", "b", "c", "d"))
-    assert s.take(4) == (4, "a", "b", "c")
-    assert s.buf == ["d"]
-    assert s.take(4) == ("d",)
-    assert not s.buf and s.take(4) is None
+def test_channel_drains_by_budget():
+    ch = Channel(4)
+    ch.send(7, ("a", "b", "c", "d"))
+    assert ch.flush(True) == ([(7, (4, "a", "b", "c"))], ACTIVE)
+    assert ch.flush(True) == ([(7, ("d",))], HALT)
+    assert ch.flush(False) == ([], IDLE)
 
 
 def test_channel_frames_arrive_whole_in_order_when_complete():
@@ -986,10 +985,13 @@ def test_duplicate_edge_send_rejected():
 
 def test_framing_lives_only_in_sim():
     retired = re.compile(r"""\(\s*["']le["']\s*,\s*\)|["'](eo|um|dm|lh)["']""")
+    header = re.compile(r"HEADER_TOKENS|depth_header")
     for path in sorted(pathlib.Path(sim.__file__).parent.glob("*.py")):
         text = path.read_text()
         if path.name != "sim.py":
-            assert "TokenStream" not in text, path.name
+            assert "Channel(" not in text, path.name
+        if path.name != "cover_scan.py":
+            assert not header.search(text), path.name
         assert not retired.search(text), path.name
 
 
