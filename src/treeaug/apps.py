@@ -106,7 +106,8 @@ def verify_2ec_distributed(g, budget: int = sim.DEFAULT_BUDGET):
     * verify_sizes sends subtree sizes up;
     * verify_preorder sends ("vp", pre) down, child c of v getting pre(v)
       + 1 plus its earlier siblings' sizes; the exchange then sends one
-      ("vp", pre) frame each way over every non-tree edge;
+      ("vp", pre) token each way over every non-tree edge, unframed, in
+      one round;
     * verify_bridges sends ("vb", low, high, bridgeBelow) up, low and high
       the least and greatest pre over the subtree and its non-tree
       neighbours: the edge above v is a bridge iff pre(v) <= low and

@@ -11,12 +11,13 @@ that reaches it, takes the least (sender id, edge id) of it as its
 parent, and sends on every edge. The parent endpoint p of each
 global edge (a tree edge between two fragments) already holds its local
 label, so it announces the edge's directory record itself: ("gr",
-childFrag, p) and the label's ("lp", head, pos) hops. The first hop's head
-is p's fragment root, the parent fragment's id, and `labels.seq_depth`
-reads p's depth from the hops, as every label's receiver does. The
-records are the fragment tree: the second pass scans it as a contracted
-tree, and ancestry across fragments and the third pass's entry points are
-read by walking it upward.
+childFrag, p) and the label's hops, ("lp", head, pos) tokens ending in
+an ("lq", head, pos) one. The first hop's head is p's fragment root, the
+parent fragment's id, and `labels.seq_depth` reads p's depth from the
+hops, as every label's receiver does. The records are the fragment tree:
+the second pass scans it as a contracted tree, and ancestry across
+fragments and the third pass's entry points are read by walking it
+upward.
 
 The first two passes share one in-fragment scan, which finds for each
 vertex both the maximal leaf-added edge and the maximal incoming edge
@@ -24,8 +25,8 @@ covering its parent edge, and one broadcast of both kinds of record.
 Neither carries a label: the scan sends one depth-keyed header per tree
 edge, as the covering scan does, and a record is ((tag, fragment, origin),
 ancestor depth): 3 tokens up, framed, and 2 down, where every record
-starts with a tuple token that is not an ("lp", head, pos) hop and so
-needs no length token (`split_records`). The tag is "lc" for a leaf-added
+starts with a tuple token that is not a label hop and so needs no length
+token (`split_records`). The tag is "lc" for a leaf-added
 edge and "gc" for an incoming one; a fragment whose two maxima are one
 edge sends it once, tagged "lg", and receivers file it as both.
 A record marks the edges it covers outside its descendant's fragment
@@ -76,7 +77,9 @@ def fragment_decompose(tree, target: int | None = None):
 # ---------------------------------------------------------------------------
 # split labels
 
-@dataclass(frozen=True)
+# slotted rather than frozen, as labels.LcaLabel is; nothing assigns to
+# one after it is built
+@dataclass(slots=True, unsafe_hash=True)
 class SplitLabel:
     frag: int
     local: lbl.LcaLabel | None  # None names a fragment only, as a record does
@@ -394,12 +397,12 @@ def _dedup_cover(scheme, *parts):
 def split_records(stream):
     """Cut a broadcast down stream into fast's records, which travel down
     back to back without length tokens: a record starts at each tuple
-    token that is not an ("lp", head, pos) hop. The records are a
-    directory record, ("gr", childFrag, p) and p's hops; a cover record,
-    ((tag, fragment, origin), ancestor depth); and an announcement,
-    (("fs", origin),)."""
+    token that is not a label hop, ("lp" | "lq", head, pos). The records
+    are a directory record, ("gr", childFrag, p) and p's hops; a cover
+    record, ((tag, fragment, origin), ancestor depth); and an
+    announcement, (("fs", origin),)."""
     starts = [i for i, tok in enumerate(stream)
-              if type(tok) is tuple and tok[0] != "lp"]
+              if type(tok) is tuple and tok[0] not in lbl.HOP_TAGS]
     return [stream[i:j] for i, j in zip(starts, starts[1:] + [len(stream)])]
 
 

@@ -9,10 +9,18 @@ wire and on a label that `lca_query` builds. Two labels of the same tree
 support lca/ancestor queries with no communication; callers name an
 ancestor by its depth, which is unique on a root path.
 
+On the wire a label is its hops and nothing else: ("lp", head, pos) for
+each hop but the last, and ("lq", head, pos) for the last, whose tag tells
+the receiver that the label is complete, so no length token goes with it.
+
 Labeling works on a TreeView, which is either a whole rooted tree or a
 forest of tree fragments (each fragment root acting as a local root). On
 the engine it is two `sim.Wave`s: subtree sizes go up an unframed one,
-then each label goes down a framed one as one frame of its hops.
+then the labels go down a self-delimiting one that relays cut-through:
+a vertex passes each hop of its own label but the last on to all its
+children as it arrives, and once the last is in, sends the heavy child
+that hop one position further and every other child that hop followed by
+the child's own (child, 0) hop.
 """
 from __future__ import annotations
 
@@ -25,7 +33,10 @@ class LabelError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+# slotted rather than frozen: a frozen dataclass sets each field with
+# object.__setattr__, about three times the cost of a construction here;
+# nothing assigns to a label after it is built
+@dataclass(slots=True, unsafe_hash=True)
 class LcaLabel:
     vertex: int | None = field(compare=False)
     depth: int = field(compare=False)
@@ -166,31 +177,43 @@ def is_ancestor(a: LcaLabel, d: LcaLabel) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# wire format: one ('lp', head, pos) token per hop, and nothing else. A
-# label sent on its own is one frame of exactly these tokens; the receiver
-# takes the depth from the hops.
+# wire format: one token per hop, ('lp', head, pos) for each hop but the
+# last and ('lq', head, pos) for the last, and nothing else. A label ends at
+# its 'lq' hop, so it needs no length token; the receiver takes the depth
+# from the hops.
+
+HOP_TAGS = ("lp", "lq")
+
 
 def hop_tokens(seq) -> tuple:
-    return tuple(("lp", h, p) for h, p in seq)
+    return tuple(("lp", h, p) for h, p in seq[:-1]) + (("lq",) + seq[-1],)
+
+
+def is_last_hop(tok) -> bool:
+    """Whether a token of a label stream ends its label: the `ends` of the
+    label waves' and exchanges' self-delimiting frames."""
+    return tok[0] == "lq"
 
 
 def parse_hops(buf, i):
-    """The ('lp', head, pos) hops from buf[i] up to the first token that is
-    not one, or the end of buf. Returns (seq, next_index)."""
+    """The hops of the label whose first hop is buf[i], through its 'lq'
+    hop. Returns (seq, next_index); raises LabelError when buf[i:] does not
+    start with a whole label."""
     seq = []
-    while i < len(buf) and isinstance(buf[i], tuple) and buf[i][0] == "lp":
-        seq.append((buf[i][1], buf[i][2]))
-        i += 1
-    return tuple(seq), i
+    for j in range(i, len(buf)):
+        tok = buf[j]
+        if type(tok) is not tuple or tok[0] not in HOP_TAGS:
+            break
+        seq.append(tok[1:])
+        if tok[0] == "lq":
+            return tuple(seq), j + 1
+    raise LabelError("no whole label at %d" % i)
 
 
 def parse_label(buf, i):
-    """Parse the label whose hops start at buf[i]; it ends at the first token
-    that is not an 'lp' hop, or at the end of buf. Returns (label,
-    next_index)."""
+    """Parse the label whose hops start at buf[i], through its 'lq' hop.
+    Returns (label, next_index)."""
     seq, j = parse_hops(buf, i)
-    if not seq:
-        raise LabelError("expected a label hop at %d" % i)
     return LcaLabel(None, seq_depth(seq), seq), j
 
 
@@ -214,9 +237,20 @@ def assign_labels_distributed(g, view: TreeView, budget: int = sim.DEFAULT_BUDGE
                               phase_prefix: str = "label"):
     """Run the two labeling phases on the engine; returns (labels, Metrics).
 
-    <prefix>_sizes is `sizes_distributed`. <prefix>_assign is a framed
-    sim.Wave down from the view roots: every vertex picks its heavy child and
-    sends each child its label as one frame.
+    <prefix>_sizes is `sizes_distributed`. <prefix>_assign is a
+    self-delimiting sim.Wave down from the view roots that relays
+    cut-through: each vertex passes the hops of its label but the last on
+    to its children as they arrive; once the last is in, it picks its
+    heavy child and sends each child the rest of the child's label.
+
+    Cost: a child's label of L_v hops crosses its tree edge as L_v tokens
+    in ceil(L_v/budget) messages, and v holds it in round d(v) - 1 +
+    ceil(L_v/budget), d(v) its depth in the view, so the phase takes the
+    largest such round over the non-root vertices, and 0 rounds on a
+    forest of roots (`sim.Wave`'s cut-through bound). From budget 1 up
+    that is at most h + L - 1 rounds on a forest of height h whose labels
+    have at most L hops, against h*ceil((L+1)/budget) when each label went
+    store-and-forward in a frame with a length token.
     """
     child_sizes, metrics = sizes_distributed(g, view, budget,
                                              phase_prefix + "_sizes")
@@ -226,9 +260,15 @@ def assign_labels_distributed(g, view: TreeView, budget: int = sim.DEFAULT_BUDGE
         label = LcaLabel(v, seq_depth(seq), seq)
         ch = view.children[v]
         hv = heavy_child(ch, child_sizes[v]) if ch else None
-        return label, [(eid, hop_tokens(_child_label(label, c, c == hv).seq))
-                       for c, eid in ch]
+        # v's hops but the last went on to every child as they arrived; the
+        # rest of a child's label is that hop one position further for the
+        # heavy child, and that hop and the child's own for the others
+        h, p = seq[-1]
+        return label, [(eid, (("lq", h, p + 1),) if c == hv
+                        else (("lp", h, p), ("lq", c, 0))) for c, eid in ch]
 
-    down = sim.Wave(lambda v: view.parent_edge[v] >= 0, act, budget, framed=True)
+    child_edges = [[eid for _, eid in ch] for ch in view.children]
+    down = sim.Wave(lambda v: view.parent_edge[v] >= 0, act, budget,
+                    ends=is_last_hop, relay=child_edges.__getitem__)
     labels, m2 = sim.run(g, down, budget=budget, phase=phase_prefix + "_assign")
     return labels, metrics.merge(m2)

@@ -26,17 +26,27 @@ tests check that no transcript changes. Programs keep their per-vertex
 state in a `__slots__` class. A vertex sends only on its own edges: any
 other edge id, negative or past the last edge included, raises SimError.
 A per-vertex `Channel` is the engine's one token queue: it sends a
-program's messages framed, a length token, then the message, streamed
-under the budget. The algorithms' tree waves are one program, `Wave`,
-framed or unframed as the caller picks (unframed, each message goes as it
-is, one per edge a round, never split): each vertex acts once, when the
-mail it waits for is in, sends, and halts. Waiting for one message from
-each child makes a leaves-to-root scan; waiting for none at the roots and
-one elsewhere, a root-to-leaves relay, or the BFS flood over every edge.
-A framed wave may also send first, streaming while it waits: the exchange
-of one frame each way over every non-tree edge. With `broadcast_upcast`'s
-program and wtap's `weighted.WeightedUpProgram`, the engine runs three
-program classes. `broadcast_upcast` gathers k messages at a tree root,
+program's messages framed, streamed under the budget, each either a
+length token and the message or, where messages delimit themselves, the
+message alone, ending at a token the caller marks as a last one. The
+algorithms' tree waves are one program, `Wave`, framed or unframed as the
+caller picks (unframed, each message goes as it is, one per edge a round,
+never split): each vertex acts once, when the mail it waits for is in,
+sends, and halts. Waiting for one message from each child makes a
+leaves-to-root scan; waiting for none at the roots and one elsewhere, a
+root-to-leaves relay, or the BFS flood over every edge. A self-delimiting
+root-to-leaves wave may relay cut-through, passing each token of a
+vertex's message but the last on to its children as it arrives: the label
+waves. A wave may also send first: the exchange of one message each way
+over every non-tree edge. Every label travels self-delimiting, its last
+hop tagged, and the length token stays only where a message cannot
+delimit itself: the frames of `broadcast_upcast`'s upcast, whose records
+mark where they start but not where they end; `cover_scan.header_wave`
+below budget 4, whose headers are bare integers; and the standalone
+`weighted.disseminate_ancestors`, whose frame holds a whole root path of
+labels. With `broadcast_upcast`'s program and wtap's
+`weighted.WeightedUpProgram`, the engine runs three program classes.
+`broadcast_upcast` gathers k messages at a tree root,
 store-and-forward and framed, and streams them down cut-through and
 unframed: the root appends each message to its down stream as it collects
 it, with no length token, and every vertex relays each chunk to its
@@ -348,24 +358,31 @@ def _fmt_payload(payload) -> str:
 class Channel:
     """The engine's one token queue: a vertex's framed streams on its edges.
 
-    Each message is sent as a frame: one length token followed by that many
-    tokens, queued on its edge, streamed at most `budget` tokens a round and
-    handed to the receiver once its last token arrives. Frames on one edge
-    arrive whole and in the order they were sent.
+    Each message is sent as a frame, queued on its edge, streamed at most
+    `budget` tokens a round and handed to the receiver once its last token
+    arrives. Frames on one edge arrive whole and in the order they were
+    sent. By default a frame is one length token followed by that many
+    tokens. With `ends`, a predicate on tokens, messages delimit
+    themselves: a frame is the message's tokens alone, and it ends at the
+    first token that `ends` holds for, so a message must end with such a
+    token and hold no other. Such a message may be queued in pieces, as a
+    cut-through relay queues it.
     """
 
-    __slots__ = ("budget", "_out", "_partial")
+    __slots__ = ("budget", "ends", "_out", "_partial")
 
-    def __init__(self, budget):
+    def __init__(self, budget, ends=None):
         self.budget = budget
+        self.ends = ends
         self._out: dict[int, list] = {}  # edge -> its queued tokens
         self._partial: dict[int, tuple] = {}  # edge -> tokens of an unfinished frame
 
     def send(self, eid, tokens):
-        """Queue a message carrying `tokens` on edge `eid`; a frame may
-        carry none."""
+        """Queue a message carrying `tokens` on edge `eid`; a length-framed
+        message may carry none."""
         q = self._out.setdefault(eid, [])
-        q.append(len(tokens))
+        if self.ends is None:
+            q.append(len(tokens))
         q.extend(tokens)
 
     def recv(self, inbox):
@@ -374,10 +391,19 @@ class Channel:
             return ()
         frames = []
         partial = self._partial
+        ends = self.ends
         for eid, payload in inbox:
             buf = partial.pop(eid, None)
             buf = payload if buf is None else buf + payload
             i, n = 0, len(buf)
+            if ends is not None:
+                for j, tok in enumerate(buf):
+                    if ends(tok):
+                        frames.append((eid, buf[i:j + 1]))
+                        i = j + 1
+                if i < n:
+                    partial[eid] = buf[i:]
+                continue
             while i < n:
                 end = i + 1 + buf[i]
                 if end > n:
@@ -425,58 +451,99 @@ class Wave:
     holds, in arrival order, each round's sorted by edge id ([] when
     `need(v)` is 0), and returns (output, outbox): the vertex's output and
     its messages. Framed, each vertex holds a Channel from the start, and
-    its messages go through it and stream under `budget`; unframed, the
-    outbox is sent as it is, and `run` rejects two messages on one edge.
-    Mail that reaches a vertex after it has acted is dropped, so a flood
-    over every edge of a graph is a Wave too. A vertex that never acts
-    outputs None. A framed wave may send first: v queues the (edge id,
-    tokens) messages `first(v)` gives before any mail arrives and streams
-    them while it waits, ACTIVE while anything is queued, else IDLE;
-    `virtual_graph.exchange_distributed` is one.
+    its messages go through it and stream under `budget`: with a length
+    token each, or, given `ends`, self-delimiting (see `Channel`); a wave
+    with `ends` is framed. Unframed, the outbox is sent as it is, and `run`
+    rejects two messages on one edge. Mail that reaches a vertex after it
+    has acted is dropped, so a flood over every edge of a graph is a Wave
+    too. A vertex that never acts outputs None. A wave may send first: v
+    sends the (edge id, tokens) messages `first(v)` gives in round 0,
+    before any mail arrives; unframed, each goes as it is, and framed, v
+    streams them while it waits, ACTIVE while anything is queued, else
+    IDLE. `virtual_graph.exchange_distributed` is such a wave.
 
     On a forest given by a `labels.TreeView`, an up wave has need(v) = the
     number of v's children and each non-root vertex sends its parent one
     message; a down wave has need 0 at the roots and 1 elsewhere and each
     vertex sends each child one message. Cost on a forest of height h:
-    unframed, h rounds and one message per tree edge; framed, if every
-    message has L tokens, c = ceil((L+1)/budget) messages per tree edge,
-    and since a vertex acts only once its frames are whole, each level
-    adds c rounds: h*c rounds.
+    unframed, h rounds and one message per tree edge; framed with a length
+    token, if every message has L tokens, c = ceil((L+1)/budget) messages
+    per tree edge, and since a vertex acts only once its frames are whole,
+    each level adds c rounds: h*c rounds.
+
+    A self-delimiting down wave may relay cut-through: given `relay`, a
+    vertex that waits for its one message queues each token of it but the
+    last on each edge of `relay(v)` (its child edges) in the step the token
+    arrives; once the last is in, it acts, and each message of its outbox
+    follows on its edge what was relayed there, as the rest of the child's
+    message. Let the message to a vertex v at depth d(v) have L_v tokens.
+    Every such message streams as ceil(L_v/budget) chunks, all full but the
+    last, and its j-th chunk arrives in round d(v) - 1 + j: true at depth
+    1, where a root sends its outbox from round 0 on, and passed down,
+    since in the round a full chunk arrives, v sends it on unchanged, and
+    in the round its last chunk arrives, v queues that chunk's tokens less
+    the last, then its outbox's, and streams them in full chunks. So a tree
+    edge into v carries ceil(L_v/budget) messages and L_v tokens, v holds
+    its message in round d(v) - 1 + ceil(L_v/budget), and the run takes the
+    largest such round over the non-root vertices, against
+    d(v)*ceil((L+1)/budget) store-and-forward with a length token.
+    `labels.assign_labels_distributed` is such a wave.
     """
 
-    def __init__(self, need, act, budget=None, framed=False, first=None):
-        if first is not None and not framed:
-            raise ValueError("only a framed wave sends first")
+    def __init__(self, need, act, budget=None, framed=False, first=None,
+                 ends=None, relay=None):
+        if relay is not None and ends is None:
+            raise ValueError("only a self-delimiting wave relays cut-through")
         self.need = need
         self.act = act
         self.budget = budget
-        self.framed = framed
+        self.framed = framed or ends is not None
+        self.ends = ends
         self.first = first
+        self.relay = relay
 
     def init_state(self, v):
-        st = _WaveState(v, self.need(v),
-                        Channel(self.budget) if self.framed else None)
-        for eid, toks in self.first(v) if self.first else ():
-            st.ch.send(eid, toks)
-        return st
+        return _WaveState(v, self.need(v), Channel(self.budget, self.ends)
+                          if self.framed else None)
 
     def step(self, st, rnd, inbox):
         mail = st.mail
         ch = st.ch
-        if mail is not None:
-            if inbox:
-                if ch is not None:
-                    inbox = ch.recv(inbox)
-                mail += inbox
-            if len(mail) < st.need:
-                return ([], IDLE) if ch is None else ch.flush(False)
-            st.mail = None
-            st.out, outbox = self.act(st.v, mail)
-            if ch is None:
-                return outbox, HALT
-            for eid, toks in outbox:
-                ch.send(eid, toks)
-        return ([], HALT) if ch is None else ch.flush(True)
+        if mail is None:
+            return ch.flush(True)  # framed: still streaming what it sent
+        outbox = []  # unframed, what `first` gives, sent as it is
+        if rnd == 0 and self.first is not None:
+            for eid, toks in self.first(st.v):
+                if ch is None:
+                    outbox.append((eid, toks))
+                else:
+                    ch.send(eid, toks)
+        if inbox:
+            if ch is not None:
+                if self.relay is not None:
+                    self._cut_through(st.v, ch, inbox)
+                inbox = ch.recv(inbox)
+            mail += inbox
+        if len(mail) < st.need:
+            return (outbox, IDLE) if ch is None else ch.flush(False)
+        st.mail = None
+        st.out, sends = self.act(st.v, mail)
+        if ch is None:
+            return (outbox + sends if outbox else sends), HALT
+        for eid, toks in sends:
+            ch.send(eid, toks)
+        return ch.flush(True)
+
+    def _cut_through(self, v, ch, inbox):
+        """Queue on each relay edge the tokens of v's one message that this
+        round's mail brought, but the message's last token: v's parent sends
+        it nothing else, so that token ends a payload."""
+        ends = self.ends
+        for _, payload in inbox:
+            toks = payload[:-1] if ends(payload[-1]) else payload
+            if toks:
+                for eid in self.relay(v):
+                    ch.send(eid, toks)
 
     def output(self, st):
         return st.out

@@ -8,7 +8,9 @@ projects back to an augmentation of G at most twice the size/weight.
 
 Label handling is abstracted behind a scheme object so the same machinery
 runs on whole-tree labels and on fragment (split) labels. The labels cross
-the non-tree edges in one framed `sim.Wave` that sends first.
+the non-tree edges in one `sim.Wave` that sends first, each as its tokens
+alone: a label ends at its last hop (`labels.is_last_hop`), so its frame
+needs no length token.
 """
 from __future__ import annotations
 
@@ -24,7 +26,9 @@ class VirtualGraphError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+# slotted rather than frozen, as labels.LcaLabel is, and equal and hashed
+# by all four fields; nothing assigns to one after it is built
+@dataclass(slots=True, unsafe_hash=True)
 class VirtualEdge:
     anc: object   # label of the endpoint closer to the root
     desc: object  # label of the deeper endpoint
@@ -145,16 +149,24 @@ def build_incidence_sequential(g, tree, all_labels, scheme):
     return incidence
 
 
-def exchange_distributed(g, tree, send, read, budget: int = sim.DEFAULT_BUDGET):
-    """A framed `sim.Wave` that sends first: each vertex v sends `send(v)`
-    on each of its non-tree edges and, once all have come in, outputs
-    `read(v, peer)`, peer mapping those edge ids to the frames that came
-    over them. Returns (read results, Metrics)."""
+def exchange_distributed(g, tree, send, read, budget: int = sim.DEFAULT_BUDGET,
+                         ends=None):
+    """A `sim.Wave` that sends first: each vertex v sends `send(v)` on each
+    of its non-tree edges and, once all have come in, outputs `read(v,
+    peer)`, peer mapping those edge ids to the messages that came over
+    them. Returns (read results, Metrics).
+
+    Without `ends`, each message goes as it is, in round 0, and must fit
+    the budget. With `ends`, a predicate on tokens, messages delimit
+    themselves (see `sim.Channel`): v streams a message of L_v tokens on
+    each edge as ceil(L_v/budget) chunks from round 0 on, so the phase
+    takes the largest ceil(L_v/budget) over the vertices with a non-tree
+    edge in rounds, 0 with none."""
     nt = [[eid for eid, _ in adj if eid not in tree.tree_edges]  # ascending
           for adj in g.adj]
     wave = sim.Wave(lambda v: len(nt[v]),
                     lambda v, mail: (read(v, dict(mail)), []), budget,
-                    framed=True, first=lambda v: zip(nt[v], repeat(send(v))))
+                    ends=ends, first=lambda v: zip(nt[v], repeat(send(v))))
     return sim.run(g, wave, budget=budget, phase="exchange")
 
 
@@ -172,7 +184,7 @@ def build_incidence_distributed(g, tree, all_labels, scheme,
         return out
 
     return exchange_distributed(g, tree, lambda v: scheme.tokens(all_labels[v]),
-                                read, budget)
+                                read, budget, ends=lbl.is_last_hop)
 
 
 def project_cover(incidence, virt_edges, scheme=None) -> Augmentation:

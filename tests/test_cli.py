@@ -146,11 +146,17 @@ def test_fast_transcript_bytes_pinned(tmp_path):
     # header (labels_local_assign 62 -> 57 messages, 193 -> 137 tokens;
     # exchange 237 -> 202 messages, 810 -> 626 tokens): in all 103 rounds,
     # 1,388 -> 1,348 messages, 3,859 -> 3,619 tokens, 41,023 -> 38,621
-    # bytes (was cba17b98...9b21f471), same output
+    # bytes (was cba17b98...9b21f471), same output. Re-pinned again when
+    # labels delimited themselves, their last hop tagged "lq", with no
+    # length token, and the label wave relayed hops cut-through
+    # (labels_local_assign 7 rounds, 57 -> 56 messages, 137 -> 81 tokens;
+    # exchange 2 rounds, 202 -> 187 messages, 626 -> 442 tokens): in all
+    # 103 rounds, 1,348 -> 1,332 messages, 3,619 -> 3,379 tokens, 38,621
+    # -> 37,926 bytes (was b7b90264...0319b8f27), same output
     data = _fast_lb_disj_transcript(tmp_path)
-    assert len(data) == 38621
+    assert len(data) == 37926
     assert hashlib.sha256(data).hexdigest() == (
-        "b7b902642225f3aa5acd60f7a42f157f2c5c40cd82433c06334fe430319b8f27")
+        "50d027e17aab2814ba7f461e4b1f4f6de7ec4ed306909eb8b9510f11518703b4")
 
 
 def test_fast_transcript_schedule_pinned(tmp_path):
@@ -176,11 +182,14 @@ def test_fast_transcript_schedule_pinned(tmp_path):
     # each record's length token: fewer chunks an edge, and
     # labels_global_bcast 17 -> 18 rounds. Re-pinned again (was
     # 905936e9...0061db61) when labels lost their header: shorter frames,
-    # so fewer chunks in labels_local_assign and the exchange
+    # so fewer chunks in labels_local_assign and the exchange. Re-pinned
+    # again (was c1251943...aeabf6ca6) when labels lost their length token
+    # and the label wave relayed cut-through: shorter messages, and fewer
+    # of them in labels_local_assign and the exchange
     lines = _fast_lb_disj_transcript(tmp_path).decode().splitlines()
     schedule = "".join(",".join(line.split(",")[:5]) + "\n" for line in lines)
     assert hashlib.sha256(schedule.encode()).hexdigest() == (
-        "c125194326c512f1fbac48ac5898276f9141d70127fa2aa16951409aeabf6ca6")
+        "5286d37a03aee78d5db12fed3f6032b5f0bcbe89f21cee57cbe37a1ece1d742f")
 
 
 # SHA-256 of the full transcript and of the --metrics CSV at budget 4 on one
@@ -215,14 +224,23 @@ def test_fast_transcript_schedule_pinned(tmp_path):
 # again when weighted_down relayed (topDepth,) alone instead of (topDepth,
 # topId, deciderId): each relay line loses its last two tokens and nothing
 # else moves, weighted_down 11/36/86 -> 11/36/36 and in all 57/335/527 ->
-# 57/335/477 (was 896145f5...72779b32, ffde382b...0f451d7ff5)
+# 57/335/477 (was 896145f5...72779b32, ffde382b...0f451d7ff5). All three
+# were re-pinned when labels delimited themselves, their last hop tagged
+# "lq", with no length token, the label wave relayed cut-through and
+# verify's exchange went unframed, same outputs: tap's and wtap's
+# label_assign 12/39/105 -> 12/39/66 and exchange 1/42/118 -> 1/42/76, in
+# all 49/198/457 -> 49/198/376 (tap; was facbd7bb...44a71855,
+# 4f7b4b73...99fc1ed8) and 57/335/477 -> 57/335/396
+# (wtap; was 40485b1b...b99060ec, bf319269...07a81c43); verify's exchange
+# 1/42/84 -> 1/42/42, in all 27/318/360 -> 27/318/318 (was
+# 992b26ef...e2334bd7, 2e73f394...acba486d3)
 RUN_PINS = {
-    "tap": ("facbd7bb6999d8de93e9cc5174077c00407f5b34c979078778e74be544a71855",
-            "4f7b4b732b0ee9e6571b3517232d5f6e920463d907ce10480bc9bef699fc1ed8"),
-    "wtap": ("40485b1b066907cfeab2540cc98e397bb99e0b4128d5090788679b00b99060ec",
-             "bf3192697d557b4c5f36adf5df6387607b608656c0e088aec7c89c4407a81c43"),
-    "verify": ("992b26ef3c0e824945374a40e94b3c1f66e6a8ee424fe8dba07c4255e2334bd7",
-               "2e73f394af601e3f0c652004fb36144262c3fbcd75c2fa7d7e18a89acba486d3"),
+    "tap": ("58ad195033298d6cb1f9006be5e7f0c19b21a9e3e9eba490700ddb2b06721ba6",
+            "15999577c282fe69919d0ba4ba9df6210be1092029014cce4730c899083c68f3"),
+    "wtap": ("6406be6b3b160258b2944d24fcb66d0de317c5967244e31a7e71fc5fb39a2b57",
+             "8cab5b91054c43694bb5193d339134b63626b0bf0ac9c339b289bdf2d5c71719"),
+    "verify": ("b5577c0307d25d3b96a230890f8960a9f8d4c2b65990d3d38d8b4004d1a0a9f1",
+               "7d2e7b977263edc4171655a20784b01f800f1232eda730ea32006ff023ed84c7"),
 }
 
 
@@ -249,10 +267,14 @@ def test_run_transcript_and_metrics_pinned(tmp_path, algo):
 # lost their ("lh", vertexId, depth) header: label_assign 36/144 -> 24/105
 # and exchange 4/160 -> 3/118 rounds/messages; in all 124 -> 111 rounds,
 # 577 -> 496 messages and tokens, same output (was 0fbbb683...cc2235d,
-# 3f4b1fee...1f1660c)
+# 3f4b1fee...1f1660c). Re-pinned again when labels lost their length token
+# and the label wave relayed cut-through: label_assign 24/105 -> 12/66 and
+# exchange 3/118 -> 2/76 rounds/messages; in all 111 -> 98 rounds, 496 ->
+# 415 messages and tokens, same output (was 380df030...2ac28cc9,
+# 586e5866...1110a46a)
 TAP_BUDGET_1_PIN = (
-    "380df0305ef8fff4765cc1865f9b460c888ed823212fa4c9b816d3872ac28cc9",
-    "586e58669a84e4a2c8892a164f4a7282661f585902690b9c36e44d271110a46a")
+    "175f65be24152b9d096319647cd3fa6a90646ba3a0e655d4f355e105a61b85d9",
+    "a82ca61ea2d6297d5b3ac2b4b47d88d98a2e1e3960723dbd51ab59ee086fcf8b")
 
 
 def test_tap_at_the_smallest_budget_pinned(tmp_path):
@@ -285,12 +307,19 @@ def test_tap_at_the_smallest_budget_pinned(tmp_path):
 # (topDepth, topId, deciderId), same outputs: weighted_down tokens 727 ->
 # 297 (wtap) and 730 -> 298 (ecss-w), in all 7741 -> 7311 and 9349 -> 8917
 # tokens, no round or message count moved (was e9847d92...f2809ce4,
-# 147d4aa2...004e8d621; bf989610...ad70e8000, b0f70c7a...c4849d9d)
+# 147d4aa2...004e8d621; bf989610...ad70e8000, b0f70c7a...c4849d9d).
+# Re-pinned again when labels lost their length token and the label wave
+# relayed cut-through, same outputs: wtap's label_assign 36/431/1006 ->
+# 35/311/707 and exchange 2/444/1031 -> 2/317/729, in all 174/6149/7311 ->
+# 173/5902/6710; ecss-w's label_assign 43/431/1030 -> 31/330/731 and
+# exchange 2/456/1071 -> 2/339/769, in all 209/7703/8917 -> 197/7485/8316
+# (was c95c4434...2ecac12a, 9b42365a...0ee640a3;
+# bd8de948...b4730ee9f0, 4ad2eb62...bde8aa2f9)
 UNEVEN_TREE_PINS = {
-    "wtap": ("c95c4434fc0b8636400775c81f6c2ea7fb1647e830623aca1408669c2ecac12a",
-             "9b42365a9dc1d25fecb922c2dee88f0525fef43a4bef955c442e1d0b8ee640a3"),
-    "ecss-w": ("bd8de94857625f7c653787a1ff6d3efa10bd6feee4b8f6341c28b1b4730ee9f0",
-               "4ad2eb6242101040afce43fc9ebdb58c785365d32ed5d7326a32e08bde8aa2f9"),
+    "wtap": ("93f4332c7a44ed0dc620bb6210bb0072ecbf531a9909a02d7464bd509ee7da96",
+             "d6ff33d5519802e1d4df4c6d4c8dcc064d1439847685f9a558a61c4b79b3d4d3"),
+    "ecss-w": ("8b6f5b65591b4e11e1b85981aa7183c1861931c84fbf8e1d17ba9b14ad1c12a6",
+               "a35816403717c0ec365c2236de090413390a017eaec438a7fb10fbcb162d6741"),
 }
 
 

@@ -11,7 +11,8 @@ from treeaug.fast import (SplitScheme, augment_fast, fragment_decompose,
                           split_labels_sequential)
 from treeaug.graph import (Multigraph, NotConnectedError, augmentation_covers,
                            bfs_tree, eccentricity, find_bridges, root_tree)
-from treeaug.labels import TreeView, assign_labels_sequential
+from treeaug.labels import (LcaLabel, TreeView, assign_labels_sequential,
+                            hop_tokens)
 from treeaug.unweighted import BridgeDetected, augment_unweighted
 from treeaug.virtual_graph import (PlainScheme, build_incidence_sequential,
                                    covered_tree_edges)
@@ -404,9 +405,9 @@ def test_one_lg_record_where_a_fragments_two_maxima_coincide(monkeypatch):
 
 _ints = st.integers(min_value=0, max_value=10_000)
 _directory_record = st.builds(
-    lambda head, hops: (head,) + tuple(hops),
+    lambda head, seq: (head,) + hop_tokens(tuple(seq)),
     st.tuples(st.just("gr"), _ints, _ints),
-    st.lists(st.tuples(st.just("lp"), _ints, _ints), min_size=1, max_size=6))
+    st.lists(st.tuples(_ints, _ints), min_size=1, max_size=6))
 _cover_record = st.tuples(
     st.tuples(st.sampled_from(("lc", "gc", "lg")), _ints, _ints), _ints)
 _announcement = st.tuples(st.tuples(st.just("fs"), _ints))
@@ -417,7 +418,8 @@ _announcement = st.tuples(st.tuples(st.just("fs"), _ints))
                 max_size=12))
 def test_property_split_records_inverts_concatenation(records):
     # fast's broadcast records go down back to back without length tokens;
-    # each starts with a tuple token that is not an ("lp", head, pos) hop
+    # each starts with a tuple token that is not a label hop, ("lp", head,
+    # pos) or the last one, ("lq", head, pos)
     stream = tuple(tok for rec in records for tok in rec)
     assert fast.split_records(stream) == records
 
@@ -549,3 +551,33 @@ def test_contracted_scan_ignores_necessaries_ending_in_the_fragment():
     aug, _, _ = augment_fast(g, tree)
     assert augmentation_covers(g, tree, aug.edge_ids)
     assert len(aug.edge_ids) <= 4 * oracle.opt_augmentation(g, tree, weighted=False).weight
+
+
+def test_values_off_the_wire_equal_and_hash_like_the_assigned_ones():
+    # LcaLabel, SplitLabel and VirtualEdge are slotted dataclasses, not
+    # frozen ones, with the same equality and hashing: a label by its hops
+    # alone, a split label by its fragment and local label, a virtual edge
+    # by all four fields. So a split label parsed off the wire, whose
+    # vertex is unknown, equals and hashes like the one assigned, and so
+    # do virtual edges built from either
+    g, tree = generators.gen_lb_disjointness(2, 2, 4, [1, 0], [0, 1],
+                                             weighted=False)
+    split, scheme = split_labels_sequential(tree, fragment_decompose(tree)[0])
+    for v in range(g.n):
+        toks = scheme.tokens(split[v])
+        assert toks[-1][0] == "lq" and all(t[0] == "lp" for t in toks[1:-1])
+        back, i = scheme.parse(toks + (("sz", 1),), 0)
+        assert i == len(toks)
+        assert back.local.vertex is None and split[v].local.vertex == v
+        assert back == split[v] and hash(back) == hash(split[v])
+        mine = vg.VirtualEdge(split[0], split[v], 7, 3)
+        theirs = vg.VirtualEdge(split[0], back, 7, 3)
+        assert mine == theirs and hash(mine) == hash(theirs)
+        assert {theirs: v}[mine] == v
+        assert vg.VirtualEdge(split[0], back, 8, 3) != mine
+        assert vg.VirtualEdge(split[0], back, 7, 4) != mine
+    label = split[1].local
+    assert LcaLabel(None, -1, label.seq) == label
+    assert hash(LcaLabel(None, -1, label.seq)) == hash(label)
+    for value in (label, split[1], mine):
+        assert not hasattr(value, "__dict__")

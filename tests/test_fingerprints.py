@@ -4,7 +4,7 @@ import copy
 from collections import Counter
 
 import fingerprints
-from treeaug import apps
+from treeaug import apps, fast, sim
 from treeaug.fast import fragment_decompose
 from treeaug.graph import bfs_tree, eccentricity, mst_tree
 from treeaug.labels import TreeView, assign_labels_sequential
@@ -40,7 +40,8 @@ def test_bfs_entries_cost_their_derived_counts():
 UNFRAMED_WAVES = ("label_sizes", "cover_down", "verify_sizes",
                   "verify_preorder", "verify_bridges", "verify_verdict",
                   "labels_local_sizes", "local_cover_down")
-FRAMED_WAVES = ("label_assign", "labels_local_assign")
+# the label waves: self-delimiting, relayed cut-through
+LABEL_WAVES = ("label_assign", "labels_local_assign")
 
 
 def _algo_tree(algo, g, tree):
@@ -69,8 +70,10 @@ def test_wave_entries_cost_their_derived_counts():
     # unframed, h rounds and one message an edge, here of one token;
     # weighted_down starts at the depth-1 deciders, so it takes h - 1 rounds
     # and sends nothing to the root's children, and each of its relays,
-    # (topDepth,) or ("bot",), is one token. Framed, a child's label of
-    # L hops goes as one frame: ceil((L+1)/b) messages and L+1 tokens
+    # (topDepth,) or ("bot",), is one token. A label wave sends a child v
+    # of depth d its label of L hops, L tokens in ceil(L/b) messages, whole
+    # at v in round d - 1 + ceil(L/b), so the phase takes the largest of
+    # these rounds (sim.Wave's cut-through bound)
     graphs = {name: (g, tree) for name, g, tree in fingerprints.instances()}
     views = {}
     seen = Counter()
@@ -80,7 +83,7 @@ def test_wave_entries_cost_their_derived_counts():
         if (name, algo) not in views:
             view = _wave_view(algo, *graphs[name])
             labels = assign_labels_sequential(view)
-            hops = [len(labels[v].seq) for v in range(view.n)
+            hops = [(labels[v].depth, len(labels[v].seq)) for v in range(view.n)
                     if view.parent_edge[v] >= 0]
             views[name, algo] = (view, max(lab.depth for lab in labels), hops)
         view, h, hops = views[name, algo]
@@ -91,20 +94,22 @@ def test_wave_entries_cost_their_derived_counts():
             elif phase == "weighted_down":
                 root_kids = len(view.children[view.roots[0]])
                 assert cost == [max(h - 1, 0), k - root_kids, k - root_kids], key
-            elif phase in FRAMED_WAVES:
-                assert cost[1:] == [sum(-(-(L + 1) // b) for L in hops),
-                                    sum(L + 1 for L in hops)], (key, phase)
+            elif phase in LABEL_WAVES:
+                assert cost == [
+                    max((d - 1 + -(-L // b) for d, L in hops), default=0),
+                    sum(-(-L // b) for _, L in hops),
+                    sum(L for _, L in hops)], (key, phase)
             else:
                 continue
             seen[phase] += 1
-    assert seen.keys() == {*UNFRAMED_WAVES, "weighted_down", *FRAMED_WAVES}
+    assert seen.keys() == {*UNFRAMED_WAVES, "weighted_down", *LABEL_WAVES}
 
 
 def _exchange_lengths(algo, g, tree):
     """(nt(v), L_v) for every vertex v: its non-tree edges on the
-    algorithm's tree, and the tokens of what it sends on each, less the
-    length token. A label goes as its hops; fast's split label adds its
-    ("sf", fragment) token; verify sends one preorder number."""
+    algorithm's tree, and the tokens of what it sends on each. A label goes
+    as its hops; fast's split label adds its ("sf", fragment) token; verify
+    sends one preorder number."""
     if algo == "verify":
         lengths = [1] * g.n
     else:
@@ -116,11 +121,12 @@ def _exchange_lengths(algo, g, tree):
 
 
 def test_exchange_entries_cost_their_derived_counts():
-    # virtual_graph.exchange_distributed: each vertex v streams one frame of
-    # L_v + 1 tokens on each of its nt(v) non-tree edges, c(v) =
-    # ceil((L_v+1)/b) messages, all from round 0 on, and acts once its
-    # neighbours' frames are in; the run lasts as long as the longest
-    # stream, 0 rounds when there is no non-tree edge
+    # virtual_graph.exchange_distributed: each vertex v streams its L_v
+    # tokens, with no length token, on each of its nt(v) non-tree edges,
+    # c(v) = ceil(L_v/b) messages, all from round 0 on (verify's one token
+    # unframed), and acts once its neighbours' messages are in; the run
+    # lasts as long as the longest stream, 0 rounds when there is no
+    # non-tree edge
     graphs = {name: (g, tree) for name, g, tree in fingerprints.instances()}
     sends = {}
     algos = set()
@@ -131,11 +137,11 @@ def test_exchange_entries_cost_their_derived_counts():
         b = int(b)
         if (name, algo) not in sends:
             sends[name, algo] = _exchange_lengths(algo, *graphs[name])
-        per_vertex = [(nt, L, -(-(L + 1) // b)) for nt, L in sends[name, algo]]
+        per_vertex = [(nt, L, -(-L // b)) for nt, L in sends[name, algo]]
         assert e["phases"]["exchange"] == [
             max((c for nt, _, c in per_vertex if nt), default=0),
             sum(nt * c for nt, _, c in per_vertex),
-            sum(nt * (L + 1) for nt, L, _ in per_vertex)], key
+            sum(nt * L for nt, L, _ in per_vertex)], key
         algos.add(algo)
     assert algos == set(fingerprints.ALGOS)
 
@@ -157,6 +163,63 @@ def test_weighted_up_entries_cost_their_derived_counts():
         assert rounds <= 2 * tree.height + 4, key
         algos.add(algo)
     assert algos == {"wtap", "ecss-w", "aug12"}
+
+
+BROADCASTS = ("labels_global_bcast", "cover_bcast", "final_broadcast")
+
+
+def test_broadcast_entries_cost_their_derived_counts(monkeypatch):
+    # sim.broadcast_upcast over fast's BFS tree of height h, n vertices, at
+    # budget b: k messages go up store-and-forward, message i from source
+    # s_i as one frame of len_i + 1 tokens on each edge of s_i's root path,
+    # and come down as one stream of T = sum(len_i) tokens, ceil(T/b)
+    # chunks on each of the n - 1 tree edges. So tokens are exactly
+    # sum((len_i + 1) * depth(s_i)) + (n - 1) * T, the down messages exactly
+    # (n - 1) * ceil(T/b), and rounds at most t_k + ceil(T/b) + h - 1, t_k
+    # the round in which the root holds all k. T is read off the delivered
+    # records; the up messages and t_k off a rerun's transcript
+    real = sim.broadcast_upcast
+    runs = []
+
+    def recording(g, tree, sources, split, budget, phase):
+        lines, sink = [], sim.TRANSCRIPT_SINK
+        sim.TRANSCRIPT_SINK = lines
+        try:
+            delivered, m = real(g, tree, sources, split, budget=budget,
+                                phase=phase)
+        finally:
+            sim.TRANSCRIPT_SINK = sink
+        runs.append((phase, tree, sources, delivered, lines))
+        return delivered, m
+
+    monkeypatch.setattr(sim, "broadcast_upcast", recording)
+    graphs = {name: (g, tree) for name, g, tree in fingerprints.instances()}
+    corpus = fingerprints.load()
+    seen = Counter()
+    for name, (g, tree) in graphs.items():
+        for b in fingerprints.BUDGETS:
+            key = "%s|%d|fast" % (name, b)
+            runs.clear()
+            fast.fast_cover_distributed(g, tree, budget=b)
+            assert [r[0] for r in runs] == list(BROADCASTS), key
+            for phase, bfs, sources, delivered, lines in runs:
+                cost = corpus[key]["phases"][phase]
+                if not sources:
+                    assert cost == [0, 0, 0], (key, phase)
+                    continue
+                T = sum(map(len, delivered))
+                c = -(-T // b)
+                up = [line.split(",")[:4] for line in lines[1:]]
+                up = [(int(r), int(dst)) for r, _, dst, eid in up
+                      if int(eid) != bfs.parent_edge[int(dst)]]
+                t_k = max((r + 1 for r, dst in up if dst == bfs.root), default=0)
+                assert cost[1] - len(up) == (g.n - 1) * c, (key, phase)
+                assert cost[2] == (sum((len(msg) + 1) * bfs.depth[v]
+                                       for v, msg in sources)
+                                   + (g.n - 1) * T), (key, phase)
+                assert cost[0] <= t_k + c + bfs.height - 1, (key, phase)
+                seen[phase] += 1
+    assert seen.keys() == set(BROADCASTS)
 
 
 def test_diff_counts_rises_and_falls_and_names_moved_outputs():

@@ -82,7 +82,10 @@ def test_distributed_label_round_bound():
 @pytest.mark.parametrize("budget", (1, 4))
 def test_labeling_runs_on_the_two_tree_waves(monkeypatch, budget):
     # sizes go up as an unframed sim.Wave, one ("sz", size) token per view
-    # edge; labels go down as a framed sim.Wave, one frame per child
+    # edge; labels go down a self-delimiting sim.Wave that relays
+    # cut-through: a label of L hops crosses its edge as L tokens in
+    # ceil(L/b) messages and is whole at its vertex v in round
+    # depth(v) - 1 + ceil(L/b), the phase's length
     assert not [name for name, obj in vars(lbl).items()
                 if isinstance(obj, type) and hasattr(obj, "init_state")]
     real_run = sim.run
@@ -108,9 +111,12 @@ def test_labeling_runs_on_the_two_tree_waves(monkeypatch, budget):
             height = max(label.depth for label in got)
             assert (sizes.rounds, sizes.messages, sizes.tokens) == (
                 height, len(kids), len(kids))
-            frames = [len(hop_tokens(got[v].seq)) + 1 for v in kids]
+            frames = [len(hop_tokens(got[v].seq)) for v in kids]
             assert assign.messages == sum(-(-f // budget) for f in frames)
             assert assign.tokens == sum(frames)
+            assert assign.rounds == max(
+                (got[v].depth - 1 + -(-f // budget) for v, f in zip(kids, frames)),
+                default=0)
 
 
 def test_fragment_view_labels_are_local():

@@ -198,6 +198,49 @@ def test_noninterference_on_appended_edge_pairs(appended_runs, algo):
     assert total >= len(SEEDS) * 100, total
 
 
+def bob_bit_pair(p, bit, append):
+    """(g, tree, g2, tree2, endpoints) for the weighted lower-bound gadget
+    g = gen_lb_disjointness(2, 2, p, [1, 0], [0, 1]) and Bob's bit `bit`
+    flipped, which sets the weight of one rung at Bob's end of a column: g2
+    is the gadget built with the flipped bit, where only that rung's weight
+    differs, or, with `append`, g with a parallel copy of that rung, of the
+    flipped weight, appended as a new edge."""
+    b = [0, 1]
+    flipped = list(b)
+    flipped[bit] ^= 1
+    g, tree = generators.gen_lb_disjointness(2, 2, p, [1, 0], b)
+    g2, tree2 = generators.gen_lb_disjointness(2, 2, p, [1, 0], flipped)
+    changed = [eid for eid, (e, f) in enumerate(zip(g.edges, g2.edges)) if e != f]
+    assert len(changed) == 1 and tree.tree_edges == tree2.tree_edges
+    u, v, w = g2.edges[changed[0]]
+    if append:
+        g2 = _copy(g)
+        g2.add_edge(u, v, w)
+        tree2 = root_tree(g2, tree.tree_edges, 0)
+    return g, tree, g2, tree2, (u, v)
+
+
+@pytest.mark.parametrize("algo, append", [
+    ("tap", False), ("fast", False), ("wtap", False), ("tap", True),
+    ("fast", True)])
+def test_light_cone_on_lb_disj_bob_bit_pairs(algo, append):
+    # the change sits at Bob's end of a column, 2^p tree edges below
+    # Alice's end at vertex 0. A new weight reaches wtap's upward phase,
+    # while tap and fast never send a weight, so on those pairs their runs
+    # must not differ at all; an appended rung changes their exchange and
+    # covering scans, and the differing messages must stay in the light
+    # cone
+    for p, bit in ((4, 0), (4, 1), (5, 0), (5, 1)):
+        g, tree, g2, tree2, ends = bob_bit_pair(p, bit, append)
+        slack = light_cone_slack(run_captured(algo, g, tree),
+                                 run_captured(algo, g2, tree2),
+                                 distances(g2, ends))
+        if algo in ("tap", "fast") and not append:
+            assert slack is None, (algo, p, bit, slack)
+        else:
+            assert slack is not None and slack >= 0, (algo, p, bit, slack)
+
+
 def _leak(mp, phase, leaky):
     """Run the sim.Wave of every `phase` with its act wrapped by
     leaky(g, act)."""

@@ -385,8 +385,9 @@ def _runs_in_order(monkeypatch, call, order):
 @pytest.mark.parametrize("budget", [1, 4])
 def test_each_program_class_is_independent_of_eval_order(monkeypatch, budget):
     # the broadcast's store-and-forward upcast and cut-through downcast,
-    # the label waves (unframed sizes, framed labels), and the exchange, a
-    # framed wave that sends first
+    # the label waves (unframed sizes, self-delimiting labels relayed
+    # cut-through), and the exchange, a self-delimiting wave that sends
+    # first
     from treeaug import labels as lbl, virtual_graph as vg
     for seed in range(6):
         g, _ = generators.gen_random_2ec(12, 6, seed)
@@ -400,7 +401,8 @@ def test_each_program_class_is_independent_of_eval_order(monkeypatch, budget):
             "labels": lambda: lbl.assign_labels_distributed(g, view, budget=budget),
             "exchange": lambda: vg.exchange_distributed(
                 g, tree, lambda v: lbl.hop_tokens(labels[v].seq),
-                lambda v, peer: sorted(peer.items()), budget=budget),
+                lambda v, peer: sorted(peer.items()), budget=budget,
+                ends=lbl.is_last_hop),
         }
         for name, call in calls.items():
             base = _runs_in_order(monkeypatch, call, None)
@@ -802,6 +804,56 @@ def test_downcast_from_the_root_costs_h_rounds(shape, framed, budget):
 
 
 
+@pytest.mark.parametrize("budget", (1, 2, 4))
+@pytest.mark.parametrize("shape", ("path", "star", "random"))
+def test_a_cut_through_wave_relays_each_token_as_it_arrives(shape, budget):
+    # a vertex at depth d >= 1 gets d tokens, ("t", 1), ..., ("t", d - 1)
+    # and ("e", d), the last ending its message; it passes each ("t", i) on
+    # to its children as it arrives and, once ("e", d) is in, sends them
+    # ("t", d) and ("e", d + 1). With L_v = d tokens for v, each edge into v
+    # carries ceil(L_v/b) messages, and v holds its message in round
+    # d - 1 + ceil(L_v/b), the run's length at its deepest vertex; store
+    # and forward with a length token, each level would add
+    # ceil((L_v+1)/b) rounds
+    if shape == "random":
+        g, tree = generators.gen_random_2ec(60, 20, 3)
+    else:
+        g, tree = generators.gen_cycle(65) if shape == "path" else _star(65)
+    view = TreeView.of_tree(tree)
+    rounds = {}
+
+    def act(v, mail):
+        d = tree.depth[v]
+        tail = (("e", 1),) if d == 0 else (("t", d), ("e", d + 1))
+        return mail, [(eid, tail) for _, eid in view.children[v]]
+
+    wave = sim.Wave(lambda v: v != tree.root, act, budget,
+                    ends=lambda tok: tok[0] == "e",
+                    relay=lambda v: [eid for _, eid in view.children[v]])
+    real_step = wave.step
+
+    def step(st, rnd, inbox):
+        out = real_step(st, rnd, inbox)
+        if st.mail is None and st.v not in rounds:
+            rounds[st.v] = rnd
+        return out
+
+    wave.step = step
+    out, m = sim.run(g, wave, budget=budget)
+    kids = [v for v in range(g.n) if v != tree.root]
+    for v in kids:
+        d = tree.depth[v]
+        assert out[v] == [(tree.parent_edge[v],
+                           tuple(("t", i) for i in range(1, d)) + (("e", d),))]
+        assert rounds[v] == d - 1 + -(-d // budget), v
+    assert m.rounds == max(rounds.values())
+    assert m.messages == sum(-(-tree.depth[v] // budget) for v in kids)
+    assert m.tokens == sum(tree.depth[v] for v in kids)
+    assert m.max_tokens_edge_round <= budget
+    if shape == "path":
+        assert m.rounds == 64 - 1 + -(-64 // budget)
+
+
 @pytest.mark.parametrize("framed", (False, True), ids=("unframed", "framed"))
 def test_a_wave_vertex_builds_a_channel_only_to_queue_or_reassemble(framed):
     # framed, a vertex builds its Channel at its first send, or at its first
@@ -882,7 +934,7 @@ def test_unframed_downcast_sending_twice_on_an_edge_is_rejected():
 
 def test_a_wave_that_sends_first_streams_while_it_waits():
     # on the path 0 - 1 - 2 - 3 at budget 1, vertices 0, 1 and 2 queue
-    # frames of 1, 4 and 6 tokens in init_state, vertex 1 on both its
+    # frames of 1, 4 and 6 tokens in round 0, vertex 1 on both its
     # edges. Vertex 1 holds vertex 0's whole frame after round 1 but needs
     # two, so it keeps streaming its own frames through round 4 and acts
     # only in round 7, once vertex 2's last token is in. Vertex 3 has
@@ -916,8 +968,19 @@ def test_a_wave_that_sends_first_streams_while_it_waits():
     assert sent_by_1 == [[str(r), "1", dst, eid] for r in range(5)
                          for dst, eid in (("0", "0"), ("2", "1"))]
     assert (m.rounds, m.messages, m.tokens) == (7, 19, 19)
-    with pytest.raises(ValueError, match="only a framed wave"):
-        sim.Wave(need.get, act, first=first.get)
+    # unframed, each message `first` gives goes as it is in round 0, and a
+    # vertex acts once it holds need(v) of them
+    first = {0: [(0, ("a",))], 1: [(0, ("b",)), (1, ("b", "b"))],
+             2: [(1, ("c",))], 3: []}
+    wave = sim.Wave(need.get, lambda v, mail: (mail, []), first=first.get)
+    out, m = sim.run(g, wave, budget=2)
+    assert out == [[(0, ("b",))], [(0, ("a",)), (1, ("c",))],
+                   [(1, ("b", "b"))], []]
+    assert (m.rounds, m.messages, m.tokens) == (1, 4, 5)
+    with pytest.raises(BudgetExceeded):
+        sim.run(g, wave, budget=1)
+    with pytest.raises(ValueError, match="only a self-delimiting wave"):
+        sim.Wave(need.get, act, 1, framed=True, relay=lambda v: [])
 
 def _arrivals(g, tree, msgs, budget):
     """Run broadcast_upcast with a transcript; return the round t_k in which

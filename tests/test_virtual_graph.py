@@ -108,8 +108,8 @@ def test_incidence_distributed_equals_sequential():
 @pytest.mark.parametrize("algo", ("tap", "fast"))
 def test_exchange_cost_is_one_frame_per_non_tree_edge_end(algo):
     # every vertex v sends its label, L_v tokens, as one frame over each of
-    # its nt(v) non-tree edges: a length token and the label, in
-    # ceil((L_v + 1) / b) messages
+    # its nt(v) non-tree edges: the label alone, which ends at its last hop,
+    # in ceil(L_v / b) messages
     run = (unweighted.cover_virtual_optimal if algo == "tap"
            else fast.fast_cover_distributed)
     for seed in range(40 if algo == "tap" else 30):
@@ -120,7 +120,7 @@ def test_exchange_cost_is_one_frame_per_non_tree_edge_end(algo):
             messages = tokens = 0
             for v in range(g.n):
                 nt = sum(eid not in tree.tree_edges for eid, _ in g.adj[v])
-                frame = len(scheme.tokens(res["labels"][v])) + 1
+                frame = len(scheme.tokens(res["labels"][v]))
                 messages += nt * -(-frame // budget)
                 tokens += nt * frame
             ex = res["metrics"].phase("exchange")
