@@ -11,8 +11,11 @@ node whether the optional it offered was used.
 The scan is generic over:
   * the tree it runs on (whole tree, a fragment forest, or the contracted
     fragment tree), given as ScanNode records;
-  * the label scheme (plain or fragment-split), used only for ancestor
-    depth comparisons, so the engine run decides on depths alone;
+  * the label scheme (plain or fragment-split), used only for the depth
+    of each node's responsible label and to check that the ancestor
+    endpoints it compares lie on one root path; the edges themselves carry
+    their ancestor depth (`VirtualEdge.anc_depth`), so the engine run
+    decides on depths alone;
   * pre-covered edges (t0 flags) and extra leaf candidates, both used by
     the fast algorithm.
 
@@ -29,7 +32,7 @@ from . import sim
 from .virtual_graph import VirtualEdge, maximal_covering, maximal_of
 
 
-@dataclass
+@dataclass(slots=True)
 class ScanNode:
     ident: object                    # T vertex id, or fragment id on the contracted tree
     label: object                    # label of the responsible vertex (None at a root)
@@ -39,7 +42,7 @@ class ScanNode:
     root: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class ScanRecord:
     added: list = field(default_factory=list)      # edges this node added (up pass)
     bridge: bool = False
@@ -50,7 +53,9 @@ class ScanRecord:
 
 
 def _scan_node(node: ScanNode, child_recs, scheme) -> ScanRecord:
-    """Covering rule for one node, children already processed."""
+    """Covering rule for one node, children already processed: child_recs
+    holds (ident, necessary, optional) for each child, the two edges the
+    child forwards."""
     rec = ScanRecord()
     if node.root:
         return rec
@@ -69,14 +74,14 @@ def _scan_node(node: ScanNode, child_recs, scheme) -> ScanRecord:
     nec = None
     opt = None
     opt_src = None
-    for ident, crec in child_recs:
+    for ident, cnec, copt in child_recs:
         # a necessary edge that ends at or below this node cannot cover its
         # edge; on the contracted fragment tree two such may end in
         # different branches of this fragment, where they are incomparable
-        if crec.nec is not None and scheme.depth(crec.nec.anc) < mydepth:
-            nec = maximal_of(nec, crec.nec, scheme)
-        if crec.opt is not None and scheme.depth(crec.opt.anc) < mydepth:
-            cand = maximal_of(opt, crec.opt, scheme)
+        if cnec is not None and cnec.anc_depth < mydepth:
+            nec = maximal_of(nec, cnec, scheme)
+        if copt is not None and copt.anc_depth < mydepth:
+            cand = maximal_of(opt, copt, scheme)
             if cand is not opt:
                 opt = cand
                 opt_src = ("child", ident)
@@ -107,7 +112,8 @@ def _scan_node(node: ScanNode, child_recs, scheme) -> ScanRecord:
 def sequential_cover_scan(nodes: dict, scheme):
     """Run the scan centrally. nodes maps ident -> ScanNode.
 
-    Returns dict with "added" (list of VirtualEdge) and "bridges" (idents).
+    Returns dict with "added" (list of VirtualEdge), "bridges" (idents)
+    and "records" (ident -> ScanRecord).
     """
     roots = [nid for nid, nd in nodes.items() if nd.root]
     order = []
@@ -120,7 +126,8 @@ def sequential_cover_scan(nodes: dict, scheme):
     records: dict = {}
     for nid in reversed(order):
         nd = nodes[nid]
-        child_recs = [(c, records[c]) for c in sorted(nd.children)]
+        child_recs = [(c, records[c].nec, records[c].opt)
+                      for c in sorted(nd.children)]
         records[nid] = _scan_node(nd, child_recs, scheme)
 
     # verdict pass: which forwarded optionals were consumed above
@@ -142,7 +149,7 @@ def sequential_cover_scan(nodes: dict, scheme):
         added.extend(rec.added)
         if rec.bridge:
             bridges.append(nid)
-    return {"added": added, "bridges": bridges}
+    return {"added": added, "bridges": bridges, "records": records}
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +169,11 @@ _EMPTY = (-1,)
 
 class _DepthView:
     """The label scheme as `_scan_node` sees it in the engine run, where a
-    child's candidate arrives as (origin, ancestor depth): its `anc` is that
-    depth, an int, while the vertex's own candidates keep their labels.
+    child's candidate arrives as a header, (origin, ancestor depth), and is
+    parsed into an edge with no ancestor label, while the vertex's own
+    candidates keep their labels. Every edge carries its ancestor depth
+    (`VirtualEdge.anc_depth`), so the view needs only `depth`, for the
+    vertex's own label, and an `is_ancestor` that is always True.
 
     Deciding on depth alone is exact. Every candidate a vertex compares has
     its ancestor endpoint on the vertex's root path. A child forwards only
@@ -174,8 +184,7 @@ class _DepthView:
     above the vertex. Two vertices of one root path at the same depth are
     the same vertex, and of two at different depths the shallower is the
     ancestor. So `maximal_of` needs only depths and origins, and its
-    incomparable-ancestor check cannot fire: the view answers `key` with
-    the depth and `is_ancestor` with True. The edges a vertex adds are
+    incomparable-ancestor check cannot fire. The edges a vertex adds are
     always its own: held with full labels, or, for fast's extras, as the
     broadcast record of an edge whose owner holds them. So the cover is the
     one `sequential_cover_scan` finds with the full scheme. fast's
@@ -183,50 +192,48 @@ class _DepthView:
     too, for the same reason.
     """
 
+    __slots__ = ("depth",)
+
     def __init__(self, scheme):
-        self._depth = scheme.depth
-
-    def depth(self, anc) -> int:
-        return anc if type(anc) is int else self._depth(anc)
-
-    key = depth
+        self.depth = scheme.depth
 
     @staticmethod
     def is_ancestor(a, d) -> bool:
         return True
 
 
-def _half(ve, view):
-    return _NONE if ve is None else (ve.origin, view.depth(ve.anc))
+def _half(ve):
+    return _NONE if ve is None else (ve.origin, ve.anc_depth)
 
 
-def depth_header(a, b, view):
+def depth_header(a, b):
     """The header of edges a and b, each a VirtualEdge or None."""
     if a is None and b is None:
         return _EMPTY
-    return _half(a, view) + _half(b, view)
+    return _half(a) + _half(b)
 
 
 def parse_depth_header(toks):
-    """(a, b) from a header; each a VirtualEdge(ancestor depth, desc=None,
-    origin, 0), or None."""
+    """(a, b) from a header; each VirtualEdge(None, None, origin, 0,
+    ancestor depth), or None."""
     if toks == _EMPTY:
         return None, None
-    return tuple(None if toks[i] < 0 else VirtualEdge(toks[i + 1], None, toks[i], 0)
-                 for i in (0, 2))
+    a, da, b, db = toks
+    return (None if a < 0 else VirtualEdge(None, None, a, 0, da),
+            None if b < 0 else VirtualEdge(None, None, b, 0, db))
 
 
-def header_wave(view, scheme, decide, budget):
+def header_wave(view, decide, budget):
     """Leaves-to-root pass over a TreeView, as a sim.Wave, in which every
     non-root vertex sends its parent one depth header.
 
     `decide(v, recs)` gets its children's (a, b) edge pairs, parsed from
     their headers in `children[v]` order, and returns (output, (a, b)): the
     vertex's output and the two edges, each a VirtualEdge or None, whose
-    `depth_header` it sends up, with ancestor depths read through
-    `_DepthView(scheme)`. A parsed edge carries its ancestor depth in place
-    of its label and no descendant: the descendant endpoint is structurally
-    below and never inspected on the way up.
+    `depth_header` it sends up. A parsed edge carries its origin and its
+    ancestor depth and nothing else, no ancestor label and no descendant:
+    the descendant endpoint is structurally below and never inspected on
+    the way up.
 
     Cost on a forest of height h with n vertices: from budget 4 up, one
     message a tree edge, 4 tokens (1 for (-1,)), and at most h rounds;
@@ -235,13 +242,11 @@ def header_wave(view, scheme, decide, budget):
     h*ceil(5/budget) rounds. When every vertex forwards an edge, as on a
     2-edge-connected graph without pre-covered edges, these are exact.
     """
-    dview = _DepthView(scheme)
-
     def act(v, mail):
         by_edge = dict(mail)
         out, (a, b) = decide(v, [parse_depth_header(by_edge[eid])
                                  for _, eid in view.children[v]])
-        return out, view.to_parent(v, depth_header(a, b, dview))
+        return out, view.to_parent(v, depth_header(a, b))
 
     return sim.Wave(lambda v: len(view.children[v]), act, budget,
                     framed=budget < HEADER_TOKENS)
@@ -256,15 +261,14 @@ def cover_up(view, resp_labels, incoming, t0, scheme, budget):
 
     def decide(v, recs):
         kids = view.children[v]
-        node = ScanNode(v, resp_labels[v], children=[c for c, _ in kids],
-                        incoming=incoming[v], t0=t0[v],
-                        root=view.parent_edge[v] < 0)
-        rec = _scan_node(node, [(c, ScanRecord(nec=nec, opt=opt))
+        node = ScanNode(v, resp_labels[v], [c for c, _ in kids], incoming[v],
+                        t0[v], view.parent_edge[v] < 0)
+        rec = _scan_node(node, [(c, nec, opt)
                                 for (c, _), (nec, opt) in zip(kids, recs)],
                          dview)
         return rec, (rec.nec, rec.opt)
 
-    return header_wave(view, scheme, decide, budget)
+    return header_wave(view, decide, budget)
 
 
 def cover_down(view, records):

@@ -13,11 +13,11 @@ global edge (a tree edge between two fragments) already holds its local
 label, so it announces the edge's directory record itself: ("gr",
 childFrag, p) and the label's hops, ("lp", head, pos) tokens ending in
 an ("lq", head, pos) one. The first hop's head is p's fragment root, the
-parent fragment's id, and `labels.seq_depth` reads p's depth from the
-hops, as every label's receiver does. The records are the fragment tree:
-the second pass scans it as a contracted tree, and ancestry across
-fragments and the third pass's entry points are read by walking it
-upward.
+parent fragment's id, and `labels.parse_label` reads p's depth from the
+hops, as it does for every label. The records are the fragment tree:
+the second pass scans it as a contracted tree, ancestry across fragments
+is read from tables `SplitScheme` builds from it once, and the third
+pass's entry points by walking it upward.
 
 The first two passes share one in-fragment scan, which finds for each
 vertex both the maximal leaf-added edge and the maximal incoming edge
@@ -92,10 +92,12 @@ class SplitScheme:
     records: (child fragment, parent fragment, local label of the parent
     endpoint of the child's global edge) triples; root_frag is the fragment
     holding the tree root. The records are the fragment tree: a root path
-    leaves fragment f for tf_parent[f], entering it at entry_label[f]. The
-    LCA of two vertices in different fragments is found by walking both
-    root paths up to the fragment-tree LCA fragment F, as the local LCA of
-    their entry points into F.
+    leaves fragment f for tf_parent[f], entering it at entry_label[f].
+    `__init__` builds, once, each fragment's fragment-tree root path and
+    the local label at which its vertices' root paths enter each proper
+    fragment-tree ancestor. A query then reads those tables: the LCA of two
+    vertices in different fragments is the local LCA, in their fragment-tree
+    LCA F, of their entry points into F (a vertex of F is its own).
     """
 
     def __init__(self, records, root_frag: int):
@@ -105,17 +107,21 @@ class SplitScheme:
         for child, parent, plabel in records:
             self.tf_parent[child] = parent
             self.entry_label[child] = plabel
-        # fragment-tree depth, and full-tree depth of each fragment root
-        self.tf_depth = {root_frag: 0}
+        # per fragment: its fragment-tree root path, root_frag first; the
+        # entry label into each proper fragment-tree ancestor; and the
+        # full-tree depth of its root
+        self._path = {root_frag: (root_frag,)}
+        self._entry = {root_frag: {}}
         self.base_depth = {root_frag: 0}
         for f in self.tf_parent:
             path = []
-            while f not in self.tf_depth:
+            while f not in self._path:
                 path.append(f)
                 f = self.tf_parent[f]
             for c in reversed(path):
                 p = self.tf_parent[c]
-                self.tf_depth[c] = self.tf_depth[p] + 1
+                self._path[c] = self._path[p] + (c,)
+                self._entry[c] = {**self._entry[p], p: self.entry_label[c]}
                 self.base_depth[c] = (self.base_depth[p]
                                       + self.entry_label[c].depth + 1)
 
@@ -128,36 +134,40 @@ class SplitScheme:
     def key(self, sl: SplitLabel):
         return (sl.frag, sl.local.seq)
 
-    def _up(self, sl: SplitLabel, tf_depth: int):
-        """(fragment, local label) where sl's root path enters its
-        fragment-tree ancestor at fragment-tree depth tf_depth."""
-        f, x = sl.frag, sl.local
-        while self.tf_depth[f] > tf_depth:
-            f, x = self.tf_parent[f], self.entry_label[f]
-        return f, x
-
     def lca(self, a: SplitLabel, b: SplitLabel) -> SplitLabel:
-        d = min(self.tf_depth[a.frag], self.tf_depth[b.frag])
-        fa, x = self._up(a, d)
-        fb, y = self._up(b, d)
-        while fa != fb:
-            fa, x = self.tf_parent[fa], self.entry_label[fa]
-            fb, y = self.tf_parent[fb], self.entry_label[fb]
-        return SplitLabel(fa, lbl.lca_query(x, y))
+        """As `labels.lca_query`: a itself when a is an ancestor of b (b
+        included), else b itself when b is an ancestor of a, else a new
+        label."""
+        fa, fb = a.frag, b.frag
+        pa, pb = self._path[fa], self._path[fb]
+        k = min(len(pa), len(pb)) - 1
+        while pa[k] != pb[k]:
+            k -= 1
+        f = pa[k]  # the fragment-tree LCA
+        x = a.local if f == fa else self._entry[fa][f]
+        y = b.local if f == fb else self._entry[fb][f]
+        # on equal hops lca_query returns its first argument: put a's own
+        # label first, unless only b lies in f
+        t = lbl.lca_query(y, x) if f == fb != fa else lbl.lca_query(x, y)
+        return a if t is a.local else b if t is b.local else SplitLabel(f, t)
 
     def is_ancestor(self, a: SplitLabel, d: SplitLabel) -> bool:
-        f, x = self._up(d, self.tf_depth[a.frag])
-        return f == a.frag and lbl.is_ancestor(a.local, x)
+        """Whether a is an ancestor of d (inclusive). d's local label is
+        read only when d lies in a's fragment."""
+        if a.frag == d.frag:
+            return lbl.is_ancestor(a.local, d.local)
+        x = self._entry[d.frag].get(a.frag)
+        return x is not None and lbl.is_ancestor(a.local, x)
 
     def tokens(self, sl: SplitLabel) -> tuple:
         return (("sf", sl.frag),) + lbl.hop_tokens(sl.local.seq)
 
     def parse(self, buf, i):
-        if buf[i][0] != "sf":
-            raise lbl.LabelError("expected fragment tag, got %r" % (buf[i],))
-        frag = buf[i][1]
+        tok = buf[i] if i < len(buf) else None
+        if type(tok) is not tuple or len(tok) != 2 or tok[0] != "sf":
+            raise lbl.LabelError("expected fragment tag, got %r" % (tok,))
         local, j = lbl.parse_label(buf, i + 1)
-        return SplitLabel(frag, local), j
+        return SplitLabel(tok[1], local), j
 
 
 def split_labels_sequential(tree, frag_of):
@@ -228,8 +238,7 @@ def _fragment_max_scan(view, split_labels, scheme, own_cands, budget):
     `header_wave` does on the fragment forest.
     """
     return cover_scan.header_wave(
-        view, scheme, _fragment_max_decide(split_labels, scheme, own_cands),
-        budget)
+        view, _fragment_max_decide(split_labels, scheme, own_cands), budget)
 
 
 def _fragment_max_decide(split_labels, scheme, own_cands):
@@ -335,11 +344,11 @@ def _label_covers(split, scheme):
 
 
 def _record_covers(split, scheme):
-    """covers(e, v) for the broadcast records, each VirtualEdge(ancestor
-    depth, SplitLabel(descFrag, None), origin, 0) for the maximal edge of
-    its kind covering descFrag's global edge: v's parent edge is on e's
-    path when v lies outside descFrag, below e's ancestor and above
-    descFrag's root, which the directory walk answers from descFrag alone.
+    """covers(e, v) for the broadcast records, each VirtualEdge(None,
+    SplitLabel(descFrag, None), origin, 0, ancestor depth) for the maximal
+    edge of its kind covering descFrag's global edge: v's parent edge is on
+    e's path when v lies outside descFrag, below e's ancestor and above
+    descFrag's root, which the directory tables answer from descFrag alone.
     Marking e's path inside descFrag as well would move only t0:
 
     - Pass 1: there v's own leaf scan has a result, which sets t0[v].
@@ -361,8 +370,8 @@ def _record_covers(split, scheme):
     """
     def covers(e, v):
         sv = split[v]
-        return (sv.frag != e.desc.frag and e.anc < scheme.depth(sv)
-                and scheme.is_ancestor(sv, e.desc))
+        return (sv.frag != e.desc.frag and scheme.is_ancestor(sv, e.desc)
+                and e.anc_depth < scheme.depth(sv))
 
     return covers
 
@@ -377,7 +386,7 @@ def _owned_edges(incidence, split, scheme):
     for v, cands in enumerate(incidence):
         f = split[v].frag
         for ve in cands:
-            if scheme.depth(ve.anc) < scheme.base_depth[f]:
+            if ve.anc_depth < scheme.base_depth[f]:
                 owned[(f, ve.origin)] = ve
     return owned
 
@@ -410,8 +419,8 @@ def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
     """All passes on the engine. Returns a dict with the virtual cover,
     bridges, labels, the incidence lists, the broadcast records by
     fragment, "lc" and "lg" in "leaf_max" and "gc" and "lg" in "frag_max"
-    (each VirtualEdge(ancestor depth, SplitLabel(fragment, None), origin,
-    0)), and Metrics."""
+    (each VirtualEdge(None, SplitLabel(fragment, None), origin, 0, ancestor
+    depth)), and Metrics."""
     frag_of, frag_roots = fragment_decompose(tree)
     view = lbl.TreeView.of_fragments(tree, frag_of)
     metrics = sim.Metrics([])
@@ -444,9 +453,8 @@ def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
     records = []
     for msg in delivered:
         _, child, p = msg[0]
-        seq, _ = lbl.parse_hops(msg, 1)
-        records.append((child, seq[0][0],
-                        lbl.LcaLabel(p, lbl.seq_depth(seq), seq)))
+        plabel = lbl.parse_label(msg, 1, p)[0]
+        records.append((child, plabel.seq[0][0], plabel))
     scheme = SplitScheme(records, frag_of[tree.root])
     split = [SplitLabel(frag_of[v], local_labels[v]) for v in range(n)]
 
@@ -467,7 +475,6 @@ def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
     # each as ((tag, fragment, origin), ancestor depth), or one "lg" record
     # when the two are one edge. Pass 1 marks v's parent edge where v's own
     # leaf scan found an edge, the records mark the others
-    dview = cover_scan._DepthView(scheme)
     msgs = []
     for v in frag_roots:
         if v == tree.root:
@@ -477,7 +484,7 @@ def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
             recs = (("lg", leaf),)  # one virtual edge, see _owned_edges
         else:
             recs = (("lc", leaf), ("gc", inc))
-        msgs += [(v, ((tag, v, ve.origin), dview.depth(ve.anc)))
+        msgs += [(v, ((tag, v, ve.origin), ve.anc_depth))
                  for tag, ve in recs if ve is not None]
     t0 = [v != tree.root and leaf is not None for v, (leaf, _) in enumerate(res)]
     del res
@@ -486,7 +493,7 @@ def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
     metrics.merge(m)
     leaf_max, frag_max = {}, {}
     for (tag, f, origin), depth in bc:
-        ve = vg.VirtualEdge(depth, SplitLabel(f, None), origin, 0)
+        ve = vg.VirtualEdge(None, SplitLabel(f, None), origin, 0, depth)
         if tag != "gc":
             leaf_max[f] = ve
         if tag != "lc":
@@ -539,7 +546,8 @@ def fast_cover_distributed(g, tree, budget: int = sim.DEFAULT_BUDGET):
 
 
 def sequential_fast_cover(g, tree):
-    """Central shadow of fast_cover_distributed: same passes, same ties."""
+    """Central shadow of fast_cover_distributed: same passes, same ties;
+    "records" holds the third pass's ScanRecord by vertex."""
     frag_of, frag_roots = fragment_decompose(tree)
     view = lbl.TreeView.of_fragments(tree, frag_of)
     split, scheme = split_labels_sequential(tree, frag_of)
@@ -577,7 +585,7 @@ def sequential_fast_cover(g, tree):
     bridges = sorted(set(tf_res["bridges"]) | set(res3["bridges"]))
     return {"cover": cover, "bridges": bridges, "labels": split,
             "scheme": scheme, "t0": t0, "frag_of": frag_of,
-            "frag_roots": frag_roots}
+            "frag_roots": frag_roots, "records": res3["records"]}
 
 
 @sim.collector_paused()

@@ -4,10 +4,11 @@ A label is the sequence of (heavyPathHead, position) hops on the root path,
 and those hops alone name a vertex of the tree: labels are equal, and hash
 alike, exactly when their hops are. A label also keeps its vertex id and its
 depth as local fields, which take no part in comparison; the depth is
-`seq_depth` of the hops, and the vertex is None on a label parsed off the
-wire and on a label that `lca_query` builds. Two labels of the same tree
-support lca/ancestor queries with no communication; callers name an
-ancestor by its depth, which is unique on a root path.
+`seq_depth` of the hops, and the vertex is None where it is not known: on
+a label a peer parsed off the wire, and on a label that `lca_query`
+builds. Two labels of the same tree support lca/ancestor queries with no
+communication; callers name an ancestor by its depth, which is unique on a
+root path.
 
 On the wire a label is its hops and nothing else: ("lp", head, pos) for
 each hop but the last, and ("lq", head, pos) for the last, whose tag tells
@@ -151,7 +152,15 @@ def assign_labels_sequential(view: TreeView) -> list[LcaLabel | None]:
 # queries
 
 def lca_query(a: LcaLabel, b: LcaLabel) -> LcaLabel:
-    """The LCA's label; its vertex is None unless the LCA is a or b."""
+    """The LCA's label, in one pass over the common hop prefix: a itself
+    when a is an ancestor of b (b included), else b itself when b is an
+    ancestor of a, else a new label whose vertex is None. So the caller
+    tells the three cases apart by identity, and no label equal to a or b
+    is built.
+
+    Two vertices on one heavy path share every hop but one that names the
+    same head: the one at the lower position is the ancestor, though its
+    hops are no prefix of the other's."""
     sa, sb = a.seq, b.seq
     j = 0
     lim = min(len(sa), len(sb))
@@ -162,8 +171,15 @@ def lca_query(a: LcaLabel, b: LcaLabel) -> LcaLabel:
     if j == len(sb):
         return b
     (ha, pa), (hb, pb) = sa[j], sb[j]
-    if ha == hb:
-        seq = sa[:j] + ((ha, min(pa, pb)),)
+    if ha == hb:  # one heavy path: the lower position is the ancestor
+        if pa < pb:
+            if j + 1 == len(sa):
+                return a
+            seq = sa[:j + 1]
+        else:
+            if j + 1 == len(sb):
+                return b
+            seq = sb[:j + 1]
     elif j == 0:
         raise LabelError("labels come from different trees")
     else:
@@ -173,7 +189,7 @@ def lca_query(a: LcaLabel, b: LcaLabel) -> LcaLabel:
 
 def is_ancestor(a: LcaLabel, d: LcaLabel) -> bool:
     """True iff a is an ancestor of d (inclusive)."""
-    return lca_query(a, d).seq == a.seq
+    return lca_query(a, d) is a
 
 
 # ---------------------------------------------------------------------------
@@ -195,26 +211,25 @@ def is_last_hop(tok) -> bool:
     return tok[0] == "lq"
 
 
-def parse_hops(buf, i):
-    """The hops of the label whose first hop is buf[i], through its 'lq'
-    hop. Returns (seq, next_index); raises LabelError when buf[i:] does not
-    start with a whole label."""
+def parse_label(buf, i, vertex=None):
+    """The label whose first hop is buf[i], through its 'lq' hop, its depth
+    summed from the hops in the same pass and its vertex `vertex`. Returns
+    (label, next_index); raises LabelError when buf[i:] does not start with
+    a whole label."""
     seq = []
+    d = 0
     for j in range(i, len(buf)):
         tok = buf[j]
-        if type(tok) is not tuple or tok[0] not in HOP_TAGS:
+        if type(tok) is not tuple or len(tok) != 3:
             break
-        seq.append(tok[1:])
-        if tok[0] == "lq":
-            return tuple(seq), j + 1
+        tag, h, p = tok
+        seq.append((h, p))
+        if tag == "lq":
+            return LcaLabel(vertex, d + p, tuple(seq)), j + 1
+        if tag != "lp":
+            break
+        d += p + 1
     raise LabelError("no whole label at %d" % i)
-
-
-def parse_label(buf, i):
-    """Parse the label whose hops start at buf[i], through its 'lq' hop.
-    Returns (label, next_index)."""
-    seq, j = parse_hops(buf, i)
-    return LcaLabel(None, seq_depth(seq), seq), j
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +271,14 @@ def assign_labels_distributed(g, view: TreeView, budget: int = sim.DEFAULT_BUDGE
                                              phase_prefix + "_sizes")
 
     def act(v, mail):
-        seq = parse_hops(mail[0][1], 0)[0] if mail else ((v, 0),)
-        label = LcaLabel(v, seq_depth(seq), seq)
+        label = (parse_label(mail[0][1], 0, v)[0] if mail
+                 else LcaLabel(v, 0, ((v, 0),)))
         ch = view.children[v]
         hv = heavy_child(ch, child_sizes[v]) if ch else None
         # v's hops but the last went on to every child as they arrived; the
         # rest of a child's label is that hop one position further for the
         # heavy child, and that hop and the child's own for the others
-        h, p = seq[-1]
+        h, p = label.seq[-1]
         return label, [(eid, (("lq", h, p + 1),) if c == hv
                         else (("lp", h, p), ("lq", c, 0))) for c, eid in ch]
 

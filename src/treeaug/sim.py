@@ -367,6 +367,11 @@ class Channel:
     first token that `ends` holds for, so a message must end with such a
     token and hold no other. Such a message may be queued in pieces, as a
     cut-through relay queues it.
+
+    A flush sends equal chunks on consecutive edges as one tuple, as when a
+    vertex sends one label on several edges or relays one hop to several
+    children, so a transcript formats that payload once a round; a vertex
+    that halts drops its drained queues.
     """
 
     __slots__ = ("budget", "ends", "_out", "_partial")
@@ -419,15 +424,23 @@ class Channel:
         `done`, else IDLE."""
         outbox = []
         queued = False
+        b = self.budget
+        last = chunk = None
         for eid, q in self._out.items():
             if q:
-                outbox.append((eid, tuple(q[:self.budget])))
-                del q[:self.budget]
+                head = q[:b]
+                if head != last:
+                    last, chunk = head, tuple(head)
+                outbox.append((eid, chunk))
+                del q[:b]
                 if q:
                     queued = True
         if queued:
             return outbox, ACTIVE
-        return outbox, HALT if done else IDLE
+        if done:
+            self._out.clear()
+            return outbox, HALT
+        return outbox, IDLE
 
 
 class _WaveState:

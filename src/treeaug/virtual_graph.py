@@ -6,6 +6,14 @@ else the two edges {t, u} and {t, v} with t = lca(u, v), each inheriting
 the original weight and edge id. A cover of all tree edges in this view
 projects back to an augmentation of G at most twice the size/weight.
 
+A virtual edge carries the depth of its ancestor endpoint as an int, set
+once where the edge is made: by `classify_incoming` from the LCA label, by
+the covering scan from the header a child sends up, and by fast from a
+broadcast record. Every comparison of ancestor endpoints (`maximal_of`,
+`maximal_covering`, `edge_covers` and the covering scan) reads that int.
+An edge known only by its origin and ancestor depth, as a header or a
+record names it, has no ancestor label (`anc` is None).
+
 Label handling is abstracted behind a scheme object so the same machinery
 runs on whole-tree labels and on fragment (split) labels. The labels cross
 the non-tree edges in one `sim.Wave` that sends first, each as its tokens
@@ -27,17 +35,21 @@ class VirtualGraphError(Exception):
 
 
 # slotted rather than frozen, as labels.LcaLabel is, and equal and hashed
-# by all four fields; nothing assigns to one after it is built
+# by all five fields, of which anc_depth follows from a full ancestor label;
+# nothing assigns to one after it is built
 @dataclass(slots=True, unsafe_hash=True)
 class VirtualEdge:
-    anc: object   # label of the endpoint closer to the root
-    desc: object  # label of the deeper endpoint
-    origin: int   # G edge id this edge derives from
+    anc: object      # label of the endpoint closer to the root, or None
+    desc: object     # label of the deeper endpoint
+    origin: int      # G edge id this edge derives from
     weight: int
+    anc_depth: int   # depth of the ancestor endpoint
 
 
 class PlainScheme:
-    """Whole-tree labels: anc/desc are LcaLabel values."""
+    """Whole-tree labels: anc/desc are LcaLabel values. `lca` is
+    `labels.lca_query`: a itself when a is an ancestor of b, else b itself
+    when b is an ancestor of a, else a new label."""
 
     def depth(self, label) -> int:
         return label.depth
@@ -48,51 +60,45 @@ class PlainScheme:
     def key(self, label):
         return label.seq
 
-    def lca(self, a, b):
-        return lbl.lca_query(a, b)
-
-    def is_ancestor(self, a, d) -> bool:
-        return lbl.is_ancestor(a, d)
+    lca = staticmethod(lbl.lca_query)
+    is_ancestor = staticmethod(lbl.is_ancestor)
+    parse = staticmethod(lbl.parse_label)
 
     def tokens(self, label) -> tuple:
         return lbl.hop_tokens(label.seq)
 
-    def parse(self, buf, i):
-        return lbl.parse_label(buf, i)
-
 
 def classify_incoming(self_label, other_label, eid, w, scheme) -> VirtualEdge | None:
-    """The virtual edge incoming at the `self` endpoint, if any."""
+    """The virtual edge incoming at the `self` endpoint, if any: None when
+    self is the ancestor endpoint, else the edge from the LCA, which is the
+    peer itself when the peer is self's ancestor. `scheme.lca` tells these
+    apart by identity in one pass over the labels' common prefix."""
     t = scheme.lca(self_label, other_label)
-    tk = scheme.key(t)
-    if tk == scheme.key(self_label):
-        return None  # self is the ancestor endpoint
-    if tk == scheme.key(other_label):
-        anc = other_label
-    else:
-        anc = t
-    return VirtualEdge(anc, self_label, eid, w)
+    if t is self_label:
+        return None
+    return VirtualEdge(t, self_label, eid, w, scheme.depth(t))
 
 
 def edge_covers(ve: VirtualEdge, v_label, scheme) -> bool:
     """Does ve cover the tree edge between v and its parent?"""
-    return (scheme.depth(ve.anc) < scheme.depth(v_label)
+    return (ve.anc_depth < scheme.depth(v_label)
             and scheme.is_ancestor(v_label, ve.desc))
 
 
 def maximal_of(e1: VirtualEdge | None, e2: VirtualEdge | None, scheme) -> VirtualEdge | None:
     """The edge whose ancestor endpoint is closer to the root; ties by
-    lowest origin id. Incomparable ancestors are a caller bug."""
+    lowest origin id. The winner's ancestor endpoint must be an ancestor of
+    the loser's, the same vertex on a tie: `scheme.is_ancestor` checks it,
+    and incomparable ancestors are a caller bug."""
     if e1 is None:
         return e2
     if e2 is None:
         return e1
-    d1, d2 = scheme.depth(e1.anc), scheme.depth(e2.anc)
-    if d1 == d2:
-        if scheme.key(e1.anc) != scheme.key(e2.anc):
-            raise VirtualGraphError("incomparable ancestor endpoints")
-        return e1 if e1.origin <= e2.origin else e2
-    hi, lo = (e1, e2) if d1 < d2 else (e2, e1)
+    d1, d2 = e1.anc_depth, e2.anc_depth
+    if d1 < d2 or (d1 == d2 and e1.origin <= e2.origin):
+        hi, lo = e1, e2
+    else:
+        hi, lo = e2, e1
     if not scheme.is_ancestor(hi.anc, lo.anc):
         raise VirtualGraphError("incomparable ancestor endpoints")
     return hi
@@ -103,7 +109,7 @@ def maximal_covering(cands, depth_limit, scheme) -> VirtualEdge | None:
     endpoint is strictly above depth_limit."""
     best = None
     for ve in cands:
-        if ve is not None and scheme.depth(ve.anc) < depth_limit:
+        if ve is not None and ve.anc_depth < depth_limit:
             best = maximal_of(best, ve, scheme)
     return best
 
@@ -114,7 +120,7 @@ def covered_tree_edges(tree, ve: VirtualEdge, scheme) -> list[int]:
     v = scheme.vertex_of(ve.desc)
     if v is None:
         raise VirtualGraphError("descendant endpoint has no resolved vertex")
-    stop = scheme.depth(ve.anc)
+    stop = ve.anc_depth
     out = []
     while tree.depth[v] > stop:
         out.append(tree.parent_edge[v])
@@ -154,7 +160,8 @@ def exchange_distributed(g, tree, send, read, budget: int = sim.DEFAULT_BUDGET,
     """A `sim.Wave` that sends first: each vertex v sends `send(v)` on each
     of its non-tree edges and, once all have come in, outputs `read(v,
     peer)`, peer mapping those edge ids to the messages that came over
-    them. Returns (read results, Metrics).
+    them. `send` is called only for vertices with a non-tree edge. Returns
+    (read results, Metrics).
 
     Without `ends`, each message goes as it is, in round 0, and must fit
     the budget. With `ends`, a predicate on tokens, messages delimit
@@ -166,7 +173,8 @@ def exchange_distributed(g, tree, send, read, budget: int = sim.DEFAULT_BUDGET,
           for adj in g.adj]
     wave = sim.Wave(lambda v: len(nt[v]),
                     lambda v, mail: (read(v, dict(mail)), []), budget,
-                    ends=ends, first=lambda v: zip(nt[v], repeat(send(v))))
+                    ends=ends,
+                    first=lambda v: zip(nt[v], repeat(send(v))) if nt[v] else ())
     return sim.run(g, wave, budget=budget, phase="exchange")
 
 
@@ -174,13 +182,13 @@ def build_incidence_distributed(g, tree, all_labels, scheme,
                                 budget: int = sim.DEFAULT_BUDGET):
     """build_incidence_sequential's result, by exchanging labels."""
     def read(v, peer):
+        me = all_labels[v]
         out = []
-        for eid, toks in peer.items():
-            ve = classify_incoming(all_labels[v], scheme.parse(toks, 0)[0],
+        for eid in sorted(peer):
+            ve = classify_incoming(me, scheme.parse(peer[eid], 0)[0],
                                    eid, g.weight(eid), scheme)
             if ve is not None:
                 out.append(ve)
-        out.sort(key=lambda e: e.origin)
         return out
 
     return exchange_distributed(g, tree, lambda v: scheme.tokens(all_labels[v]),

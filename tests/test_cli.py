@@ -334,6 +334,31 @@ def test_weighted_runs_on_uneven_subtrees_pinned(tmp_path, algo):
                  for p in (tr, met)) == UNEVEN_TREE_PINS[algo]
 
 
+# tap's and fast's transcript and --metrics CSV at the default budget on the
+# benchmark's cli-gadget instance, lb-disj k=2 d=2 p=9 a=10 b=01 unweighted
+# (n = 2,047, h = 512, 39 fragments for fast): SHA-256 pins at benchmark
+# scale, where the label waves, the exchange and the covering scans carry
+# thousands of labels and headers. A host-side change to the label layer
+# must not move a byte (tap 571,062 and fast 5,947,059 transcript bytes)
+GADGET_PINS = {
+    "tap": ("34041a3454b9bad116fd7a3ebd0e6bb2f18f94e76e278bf2b8a1ab31fdd118cc",
+            "8c21a63befcc78815fe0080c1e578d422189e59e5e15bd61aa6d8f48fa756aa5"),
+    "fast": ("94e1ccf6bf5a44b392ebc976fa636073578cdde315eecc76fbbb8a596c5fcc38",
+             "fbac2374ea7828b7cfdbc8237ca07f8cfd250a7e7fd0cfb1a0eba3af362cbe60"),
+}
+
+
+@pytest.mark.parametrize("algo", sorted(GADGET_PINS))
+def test_benchmark_gadget_transcript_and_metrics_pinned(tmp_path, algo):
+    inst, tr, met = (str(tmp_path / f) for f in ("d.txt", "t.log", "m.csv"))
+    assert run_cli(["gen", "lb-disj", "--k", "2", "--d", "2", "--p", "9",
+                    "--a", "10", "--b", "01", "--unweighted", "-o", inst]) == 0
+    assert run_cli(["run", inst, "--algo", algo,
+                    "--transcript", tr, "--metrics", met]) == 0
+    assert tuple(hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                 for p in (tr, met)) == GADGET_PINS[algo]
+
+
 def test_bridged_input_exits_2(tmp_path):
     inst = tmp_path / "b.txt"
     inst.write_text("4 4\n0 1 1 t\n1 2 1 t\n2 3 1 t\n1 3 1\n")

@@ -186,9 +186,9 @@ def test_depth_only_decision_equals_full_label_maximal_of(seed, picks):
     full, depth_only = [], []
     for i, origin, as_depth in picks:
         anc = labels[path[i % len(path)]]
-        full.append(vg.VirtualEdge(anc, labels[v], origin, 0))
-        depth_only.append(vg.VirtualEdge(anc.depth if as_depth else anc,
-                                         None, origin, 0))
+        full.append(vg.VirtualEdge(anc, labels[v], origin, 0, anc.depth))
+        depth_only.append(vg.VirtualEdge(None if as_depth else anc,
+                                         None, origin, 0, anc.depth))
 
     def index(cands, best):
         return next((i for i, ve in enumerate(cands) if ve is best), None)

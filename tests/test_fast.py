@@ -11,8 +11,8 @@ from treeaug.fast import (SplitScheme, augment_fast, fragment_decompose,
                           split_labels_sequential)
 from treeaug.graph import (Multigraph, NotConnectedError, augmentation_covers,
                            bfs_tree, eccentricity, find_bridges, root_tree)
-from treeaug.labels import (LcaLabel, TreeView, assign_labels_sequential,
-                            hop_tokens)
+from treeaug.labels import (LabelError, LcaLabel, TreeView,
+                            assign_labels_sequential, hop_tokens)
 from treeaug.unweighted import BridgeDetected, augment_unweighted
 from treeaug.virtual_graph import (PlainScheme, build_incidence_sequential,
                                    covered_tree_edges)
@@ -82,6 +82,17 @@ def test_split_scheme_lca_matches_truth():
             assert scheme.key(got) == scheme.key(split[t])
             assert (scheme.is_ancestor(split[a], split[b])
                     == tree.is_ancestor(a, b))
+
+
+def test_split_parse_needs_a_fragment_tag():
+    # a frame that does not start with an ("sf", f) token is a malformed
+    # label, as one without a hop is to labels.parse_label: a bare int, an
+    # empty frame, a label without its tag, a short tag, a tag alone
+    scheme = SplitScheme([], 0)
+    for buf in ((5,), (), (("lp", 0, 0), ("lq", 0, 1)), (("sf",),),
+                (("sf", 0),)):
+        with pytest.raises(LabelError):
+            scheme.parse(buf, 0)
 
 
 def test_directory_is_the_fragment_tree():
@@ -304,7 +315,6 @@ def test_depth_keyed_decide_equals_full_label_maximal_covering(
     g, tree = instance(seed, nmax=40)
     view, split, scheme, own = _scan_inputs(g, tree, target)
     full = [fast.fragment_max_sequential(view, split, scheme, o) for o in own]
-    dview = cover_scan._DepthView(scheme)
     inner = [v for v in range(g.n) if view.children[v]] or list(range(g.n))
     v = inner[pick % len(inner)]
     recs = []
@@ -312,7 +322,7 @@ def test_depth_keyed_decide_equals_full_label_maximal_covering(
         sent = (full[0][c], full[1][c])
         if not as_label[i % len(as_label)]:
             sent = cover_scan.parse_depth_header(
-                cover_scan.depth_header(*sent, dview))
+                cover_scan.depth_header(*sent))
         recs.append(sent)
     decide = fast._fragment_max_decide(split, scheme, own)
     best, up = decide(v, recs)
@@ -324,10 +334,10 @@ def test_depth_keyed_decide_equals_full_label_maximal_covering(
         got = best[kind]
         assert (got is None) == (want is None)
         if want is not None:
-            assert ((got.origin, dview.depth(got.anc))
+            assert ((got.origin, got.anc_depth)
                     == (want.origin, scheme.depth(want.anc)))
-    assert (cover_scan.depth_header(*up, dview)
-            == cover_scan.depth_header(full[0][v], full[1][v], dview))
+    assert (cover_scan.depth_header(*up)
+            == cover_scan.depth_header(full[0][v], full[1][v]))
 
 
 def test_scan_result_marks_each_record_path():
@@ -397,7 +407,7 @@ def test_one_lg_record_where_a_fragments_two_maxima_coincide(monkeypatch):
                 for f in want_tags if best[f] is not None}
 
     def got(records):
-        return {f: (ve.origin, ve.anc) for f, ve in records.items()}
+        return {f: (ve.origin, ve.anc_depth) for f, ve in records.items()}
 
     assert got(res["leaf_max"]) == by_frag(leaf)
     assert got(res["frag_max"]) == by_frag(inc)
@@ -557,7 +567,7 @@ def test_values_off_the_wire_equal_and_hash_like_the_assigned_ones():
     # LcaLabel, SplitLabel and VirtualEdge are slotted dataclasses, not
     # frozen ones, with the same equality and hashing: a label by its hops
     # alone, a split label by its fragment and local label, a virtual edge
-    # by all four fields. So a split label parsed off the wire, whose
+    # by all five fields. So a split label parsed off the wire, whose
     # vertex is unknown, equals and hashes like the one assigned, and so
     # do virtual edges built from either
     g, tree = generators.gen_lb_disjointness(2, 2, 4, [1, 0], [0, 1],
@@ -570,12 +580,13 @@ def test_values_off_the_wire_equal_and_hash_like_the_assigned_ones():
         assert i == len(toks)
         assert back.local.vertex is None and split[v].local.vertex == v
         assert back == split[v] and hash(back) == hash(split[v])
-        mine = vg.VirtualEdge(split[0], split[v], 7, 3)
-        theirs = vg.VirtualEdge(split[0], back, 7, 3)
+        top = scheme.depth(split[0])
+        mine = vg.VirtualEdge(split[0], split[v], 7, 3, top)
+        theirs = vg.VirtualEdge(split[0], back, 7, 3, top)
         assert mine == theirs and hash(mine) == hash(theirs)
         assert {theirs: v}[mine] == v
-        assert vg.VirtualEdge(split[0], back, 8, 3) != mine
-        assert vg.VirtualEdge(split[0], back, 7, 4) != mine
+        assert vg.VirtualEdge(split[0], back, 8, 3, top) != mine
+        assert vg.VirtualEdge(split[0], back, 7, 4, top) != mine
     label = split[1].local
     assert LcaLabel(None, -1, label.seq) == label
     assert hash(LcaLabel(None, -1, label.seq)) == hash(label)

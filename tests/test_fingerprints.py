@@ -4,8 +4,8 @@ import copy
 from collections import Counter
 
 import fingerprints
-from treeaug import apps, fast, sim
-from treeaug.fast import fragment_decompose
+from treeaug import apps, fast, sim, unweighted, virtual_graph as vg
+from treeaug.fast import fragment_decompose, split_labels_sequential
 from treeaug.graph import bfs_tree, eccentricity, mst_tree
 from treeaug.labels import TreeView, assign_labels_sequential
 
@@ -144,6 +144,86 @@ def test_exchange_entries_cost_their_derived_counts():
             sum(nt * L for nt, L, _ in per_vertex)], key
         algos.add(algo)
     assert algos == set(fingerprints.ALGOS)
+
+
+# the depth-header up passes (cover_scan.header_wave): tap's and ecss's
+# covering scan, and fast's in-fragment maximal-edge scan and third pass
+HEADER_WAVES = ("cover_up", "global_cover", "local_cover_up")
+
+
+def _header_wave_cost(view, forwards, b):
+    """[rounds, messages, tokens] of a header_wave over `view` at budget b
+    in which a non-root vertex v sends its parent a 4-token header when
+    forwards[v], else (-1,). From budget 4 up a header is one message;
+    below it, a frame of 5 or 2 tokens with its length, in ceil(F/b)
+    messages, store-and-forward: a vertex acts in the round its children's
+    last frames are whole, and sends its first chunk then"""
+    framed = b < 4
+    ready = [0] * view.n  # the round in which v acts
+    chunks = [0] * view.n
+    rounds = messages = tokens = 0
+    for v in reversed(view.preorder()):
+        ready[v] = max((ready[c] + chunks[c] for c, _ in view.children[v]),
+                       default=0)
+        if view.parent_edge[v] >= 0:
+            f = (4 if forwards[v] else 1) + framed
+            chunks[v] = -(-f // b)
+            rounds = max(rounds, ready[v] + chunks[v])
+            messages += chunks[v]
+            tokens += f
+    return [rounds, messages, tokens]
+
+
+def _header_forwards(algo, g, tree):
+    """{phase: (view, forwards)} for an algorithm's header waves, forwards[v]
+    read off the sequential shadow's records: whether v sends an edge up"""
+    tree = _algo_tree(algo, g, tree)
+    if algo != "fast":
+        recs = unweighted.sequential_virtual_optimal(g, tree)["records"]
+        return {"cover_up": (TreeView.of_tree(tree), [
+            recs[v].nec is not None or recs[v].opt is not None
+            for v in range(g.n)])}
+    frag_of = fragment_decompose(tree)[0]
+    view = TreeView.of_fragments(tree, frag_of)
+    split, scheme = split_labels_sequential(tree, frag_of)
+    incidence = vg.build_incidence_sequential(g, tree, split, scheme)
+    added_leaf = fast.leaf_adds(tree, incidence, split, scheme)
+    leaf, inc = (fast.fragment_max_sequential(view, split, scheme, own)
+                 for own in (fast._leaf_cands(added_leaf),
+                             lambda v: incidence[v]))
+    recs = fast.sequential_fast_cover(g, tree)["records"]
+    return {"global_cover": (view, [a is not None or b is not None
+                                    for a, b in zip(leaf, inc)]),
+            "local_cover_up": (view, [recs[v].nec is not None
+                                      or recs[v].opt is not None
+                                      for v in range(g.n)])}
+
+
+def test_header_wave_entries_cost_their_derived_counts():
+    # every non-root vertex of the forest sends its parent one depth header,
+    # (necOrigin, necDepth, optOrigin, optDepth) or, forwarding neither
+    # edge, (-1,); see _header_wave_cost. Whether it forwards is read off
+    # the records of the sequential scan, so the engine's headers carry
+    # what the shadow decides
+    graphs = {name: (g, tree) for name, g, tree in fingerprints.instances()}
+    shadows = {}
+    seen = set()
+    silent = Counter()  # non-root vertices that send (-1,)
+    for key, e in fingerprints.load().items():
+        name, b, algo = key.split("|")
+        if algo not in ("tap", "ecss", "fast") or not e["phases"]:
+            continue  # ecss on a bridged instance stops before its scan
+        if (name, algo) not in shadows:
+            shadows[name, algo] = _header_forwards(algo, *graphs[name])
+        for phase, (view, forwards) in shadows[name, algo].items():
+            assert e["phases"][phase] == _header_wave_cost(
+                view, forwards, int(b)), (key, phase)
+            seen.add((phase, algo))
+            silent[phase] += sum(not f for v, f in enumerate(forwards)
+                                 if view.parent_edge[v] >= 0)
+    assert seen == {("cover_up", "tap"), ("cover_up", "ecss"),
+                    ("global_cover", "fast"), ("local_cover_up", "fast")}
+    assert all(silent[phase] for phase in HEADER_WAVES), silent
 
 
 def test_weighted_up_entries_cost_their_derived_counts():

@@ -163,7 +163,8 @@ def test_parsed_label_is_the_sequential_label():
 
 
 def test_parse_label_needs_a_hop():
-    for buf in ((), (("sz", 3),), (("sf", 0), ("lp", 0, 0))):
+    for buf in ((), (5,), (("sz", 3),), (("sf", 0), ("lp", 0, 0)),
+                (("lp", 0, 0), 7), (("lp", 0), ("lq", 0, 1))):
         with pytest.raises(LabelError):
             parse_label(buf, 0)
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treeaug import (fast, generators, labels as lbl, unweighted,
                      virtual_graph as vg, weighted)
@@ -90,10 +91,78 @@ def test_incomparable_ancestors_rejected():
             break
     if sibs is None:
         return
-    a = vg.VirtualEdge(labels[sibs[0]], labels[sibs[0]], 0, 1)
-    b = vg.VirtualEdge(labels[sibs[1]], labels[sibs[1]], 1, 1)
+    a = vg.VirtualEdge(labels[sibs[0]], labels[sibs[0]], 0, 1, labels[sibs[0]].depth)
+    b = vg.VirtualEdge(labels[sibs[1]], labels[sibs[1]], 1, 1, labels[sibs[1]].depth)
     with pytest.raises(VirtualGraphError):
         maximal_of(a, b, scheme)
+
+
+def _random_fragmentation(tree, rng):
+    """frag_of for fragments rooted at the tree root and at a random set of
+    other vertices, each fragment named by its root"""
+    roots = {tree.root} | {v for v in range(tree.n) if rng.random() < 0.3}
+    frag_of = [-1] * tree.n
+    for v in tree.order:
+        frag_of[v] = v if v in roots else frag_of[tree.parent[v]]
+    return frag_of
+
+
+def _true_lca(tree, a, b):
+    while tree.depth[a] > tree.depth[b]:
+        a = tree.parent[a]
+    while tree.depth[b] > tree.depth[a]:
+        b = tree.parent[b]
+    while a != b:
+        a, b = tree.parent[a], tree.parent[b]
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), split=st.booleans(),
+       picks=st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)),
+                      min_size=1, max_size=12))
+def test_one_pass_classification_equals_the_lca_definition(seed, split, picks):
+    # classify_incoming tells its three cases apart by identity in one pass
+    # over the common hop prefix; the definition takes the LCA label and
+    # compares keys: None when it is self's, the peer's own label when it is
+    # the peer's, else the LCA's. Both agree, and agree with the tree, on
+    # random pairs, on pairs of one heavy path (an ancestor pair by
+    # position, not by prefix) and, for split labels, on a random
+    # fragmentation. The peer's label comes off the wire, as in the exchange
+    rng = random.Random(seed)
+    g, tree = generators.gen_random_2ec(rng.randint(3, 40), rng.randint(0, 20), seed)
+    if split:
+        labels, scheme = fast.split_labels_sequential(
+            tree, _random_fragmentation(tree, rng))
+        local = [sl.local for sl in labels]
+    else:
+        labels = assign_labels_sequential(TreeView.of_tree(tree))
+        scheme, local = PlainScheme(), labels
+    pairs = [(a % g.n, b % g.n) for a, b in picks]
+    for v in range(g.n):  # v and its parent on one heavy path, both ways
+        p = tree.parent[v]
+        if p >= 0 and len(local[p].seq) == len(local[v].seq) and (
+                local[p].seq[-1][0] == local[v].seq[-1][0]):
+            pairs += [(v, p), (p, v)]
+    assert split or len(pairs) > len(picks)  # the root's heavy child
+    for a, b in pairs:
+        mine = labels[a]
+        peer = scheme.parse(scheme.tokens(labels[b]), 0)[0]
+        ve = vg.classify_incoming(mine, peer, 0, 1, scheme)
+        t = scheme.lca(mine, peer)
+        w = _true_lca(tree, a, b)
+        assert scheme.key(t) == scheme.key(labels[w]), (a, b)
+        assert scheme.depth(t) == tree.depth[w]
+        if scheme.key(t) == scheme.key(mine):
+            assert w == a and ve is None and t is mine
+            continue
+        assert ve is not None and ve.desc is mine
+        assert ve.anc_depth == tree.depth[w] == scheme.depth(ve.anc)
+        if scheme.key(t) == scheme.key(peer):
+            assert w == b and ve.anc is peer
+        else:
+            assert w not in (a, b) and scheme.key(ve.anc) == scheme.key(t)
+            assert ve.anc is not peer
 
 
 def test_incidence_distributed_equals_sequential():

@@ -108,7 +108,7 @@ def test_own_edge_breakpoints_match_the_own_table(depth, edges):
     # and the pointer that settles depths deepest first, as the leaf steps,
     # give _own_table's cheapest own edge, ties and all, at every depth.
     # Edges reaching no ancestor below `depth` never count
-    incoming = [VirtualEdge(type("Label", (), {"depth": a})(), None, origin, w)
+    incoming = [VirtualEdge(type("Label", (), {"depth": a})(), None, origin, w, a)
                 for a, w, origin in edges]
     scheme = PlainScheme()
     best_w, best_edge = _own_table(incoming, depth, scheme)
